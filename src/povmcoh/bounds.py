@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import InvalidExponentsError, NumericError, XOutOfRangeError, ZOutOfRangeError
-from .objects import DensityMatrix, Povm, projective_povm, require_same_dim
+from .objects import DensityMatrix, Povm, require_same_dim, require_unitary
 
 EXPONENT_TOL = 1e-12
 BOUND_SLACK = 1e-8
@@ -96,38 +96,45 @@ def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundRepor
     )
 
 
-def _basis_l1(rho: DensityMatrix, basis: np.ndarray) -> tuple[float, np.ndarray, int]:
-    povm = projective_povm(basis)
-    require_same_dim(rho.dim, povm.dim)
-    c_l1 = measures.l1_coherence(rho, povm).value
-    return c_l1, np.asarray(basis, dtype=complex), rho.dim
+def _basis_frame(rho: DensityMatrix, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = B^dag rho B for a unitary basis B of rho's dimension, and |r_jk| off the diagonal.
+
+    Every cross block of the rank-one projectors |b_j><b_j| is r_jk |b_j><b_k|,
+    so the l1 value of the basis measurement is sum_{j!=k} |r_jk|.
+    """
+    basis = require_unitary(basis)
+    require_same_dim(rho.dim, basis.shape[0])
+    r = basis.conj().T @ rho.mat @ basis
+    off = np.abs(r)
+    np.fill_diagonal(off, 0.0)
+    return r, off
 
 
 def bound_b1(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
     """Sorted second-moment bound 2 sum_j (d - j) s_(j), s_j = sqrt(<j|rho^2|j>) nondecreasing."""
-    c_l1, basis, d = _basis_l1(rho, basis)
-    rho_sq = rho.mat @ rho.mat
-    s = np.sqrt(np.clip(np.real(np.einsum("ij,jk,ki->i", basis.conj().T, rho_sq, basis)), 0.0, None))
-    coeff = d - 1.0 - np.arange(d)
+    r, off = _basis_frame(rho, basis)
+    # <j|rho^2|j> = (r r^dag)_jj, the squared norm of row j of r
+    s = np.linalg.norm(r, axis=1)
+    coeff = rho.dim - 1.0 - np.arange(rho.dim)
     value = float(2.0 * np.dot(coeff, np.sort(s)))
-    return BoundReport(c_l1, value, "b1")
+    return BoundReport(float(off.sum()), value, "b1")
 
 
 def bound_b2(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
     """Diagonal-weight bound (sum_j sqrt(<j|rho|j>))^2 - 1."""
-    c_l1, basis, _ = _basis_l1(rho, basis)
-    diag = np.clip(np.real(np.einsum("ij,jk,ki->i", basis.conj().T, rho.mat, basis)), 0.0, None)
+    r, off = _basis_frame(rho, basis)
+    diag = np.clip(np.real(np.diagonal(r)), 0.0, None)
     value = float(np.sum(np.sqrt(diag)) ** 2 - 1.0)
-    return BoundReport(c_l1, value, "b2")
+    return BoundReport(float(off.sum()), value, "b2")
 
 
 def bound_b3(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
     """Purity-gap bound sqrt( d (d-1) (tr rho^2 - sum_j <j|rho|j>^2) )."""
-    c_l1, basis, d = _basis_l1(rho, basis)
-    diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, rho.mat, basis))
-    gap = float(np.real(np.trace(rho.mat @ rho.mat)) - np.sum(diag**2))
-    value = float(math.sqrt(max(d * (d - 1.0) * gap, 0.0)))
-    return BoundReport(c_l1, value, "b3")
+    _, off = _basis_frame(rho, basis)
+    # tr rho^2 = sum_jk |r_jk|^2, so the gap is the off-diagonal weight
+    gap = float(np.sum(off**2))
+    value = float(math.sqrt(rho.dim * (rho.dim - 1.0) * gap))
+    return BoundReport(float(off.sum()), value, "b3")
 
 
 # --------------------------------------------------------------------------

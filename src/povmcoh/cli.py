@@ -118,11 +118,11 @@ def _parse_range(text: str, default: tuple[float, float, float]) -> np.ndarray:
 
 
 def _bound_row(rho: DensityMatrix, povm: Povm, pq_list, basis) -> list:
-    row = [measures.l1_coherence(rho, povm).value]
+    ordered, uniform = bounds.pair_bounds(rho, povm)
+    row = [ordered.c_l1_value]
     for p, q in pq_list:
         row.append(bounds.holder_bound(rho, povm, p, q).bound_value)
     row.append(bounds.holder_bound_22(rho, povm).bound_value)
-    ordered, uniform = bounds.pair_bounds(rho, povm)
     row.extend([ordered.bound_value, uniform.bound_value])
     if basis is not None:
         row.extend([
@@ -240,6 +240,8 @@ def cmd_haar(args) -> int:
     if measure_id == measures.TSALLIS and args.alpha is None:
         raise ValidationError("--alpha is required for the tsallis measure")
     seed = _resolve_seed(args)
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed) if args.mc else None
     result = haar.haar_average(povm, measure_id, alpha=args.alpha,
                                mc_samples=args.mc, rng=rng, workers=args.workers)

@@ -56,7 +56,7 @@ def loads(text: str):
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValidationError(f"dim must be a positive integer, got {dim!r}")
     payload = doc.get("payload")
     if payload is None:

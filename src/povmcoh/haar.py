@@ -15,6 +15,7 @@ uses analytic derivatives, f[x,...,x] (m+1 nodes) = f^(m)(x) / m!.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -217,27 +218,14 @@ class McEstimate:
     samples: int
 
 
-def _measure_values(probs: np.ndarray, measure_id: str, alpha: float | None) -> np.ndarray:
-    """Vectorized pure-state measure values from a (batch, n) probability matrix."""
-    if measure_id == measures.RELATIVE_ENTROPY:
-        return -np.sum(np.where(probs > 0.0, probs * np.log2(np.where(probs > 0.0, probs, 1.0)), 0.0), axis=1)
-    if measure_id == measures.L1:
-        return np.sum(np.sqrt(probs), axis=1) ** 2 - np.sum(probs, axis=1)
-    if measure_id == measures.TSALLIS:
-        alpha = measures.check_alpha(alpha)
-        return (np.sum(probs ** (1.0 / alpha), axis=1) - 1.0) / (alpha - 1.0)
-    raise ValidationError(f"unknown measure id: {measure_id!r}")
-
-
-def _chunk_sums(stack: np.ndarray, count: int, gen: np.random.Generator,
-                measure_id: str, alpha: float | None) -> tuple[float, float]:
-    d = stack.shape[1]
-    psi = gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))
+def _chunk_stats(povm: Povm, count: int, gen: np.random.Generator,
+                 value_of) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one chunk of samples."""
+    psi = gen.standard_normal((count, povm.dim)) + 1j * gen.standard_normal((count, povm.dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    probs = np.einsum("bi,kij,bj->bk", psi.conj(), stack, psi).real
-    np.clip(probs, 0.0, None, out=probs)
-    vals = _measure_values(probs, measure_id, alpha)
-    return float(vals.sum()), float(np.dot(vals, vals))
+    vals = value_of(measures.pure_state_probabilities(psi, povm))
+    mean = float(vals.mean())
+    return count, mean, float(np.sum((vals - mean) ** 2))
 
 
 def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
@@ -246,22 +234,29 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
     """Monte Carlo Haar average of a measure over pure states.
 
     The sample budget is split into fixed-size chunks, each driven by its own
-    spawned child generator; partial sums are combined in chunk order, so the
-    estimate is identical for a given rng state regardless of `workers`.
+    spawned child generator; per-chunk means and squared deviations are merged
+    in chunk order (Chan et al.), so the estimate is identical for a given rng
+    state regardless of `workers`.
     """
     samples = int(samples)
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
-    if measure_id == measures.TSALLIS:
+    if measure_id == measures.RELATIVE_ENTROPY:
+        value_of = measures.pure_relative_entropy_coherence
+    elif measure_id == measures.L1:
+        value_of = measures.pure_l1_coherence
+    elif measure_id == measures.TSALLIS:
         alpha = measures.check_alpha(alpha)
-    stack = np.array(povm.elements)
+        value_of = partial(measures.pure_tsallis_coherence, alpha=alpha)
+    else:
+        raise ValidationError(f"unknown measure id: {measure_id!r}")
     counts = [MC_CHUNK] * (samples // MC_CHUNK)
     if samples % MC_CHUNK:
         counts.append(samples % MC_CHUNK)
     gens = rng.spawn(len(counts))
 
-    def run(idx: int) -> tuple[float, float]:
-        return _chunk_sums(stack, counts[idx], gens[idx], measure_id, alpha)
+    def run(idx: int) -> tuple[int, float, float]:
+        return _chunk_stats(povm, counts[idx], gens[idx], value_of)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -269,11 +264,14 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
     else:
         parts = [run(i) for i in range(len(counts))]
 
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    mean = total / samples
-    variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    return McEstimate(mean, math.sqrt(variance / samples), samples)
+    total, mean, m2 = parts[0]
+    for count, chunk_mean, chunk_m2 in parts[1:]:
+        delta = chunk_mean - mean
+        merged = total + count
+        mean += delta * count / merged
+        m2 += chunk_m2 + delta * delta * total * count / merged
+        total = merged
+    return McEstimate(mean, math.sqrt(m2 / (samples - 1) / samples), samples)
 
 
 @dataclass(frozen=True)

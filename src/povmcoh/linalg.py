@@ -109,17 +109,17 @@ def power_psd(m: np.ndarray, a: float, kernel_rtol: float = 0.0) -> np.ndarray:
     return mat_func_hermitian(m, f, clamp_psd=True)
 
 
-def inv_sqrt_psd(m: np.ndarray, kernel_rtol: float = 0.0) -> np.ndarray:
-    """M**(-1/2) on the support of a PSD Hermitian M.
+def support_eigenpairs(m: np.ndarray, kernel_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of a PSD Hermitian M on its support, w descending.
 
-    Eigenvalues at or below kernel_rtol * max(eigenvalue) are treated as kernel
-    and mapped to 0 (pseudo-inverse); kernel_rtol=0 inverts everything positive.
+    Eigenvalues pass the PSD roundoff clamp; those at or below
+    kernel_rtol * max(eigenvalue) count as kernel and are dropped, so
+    (v / sqrt(w)) @ v^dag is the pseudo-inverse square root of M.
     """
     w, v = eig_hermitian(m)
     w = clamp_psd_eigenvalues(w)
-    cut = kernel_rtol * (float(w.max()) if w.size else 0.0)
-    inv = np.where(w > cut, np.divide(1.0, np.sqrt(w), where=w > cut), 0.0)
-    return (v * inv) @ v.conj().T
+    keep = w > kernel_rtol * (float(w[0]) if w.size else 0.0)
+    return w[keep], v[:, keep]
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -150,9 +150,5 @@ def entropy_psd(m: np.ndarray) -> float:
     The input need not be normalized; eigenvalues are used as-is after the
     PSD roundoff clamp.
     """
-    w, _ = eig_hermitian(m)
-    w = clamp_psd_eigenvalues(w)
-    pos = w[w > 0.0]
-    if pos.size == 0:
-        return 0.0
-    return float(-np.sum(pos * np.log2(pos)))
+    w, _ = support_eigenpairs(m)
+    return float(-np.sum(w * np.log2(w)))

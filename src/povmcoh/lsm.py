@@ -85,20 +85,22 @@ def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:
     return Ensemble(states, weights / weights.sum())
 
 
+def _mixture_support(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support eigenpairs of an ensemble's average state; rejects a zero mixture."""
+    w, v = linalg.support_eigenpairs(rho_out, KERNEL_RTOL)
+    if w.size == 0 or float(w[0]) <= DEGENERATE_TOL:
+        raise DegenerateEnsembleError("ensemble average state is numerically zero")
+    return w, v
+
+
 def build_lsm(ensemble: Ensemble) -> LsmInstance:
     """LSM operators M_j = eta_j W rho_j W, W the inverse square root of the
     average state on its support, and the discrimination error probability."""
     rho_out = ensemble.average_state()
-    w, v = linalg.eig_hermitian(rho_out)
-    w = linalg.clamp_psd_eigenvalues(w)
-    top = float(w.max())
-    if top <= DEGENERATE_TOL:
-        raise DegenerateEnsembleError("ensemble average state is numerically zero")
-    keep = w > KERNEL_RTOL * top
-    rank = int(np.count_nonzero(keep))
-    inv_root = np.where(keep, np.divide(1.0, np.sqrt(w), where=keep), 0.0)
-    w_inv_sqrt = (v * inv_root) @ v.conj().T
-    projector = (v * keep.astype(float)) @ v.conj().T
+    w, v = _mixture_support(rho_out)
+    rank = w.size
+    w_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    projector = v @ v.conj().T
 
     operators = []
     success = 0.0
@@ -129,36 +131,21 @@ def measurement_from_ensemble(ensemble: Ensemble) -> StatePovmResult:
     support of the mixture and the result is flagged.
     """
     rho_out = ensemble.average_state()
-    w, v = linalg.eig_hermitian(rho_out)
-    w = linalg.clamp_psd_eigenvalues(w)
-    top = float(w.max())
-    if top <= DEGENERATE_TOL:
-        raise DegenerateEnsembleError("ensemble average state is numerically zero")
-
-    if float(w.min()) > FULL_RANK_TOL:
-        inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-        elements = [
-            linalg.hermitian_part(eta * (inv_root @ member.mat @ inv_root))
-            for eta, member in zip(ensemble.weights, ensemble.states)
-        ]
-        return StatePovmResult(
-            state=DensityMatrix(rho_out),
-            povm=Povm(elements),
-            support_restricted=False,
-        )
-
-    keep = w > KERNEL_RTOL * top
-    basis = v[:, keep]
-    inv_root = np.diag(1.0 / np.sqrt(w[keep]))
+    w, v = _mixture_support(rho_out)
+    if w.size == ensemble.dim and float(w[-1]) > FULL_RANK_TOL:
+        basis, inv_root = None, (v / np.sqrt(w)) @ v.conj().T
+    else:
+        # restricted to the support, written in the eigenbasis of the mixture
+        basis, inv_root = v, np.diag(1.0 / np.sqrt(w))
+        rho_out = linalg.hermitian_part(basis.conj().T @ rho_out @ basis)
     elements = []
     for eta, member in zip(ensemble.weights, ensemble.states):
-        restricted = basis.conj().T @ member.mat @ basis
-        elements.append(linalg.hermitian_part(eta * (inv_root @ restricted @ inv_root)))
-    state = DensityMatrix(linalg.hermitian_part(basis.conj().T @ rho_out @ basis))
+        mat = member.mat if basis is None else basis.conj().T @ member.mat @ basis
+        elements.append(linalg.hermitian_part(eta * (inv_root @ mat @ inv_root)))
     return StatePovmResult(
-        state=state,
+        state=DensityMatrix(rho_out),
         povm=Povm(elements),
-        support_restricted=True,
+        support_restricted=basis is not None,
         support_basis=basis,
     )
 

@@ -131,27 +131,29 @@ def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> Inc
     return IncoherenceReport(defect <= tol, defect, tol)
 
 
+# The pure-state functions below act on the last axis: a (batch, d) stack of states
+# gives (batch, n) probabilities, and those give one measure value per row.
 def pure_state_probabilities(vec: np.ndarray, povm: Povm) -> np.ndarray:
     """Outcome probabilities <psi|E_j|psi> of a pure state, clipped at 0."""
     vec = np.asarray(vec, dtype=complex)
-    require_same_dim(vec.size, povm.dim)
-    p = np.array([np.real(np.vdot(vec, e @ vec)) for e in povm.elements])
+    require_same_dim(vec.shape[-1], povm.dim)
+    p = np.einsum("...i,kij,...j->...k", vec.conj(), np.array(povm.elements), vec).real
     return np.clip(p, 0.0, None)
 
 
 def pure_l1_coherence(p: np.ndarray) -> float:
     """l1 measure of a pure state from its outcome probabilities: (sum sqrt p)^2 - sum p."""
     r = np.sqrt(p)
-    return float(np.sum(r) ** 2 - np.sum(p))
+    return np.sum(r, axis=-1) ** 2 - np.sum(p, axis=-1)
 
 
 def pure_relative_entropy_coherence(p: np.ndarray) -> float:
     """Relative-entropy measure of a pure state: Shannon entropy of the outcome distribution."""
-    pos = p[p > 0.0]
-    return float(-np.sum(pos * np.log2(pos)))
+    pos = p > 0.0
+    return -np.sum(np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0), axis=-1)
 
 
 def pure_tsallis_coherence(p: np.ndarray, alpha: float) -> float:
     """Tsallis measure of a pure state: [sum_j p_j^(1/alpha) - 1] / (alpha - 1)."""
     alpha = check_alpha(alpha)
-    return float((np.sum(p ** (1.0 / alpha)) - 1.0) / (alpha - 1.0))
+    return (np.sum(p ** (1.0 / alpha), axis=-1) - 1.0) / (alpha - 1.0)

@@ -284,17 +284,17 @@ def random_povm(d: int, n: int, rng: np.random.Generator, max_attempts: int = 10
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             blocks.append(a @ a.conj().T)
         s = sum(blocks)
-        w = np.linalg.eigvalsh(linalg.hermitian_part(s))
-        if w.min() <= 1e-12 * w.max():
+        w, v = linalg.support_eigenpairs(s, kernel_rtol=1e-12)
+        if w.size < d:
             continue
-        s_inv_sqrt = linalg.inv_sqrt_psd(s)
+        s_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
         elements = [linalg.hermitian_part(s_inv_sqrt @ g @ s_inv_sqrt) for g in blocks]
         return Povm(elements)
     raise SingularSumError(f"POVM normalization sum stayed singular after {max_attempts} draws")
 
 
-def projective_povm(basis: np.ndarray) -> Povm:
-    """Rank-one projective POVM from the columns of a unitary basis matrix."""
+def require_unitary(basis: np.ndarray) -> np.ndarray:
+    """The basis as a complex array, after checking it is a square unitary matrix."""
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise NotUnitaryError(f"basis must be a square matrix, got shape {basis.shape}")
@@ -302,4 +302,10 @@ def projective_povm(basis: np.ndarray) -> Povm:
     defect = float(np.max(np.abs(basis.conj().T @ basis - np.eye(d))))
     if defect > HERMITICITY_TOL:
         raise NotUnitaryError(f"basis unitarity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    return Povm([np.outer(basis[:, j], basis[:, j].conj()) for j in range(d)])
+    return basis
+
+
+def projective_povm(basis: np.ndarray) -> Povm:
+    """Rank-one projective POVM from the columns of a unitary basis matrix."""
+    basis = require_unitary(basis)
+    return Povm([np.outer(basis[:, j], basis[:, j].conj()) for j in range(basis.shape[0])])

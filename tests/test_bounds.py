@@ -7,7 +7,9 @@ import pytest
 
 from helpers import random_density, random_pure_density, random_unitary, trine_povm, z_basis_povm
 from povmcoh import (
+    DimensionMismatchError,
     InvalidExponentsError,
+    NotUnitaryError,
     NumericError,
     Povm,
     XOutOfRangeError,
@@ -119,6 +121,29 @@ def test_ordered_pair_bound_equals_b1_for_projective():
         basis = random_unitary(rng, d)
         ordered, _ = pair_bounds(rho, projective_povm(basis))
         assert abs(ordered.bound_value - bound_b1(rho, basis).bound_value) < 1e-10
+
+
+def test_basis_bounds_reject_bad_basis():
+    rho = figure2_state(0.1)
+    skew = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for bound in (bound_b1, bound_b2, bound_b3):
+        with pytest.raises(NotUnitaryError):
+            bound(rho, skew)
+        with pytest.raises(DimensionMismatchError):
+            bound(rho, np.eye(2))
+
+
+def test_basis_bounds_certify_the_l1_value():
+    # each report carries C_l1 of the basis measurement, from B^dag rho B
+    rng = np.random.default_rng(29)
+    for d in range(2, 9):
+        basis = random_unitary(rng, d)
+        povm = projective_povm(basis)
+        states = (random_pure_density(rng, d), random_density(rng, d), random_density(rng, d, cols=d - 1))
+        for rho in states:
+            expected = l1_coherence(rho, povm).value
+            for bound in (bound_b1, bound_b2, bound_b3):
+                assert abs(bound(rho, basis).c_l1_value - expected) < 1e-12
 
 
 def test_b1_examples():

@@ -310,6 +310,18 @@ def test_haar_rejects_bad_env_seed(capsys, z_path, monkeypatch):
     assert code == 2
 
 
+def test_haar_rejects_negative_seed(capsys, z_path, monkeypatch):
+    monkeypatch.delenv("COH_SEED", raising=False)
+    argv = ["haar", "--povm", z_path, "--measure", "r", "--mc", "10000"]
+    code, out, err = run(capsys, argv + ["--seed", "-1"])
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+    monkeypatch.setenv("COH_SEED", "-1")
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
 # --------------------------------------------------------------------------
 # exit codes
 

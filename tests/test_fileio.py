@@ -96,8 +96,9 @@ def test_loads_rejects_unknown_kind():
 
 
 def test_loads_rejects_bad_dim():
-    for dim in ("2", 0, -1, 2.5, None):
-        doc = {"kind": "state", "dim": dim, "payload": []}
+    # the payload is a valid 1x1 state, so only the dim can be at fault
+    for dim in ("2", 0, -1, 2.5, None, True):
+        doc = {"kind": "state", "dim": dim, "payload": [[[1.0, 0.0]]]}
         with pytest.raises(ValidationError):
             fileio.loads(json.dumps(doc))
 

@@ -34,6 +34,7 @@ from povmcoh import (
     random_povm,
     tsallis_half_trace_formula,
 )
+from povmcoh.haar import MC_CHUNK
 from povmcoh.measures import pure_l1_coherence
 
 
@@ -284,6 +285,26 @@ def test_mc_deterministic_across_worker_counts():
     )
     assert a.mean == b.mean
     assert a.std_error == b.std_error
+
+
+def test_mc_std_error_matches_two_pass_variance():
+    # {I/2 + eps D, I/2 - eps D}: the spread of C_r is far below its mean, where
+    # a one-pass variance sum(x^2) - N mean^2 loses every digit
+    d, eps = 6, 1e-5
+    shift = eps * np.diag(np.arange(d) / d)
+    povm = Povm([0.5 * np.eye(d) + shift, 0.5 * np.eye(d) - shift])
+    counts = [MC_CHUNK, MC_CHUNK, 100]
+    est = monte_carlo_average(povm, "relative_entropy", sum(counts), np.random.default_rng(3))
+    vals = []
+    for count, gen in zip(counts, np.random.default_rng(3).spawn(len(counts))):
+        psi = gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        probs = np.einsum("bi,kij,bj->bk", psi.conj(), np.array(povm.elements), psi).real
+        vals.append(-np.sum(probs * np.log2(probs), axis=1))
+    vals = np.concatenate(vals)
+    assert abs(est.mean - vals.mean()) < 1e-12
+    expected = np.std(vals, ddof=1) / np.sqrt(vals.size)
+    assert abs(est.std_error - expected) <= 1e-6 * expected
 
 
 def test_mc_rejects_tiny_sample_counts():

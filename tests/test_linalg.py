@@ -16,12 +16,12 @@ from povmcoh.linalg import (
     entropy_psd,
     hermitian_part,
     hermiticity_defect,
-    inv_sqrt_psd,
     mat_func_hermitian,
     operator_norm,
     power_psd,
     singular_values,
     sqrt_psd,
+    support_eigenpairs,
     trace_norm,
 )
 
@@ -113,17 +113,21 @@ def test_power_psd_spectral():
     assert np.max(np.abs(cube - rho @ rho)) < 1e-9
 
 
-def test_inv_sqrt_psd_full_rank():
+def test_support_eigenpairs_inverse_root_full_rank():
     rng = np.random.default_rng(6)
     rho = random_density(rng, 4).mat
-    s = inv_sqrt_psd(rho)
+    w, v = support_eigenpairs(rho)
+    assert w.size == 4
+    s = (v / np.sqrt(w)) @ v.conj().T
     assert np.max(np.abs(s @ rho @ s - np.eye(4))) < 1e-8
 
 
-def test_inv_sqrt_psd_pseudo_inverse_on_support():
+def test_support_eigenpairs_pseudo_inverse_on_support():
     # rank-one projector: pseudo inverse square root is the projector itself
     p = np.diag([1.0, 0.0]).astype(complex)
-    s = inv_sqrt_psd(p, kernel_rtol=1e-12)
+    w, v = support_eigenpairs(p, kernel_rtol=1e-12)
+    assert w.size == 1
+    s = (v / np.sqrt(w)) @ v.conj().T
     assert np.max(np.abs(s - p)) < 1e-12
 
 

@@ -193,6 +193,24 @@ def test_pure_state_formulas_match_general_path():
                        - pure_tsallis_coherence(p, alpha)) < 1e-9
 
 
+def test_pure_forms_reduce_over_last_axis():
+    rng = np.random.default_rng(12)
+    povm = random_povm(4, 5, rng)
+    psi = np.array([haar_random_pure(4, rng).vec for _ in range(6)])
+    p = pure_state_probabilities(psi, povm)
+    assert p.shape == (6, 5)
+    for row, vec in zip(p, psi):
+        np.testing.assert_allclose(row, pure_state_probabilities(vec, povm), rtol=1e-14, atol=1e-16)
+    # a zero outcome probability in one row
+    p = np.vstack([p, [0.5, 0.0, 0.25, 0.25, 0.0]])
+    forms = (pure_l1_coherence, pure_relative_entropy_coherence,
+             lambda q: pure_tsallis_coherence(q, 0.5), lambda q: pure_tsallis_coherence(q, 2.0))
+    for form in forms:
+        batch = form(p)
+        assert batch.shape == (7,)
+        np.testing.assert_allclose(batch, [form(row) for row in p], rtol=1e-14, atol=1e-16)
+
+
 def test_unitary_covariance_of_measures():
     # rotating both the state and the measurement leaves every value unchanged
     rng = np.random.default_rng(10)
