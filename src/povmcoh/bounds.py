@@ -54,14 +54,32 @@ def check_exponents(p: float, q: float) -> tuple[float, float]:
     return p, q
 
 
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Trace norm of every matrix in a stack."""
+    return np.sum(linalg.stacked_singular_values(stack), axis=-1)
+
+
+def _rho_factor(rho: DensityMatrix, povm: Povm) -> np.ndarray:
+    """v w, d x r: for any d x d A, ||A rho||_tr = ||A v w||_tr since v^dag has orthonormal rows."""
+    require_same_dim(rho.dim, povm.dim)
+    w, v = rho.support
+    return v * w
+
+
 def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundReport:
     """Factorized bound sum_{j!=k} ||E_j^(p/2) rho||^(1/p) ||E_k^(q/2) rho||^(1/q)."""
     p, q = check_exponents(p, q)
-    require_same_dim(rho.dim, povm.dim)
-    a = np.array([linalg.trace_norm(linalg.power_psd(e, p / 2.0) @ rho.mat) ** (1.0 / p)
-                  for e in povm.elements])
-    b = np.array([linalg.trace_norm(linalg.power_psd(e, q / 2.0) @ rho.mat) ** (1.0 / q)
-                  for e in povm.elements])
+    vw = _rho_factor(rho, povm)
+    # sigma(E_j^a v w) = sigma(s_j^a u_j^dag v w) for E_j = u_j s_j u_j^dag: one
+    # eigendecomposition per element serves both powers
+    spectra, projections = [], []
+    for e in povm.elements:
+        s, u = linalg.eig_hermitian(e)
+        spectra.append(linalg.clamp_psd_eigenvalues(s))
+        projections.append(u.conj().T @ vw)
+    s, proj = np.array(spectra)[..., None], np.stack(projections)
+    a = _trace_norms(s ** (p / 2.0) * proj) ** (1.0 / p)
+    b = _trace_norms(s ** (q / 2.0) * proj) ** (1.0 / q)
     value = float(a.sum() * b.sum() - np.dot(a, b))
     c_l1 = measures.l1_coherence(rho, povm).value
     return BoundReport(c_l1, value, "thm1", (p, q))
@@ -69,8 +87,7 @@ def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundRep
 
 def holder_bound_22(rho: DensityMatrix, povm: Povm) -> BoundReport:
     """p = q = 2 closed form: (sum_j ||E_j rho||^(1/2))^2 - sum_j ||E_j rho||."""
-    require_same_dim(rho.dim, povm.dim)
-    t = np.array([linalg.trace_norm(e @ rho.mat) for e in povm.elements])
+    t = _trace_norms(np.array(povm.elements) @ _rho_factor(rho, povm))
     value = float(np.sum(np.sqrt(t)) ** 2 - np.sum(t))
     c_l1 = measures.l1_coherence(rho, povm).value
     return BoundReport(c_l1, value, "thm1_p2q2", (2.0, 2.0))
@@ -82,9 +99,8 @@ def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundRepor
     sorted:  2 sum_j (n - j) t_(j)  with t_(1) <= ... <= t_(n)
     uniform: (n - 1) sum_j t_j
     """
-    require_same_dim(rho.dim, povm.dim)
     n = povm.outcomes
-    t = np.array([linalg.trace_norm(root @ rho.mat) for root in povm.sqrt_elements])
+    t = _trace_norms(povm.sqrt_elements @ _rho_factor(rho, povm))
     t_sorted = np.sort(t)
     coeff = n - 1.0 - np.arange(n)
     ordered_value = float(2.0 * np.dot(coeff, t_sorted))

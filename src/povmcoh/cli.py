@@ -24,6 +24,9 @@ from .errors import (
 )
 from .objects import DensityMatrix, Ensemble, Povm, PureState, projective_povm
 
+# Largest --range grid a figure sweep accepts.
+MAX_RANGE_POINTS = 10**6
+
 MEASURE_BY_FLAG = {
     "r": measures.RELATIVE_ENTROPY,
     "l1": measures.L1,
@@ -113,7 +116,10 @@ def _parse_range(text: str, default: tuple[float, float, float]) -> np.ndarray:
             raise ValidationError(f"--range expects numbers, got {text!r}") from exc
     if step <= 0 or hi < lo:
         raise ValidationError(f"--range needs step > 0 and stop >= start, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    steps = (hi - lo) / step
+    count = int(math.floor(steps + 1e-9)) + 1 if math.isfinite(steps) else math.inf
+    if count > MAX_RANGE_POINTS:
+        raise ValidationError(f"--range gives more than {MAX_RANGE_POINTS} points, got {text!r}")
     return lo + step * np.arange(count)
 
 

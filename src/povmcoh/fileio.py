@@ -50,6 +50,8 @@ def loads(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ValidationError("top level must be a JSON object")
     kind = doc.get("kind")

@@ -17,6 +17,9 @@ HERMITICITY_TOL = 1e-9
 # Eigenvalues of nominally-PSD operators in [-PSD_CLAMP_TOL, 0) clamp to 0;
 # anything more negative is a real bug upstream.
 PSD_CLAMP_TOL = 1e-10
+# Default relative floor for square roots and a state's support: eigenvalues at or
+# below this fraction of the largest count as kernel (see sqrt_psd).
+SUPPORT_RTOL = 1e-13
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -82,7 +85,7 @@ def mat_func_hermitian(m: np.ndarray, f, clamp_psd: bool = False) -> np.ndarray:
     return (v * fw) @ v.conj().T
 
 
-def sqrt_psd(m: np.ndarray, kernel_rtol: float = 1e-13) -> np.ndarray:
+def sqrt_psd(m: np.ndarray, kernel_rtol: float = SUPPORT_RTOL) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
     Eigenvalues at or below kernel_rtol * max(eigenvalue) are treated as exact
@@ -133,6 +136,31 @@ def singular_values(m: np.ndarray) -> np.ndarray:
         raise ConvergenceFailureError(str(exc)) from exc
 
 
+def stacked_singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix in a stack (..., rows, cols), descending
+    along the last axis.  One batched LAPACK call instead of a Python loop."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise NotSquareError(f"expected a stack of matrices, got shape {m.shape}")
+    try:
+        return npl.svd(m, compute_uv=False)
+    except npl.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceFailureError(str(exc)) from exc
+
+
+def stacked_psd_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each Hermitian PSD matrix in a stack (..., r, r), after the
+    PSD roundoff clamp.  Only the lower triangle of each matrix is read."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSquareError(f"expected a stack of square matrices, got shape {m.shape}")
+    try:
+        w = npl.eigvalsh(m)
+    except npl.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceFailureError(str(exc)) from exc
+    return clamp_psd_eigenvalues(w)
+
+
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
     return float(np.sum(singular_values(m)))
@@ -144,6 +172,12 @@ def operator_norm(m: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def spectrum_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the last axis of nonnegative values, with 0 log 0 = 0."""
+    pos = w > 0.0
+    return -np.sum(np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0), axis=-1)
+
+
 def entropy_psd(m: np.ndarray) -> float:
     """von Neumann entropy -tr(M log2 M) of a PSD matrix, with 0 log 0 = 0.
 
@@ -151,4 +185,4 @@ def entropy_psd(m: np.ndarray) -> float:
     PSD roundoff clamp.
     """
     w, _ = support_eigenpairs(m)
-    return float(-np.sum(w * np.log2(w)))
+    return float(spectrum_entropy(w))

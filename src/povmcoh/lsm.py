@@ -72,7 +72,8 @@ def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:
     remaining weights are renormalized (total dropped mass <= n * 1e-14).
     """
     require_same_dim(rho.dim, povm.dim)
-    root = linalg.sqrt_psd(rho.mat)
+    w, v = rho.support
+    root = (v * np.sqrt(w)) @ v.conj().T
     states, weights = [], []
     for e in povm.elements:
         block = linalg.hermitian_part(root @ e @ root)

@@ -54,26 +54,41 @@ def _clamp_value(value: float, measure_id: str) -> float:
     return value
 
 
-def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
-    """Entropy gained by the unrecorded measurement transition."""
+def _support_factor(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """rho's support spectrum w and the (n, d, r) stack X_j = sqrt(E_j) v sqrt(w),
+    which factors every block: sqrt(E_j) rho sqrt(E_k) = X_j X_k^dag."""
     require_same_dim(rho.dim, povm.dim)
-    total = 0.0
-    for root in povm.sqrt_elements:
-        total += linalg.entropy_psd(root @ rho.mat @ root)
-    value = total - linalg.entropy_psd(rho.mat)
+    w, v = rho.support
+    return w, povm.sqrt_elements @ (v * np.sqrt(w))
+
+
+def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
+    """Entropy gained by the unrecorded measurement transition.
+
+    sqrt(E_j) rho sqrt(E_j) = X_j X_j^dag has the nonzero spectrum of the r x r
+    core X_j^dag X_j, and S(rho) is the entropy of the support spectrum.
+    """
+    w, x = _support_factor(rho, povm)
+    blocks = linalg.stacked_psd_eigenvalues(x.conj().swapaxes(-1, -2) @ x)
+    value = float(np.sum(linalg.spectrum_entropy(blocks)) - linalg.spectrum_entropy(w))
     return CoherenceResult(_clamp_value(value, RELATIVE_ENTROPY), RELATIVE_ENTROPY)
 
 
 def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
-    """Total trace norm of the cross blocks sqrt(E_j) rho sqrt(E_k), j != k."""
-    require_same_dim(rho.dim, povm.dim)
-    roots = povm.sqrt_elements
+    """Total trace norm of the cross blocks sqrt(E_j) rho sqrt(E_k), j != k.
+
+    With X_j = Q_j R_j (thin QR, R_j r x r), ||X_j X_k^dag||_tr = ||R_j R_k^dag||_tr,
+    so a rank-r state costs r x r singular values per block instead of d x d.
+    """
+    _, x = _support_factor(rho, povm)
+    cores = np.linalg.qr(x, mode="r") if x.shape[-1] < x.shape[-2] else x
     total = 0.0
-    for j in range(len(roots)):
-        left = roots[j] @ rho.mat
-        for k in range(j + 1, len(roots)):
-            # the (k, j) block is the adjoint of the (j, k) block: same trace norm
-            total += 2.0 * linalg.trace_norm(left @ roots[k])
+    for j in range(len(cores) - 1):
+        # the (k, j) block is the adjoint of the (j, k) block: same trace norm.  The
+        # row is taken conjugated, conj(R_j) R_k^T, which leaves the stack uncopied,
+        # and only one row of cores is alive at a time.
+        total += 2.0 * float(np.sum(linalg.stacked_singular_values(
+            cores[j].conj() @ cores[j + 1:].swapaxes(-1, -2))))
     return CoherenceResult(_clamp_value(total, L1), L1)
 
 
@@ -95,11 +110,11 @@ def tsallis_coherence(rho: DensityMatrix, povm: Povm, alpha: float) -> Coherence
     """
     alpha = check_alpha(alpha)
     require_same_dim(rho.dim, povm.dim)
-    rho_half_a = linalg.power_psd(rho.mat, alpha / 2.0, kernel_rtol=1e-13)
-    total = 0.0
-    for root in povm.sqrt_elements:
-        sigma = linalg.singular_values(rho_half_a @ root)
-        total += float(np.sum(sigma ** (2.0 / alpha)))
+    w, v = rho.support
+    # rho^(alpha/2) = v w^(alpha/2) v^dag, and v's orthonormal columns drop out of
+    # the singular values: sigma(M_j) = sigma(w^(alpha/2) v^dag sqrt(E_j)), r x d each
+    m = (w ** (alpha / 2.0))[:, None] * (v.conj().T @ povm.sqrt_elements)
+    total = float(np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha)))
     value = (total - 1.0) / (alpha - 1.0)
     return CoherenceResult(_clamp_value(value, TSALLIS), TSALLIS, alpha)
 
@@ -120,14 +135,14 @@ def compute(rho: DensityMatrix, povm: Povm, measure_id: str, alpha: float | None
 def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> IncoherenceReport:
     """Check E_j rho E_k = 0 for all j != k; defect is the largest entry magnitude."""
     require_same_dim(rho.dim, povm.dim)
+    w, v = rho.support
+    # E_j rho E_k = Y_j Y_k^dag with Y_j = E_j v sqrt(w), d x r
+    y = np.array(povm.elements) @ (v * np.sqrt(w))
     defect = 0.0
-    n = povm.outcomes
-    for j in range(n):
-        left = povm.elements[j] @ rho.mat
-        for k in range(n):
-            if j == k:
-                continue
-            defect = max(defect, float(np.max(np.abs(left @ povm.elements[k]))))
+    for j in range(len(y) - 1):
+        # E_k rho E_j is the adjoint of E_j rho E_k, and conj(Y_j) Y_k^T its conjugate:
+        # all three have the same largest entry
+        defect = max(defect, float(np.max(np.abs(y[j].conj() @ y[j + 1:].swapaxes(-1, -2)))))
     return IncoherenceReport(defect <= tol, defect, tol)
 
 
@@ -149,8 +164,7 @@ def pure_l1_coherence(p: np.ndarray) -> float:
 
 def pure_relative_entropy_coherence(p: np.ndarray) -> float:
     """Relative-entropy measure of a pure state: Shannon entropy of the outcome distribution."""
-    pos = p > 0.0
-    return -np.sum(np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0), axis=-1)
+    return linalg.spectrum_entropy(p)
 
 
 def pure_tsallis_coherence(p: np.ndarray, alpha: float) -> float:

@@ -150,6 +150,20 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only eigenpairs (w, v) on the numerical support, w descending.
+
+        rho = (v * w) @ v^dag once eigenvalues at or below linalg.SUPPORT_RTOL * max(w)
+        are dropped, so X_j = sqrt(E_j) @ (v * sqrt(w)) factors every block
+        sqrt(E_j) rho sqrt(E_k) = X_j X_k^dag through r = len(w) columns.
+        Computed once per state and shared by every measure and bound.
+        """
+        w, v = linalg.support_eigenpairs(self.mat, linalg.SUPPORT_RTOL)
+        w.flags.writeable = False
+        v.flags.writeable = False
+        return w, v
+
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
@@ -194,9 +208,12 @@ class Povm:
         return len(self.elements)
 
     @cached_property
-    def sqrt_elements(self) -> tuple:
-        """Principal square roots of the elements (computed once, reused everywhere)."""
-        return tuple(linalg.sqrt_psd(e) for e in self.elements)
+    def sqrt_elements(self) -> np.ndarray:
+        """Principal square roots of the elements as one read-only (n, d, d) stack
+        (computed once, reused everywhere)."""
+        roots = np.stack([linalg.sqrt_psd(e) for e in self.elements])
+        roots.flags.writeable = False
+        return roots
 
     def is_rank_one_projective(self, tol: float = 1e-9) -> bool:
         """n == d and every element is idempotent with unit trace."""

@@ -14,6 +14,8 @@ left side is at least log2(1/c) with no entropy correction.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg, measures
 from .objects import DensityMatrix, Povm, require_same_dim
 
@@ -32,23 +34,17 @@ def overlap_constant(e: Povm, f: Povm) -> float:
     """c = max_{jk} ||sqrt(E_j) sqrt(F_k)||."""
     require_same_dim(e.dim, f.dim)
     return max(
-        linalg.operator_norm(re @ rf)
+        float(np.max(linalg.stacked_singular_values(re @ f.sqrt_elements)[:, 0]))
         for re in e.sqrt_elements
-        for rf in f.sqrt_elements
     )
 
 
 def refined_overlap_constant(e: Povm, f: Povm) -> float:
     """c' = min over the two sandwich directions of the largest sum norm."""
     require_same_dim(e.dim, f.dim)
-    first = max(
-        linalg.operator_norm(sum(ej @ fk @ ej for ej in e.elements))
-        for fk in f.elements
-    )
-    second = max(
-        linalg.operator_norm(sum(fk @ ej @ fk for fk in f.elements))
-        for ej in e.elements
-    )
+    es, fs = np.array(e.elements), np.array(f.elements)
+    first = max(linalg.operator_norm(np.sum(es @ fk @ es, axis=0)) for fk in fs)
+    second = max(linalg.operator_norm(np.sum(fs @ ej @ fs, axis=0)) for ej in es)
     return min(first, second)
 
 
@@ -61,7 +57,7 @@ def uncertainty_report(rho: DensityMatrix, e: Povm, f: Povm) -> UncertaintyRepor
     )
     c = overlap_constant(e, f)
     c_prime = refined_overlap_constant(e, f)
-    entropy = linalg.entropy_psd(rho.mat)
+    entropy = float(linalg.spectrum_entropy(rho.support[0]))
     bound_c = 2.0 * (math.log2(1.0 / c) - entropy)
     bound_c_prime = math.log2(1.0 / c_prime) - 2.0 * entropy
     return UncertaintyReport(lhs, c, c_prime, bound_c, bound_c_prime, entropy)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from povmcoh import DensityMatrix, Povm, projective_povm
+from povmcoh import DensityMatrix, Povm, projective_povm, linalg
 
 
 def random_unitary(rng, d):
@@ -135,3 +135,69 @@ def perturbed_avg_tsallis(povm, alpha, eps):
 def richardson(value_eps, value_eps_tenth):
     """Extrapolate an O(eps) family to eps = 0 from values at eps and eps/10."""
     return (10.0 * value_eps_tenth - value_eps) / 9.0
+
+
+# --------------------------------------------------------------------------
+# dense per-block oracles: every block sqrt(E_j) rho sqrt(E_k) formed as a d x d
+# matrix from the full state, one LAPACK call per block
+
+
+def random_rank_density(rng, d, rank):
+    """rho = A A^dag / tr with A a complex Gaussian d x rank matrix: rank `rank`."""
+    a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    w = a @ a.conj().T
+    return DensityMatrix(w / np.real(np.trace(w)))
+
+
+def spread_density(rng, d, low=-16.0):
+    """Random eigenbasis with eigenvalues log-spaced over 10^low..1, normalized."""
+    w = np.logspace(low, 0.0, d)
+    u = random_unitary(rng, d)
+    return DensityMatrix((u * (w / w.sum())) @ u.conj().T)
+
+
+def dense_roots(povm):
+    return [linalg.sqrt_psd(e) for e in povm.elements]
+
+
+def dense_l1(rho, povm):
+    roots = dense_roots(povm)
+    return sum(linalg.trace_norm(roots[j] @ rho.mat @ roots[k])
+               for j in range(len(roots)) for k in range(len(roots)) if j != k)
+
+
+def dense_relative_entropy(rho, povm):
+    total = sum(linalg.entropy_psd(root @ rho.mat @ root) for root in dense_roots(povm))
+    return total - linalg.entropy_psd(rho.mat)
+
+
+def dense_tsallis(rho, povm, alpha):
+    rho_half_a = linalg.power_psd(rho.mat, alpha / 2.0, kernel_rtol=1e-13)
+    total = sum(np.sum(linalg.singular_values(rho_half_a @ root) ** (2.0 / alpha))
+                for root in dense_roots(povm))
+    return (total - 1.0) / (alpha - 1.0)
+
+
+def dense_pair_bounds(rho, povm):
+    t = np.array([linalg.trace_norm(root @ rho.mat) for root in dense_roots(povm)])
+    n = t.size
+    return 2.0 * np.dot(n - 1.0 - np.arange(n), np.sort(t)), (n - 1.0) * t.sum()
+
+
+def dense_holder(rho, povm, p, q):
+    a = np.array([linalg.trace_norm(linalg.power_psd(e, p / 2.0) @ rho.mat) ** (1.0 / p)
+                  for e in povm.elements])
+    b = np.array([linalg.trace_norm(linalg.power_psd(e, q / 2.0) @ rho.mat) ** (1.0 / q)
+                  for e in povm.elements])
+    return a.sum() * b.sum() - np.dot(a, b)
+
+
+def dense_holder_22(rho, povm):
+    t = np.array([linalg.trace_norm(e @ rho.mat) for e in povm.elements])
+    return np.sum(np.sqrt(t)) ** 2 - np.sum(t)
+
+
+def dense_incoherence_defect(rho, povm):
+    es = povm.elements
+    return max((float(np.max(np.abs(es[j] @ rho.mat @ es[k])))
+                for j in range(len(es)) for k in range(len(es)) if j != k), default=0.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import plus_density, x_basis_povm, z_basis_povm
-from povmcoh import DensityMatrix, Ensemble, NumericError, PureState, fileio
+from povmcoh import DensityMatrix, Ensemble, NumericError, PureState, ValidationError, fileio
 from povmcoh import cli
 
 
@@ -86,6 +86,16 @@ def test_compute_unreadable_file(capsys, z_path):
                                   "--povm", z_path, "--measure", "r"])
     assert code == 2
     assert "error" in json.loads(err)
+
+
+def test_compute_rejects_deeply_nested_file(capsys, tmp_path, z_path):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"kind": "state", "dim": 2, "payload": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, ["compute", "--state", str(path), "--povm", z_path, "--measure", "r"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
 # --------------------------------------------------------------------------
@@ -179,6 +189,21 @@ def test_bounds_rejects_bad_pq(capsys, plus_path, z_path):
 def test_bounds_rejects_bad_range(capsys):
     code, out, err = run(capsys, ["bounds", "--figure", "1", "--range", "0:0.8:-0.1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["0:0.8:1e-300", "0:0.8:1e-9", "0:inf:0.1", "0:nan:0.1"])
+def test_bounds_rejects_oversized_range(capsys, grid):
+    # rejected before any grid is allocated: 8e299 and 8e8 points, or no finite count
+    code, out, err = run(capsys, ["bounds", "--figure", "1", "--range", grid])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
+def test_range_grid_size_limit():
+    assert cli._parse_range("0:0.999999:1e-6", None).size == cli.MAX_RANGE_POINTS
+    with pytest.raises(ValidationError):
+        cli._parse_range("0:1:1e-6", None)  # one point more
 
 
 # --------------------------------------------------------------------------

@@ -85,6 +85,13 @@ def test_loads_rejects_invalid_json():
         fileio.loads("{not json")
 
 
+def test_loads_rejects_deeply_nested_json():
+    depth = 100_000
+    text = '{"kind": "state", "dim": 2, "payload": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(ValidationError, match="nested"):
+        fileio.loads(text)
+
+
 def test_loads_rejects_non_object():
     with pytest.raises(ValidationError):
         fileio.loads("[1, 2, 3]")

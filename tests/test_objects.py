@@ -75,6 +75,34 @@ def test_objects_are_immutable():
         povm.elements[0][0, 0] = 9.0
 
 
+def test_povm_sqrt_elements_is_a_read_only_stack():
+    povm = random_povm(3, 4, np.random.default_rng(5))
+    roots = povm.sqrt_elements
+    assert isinstance(roots, np.ndarray) and roots.shape == (4, 3, 3)
+    assert povm.sqrt_elements is roots
+    assert len(roots) == 4 and all(np.allclose(r @ r, e) for r, e in zip(roots, povm.elements))
+    with pytest.raises(ValueError):
+        roots[0, 0, 0] = 9.0
+
+
+def test_density_support_is_cached_and_read_only():
+    rho = random_density(np.random.default_rng(6), 3)
+    support = rho.support
+    assert rho.support is support
+    w, v = support
+    assert np.allclose((v * w) @ v.conj().T, rho.mat)
+    for array in (w, v):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_density_support_drops_the_kernel():
+    plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
+    w, v = plus.support
+    assert w.shape == (1,) and v.shape == (2, 1)
+    assert abs(w[0] - 1.0) < 1e-12
+
+
 def test_density_purity_and_is_pure():
     mixed = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
     assert abs(mixed.purity() - 0.5) < 1e-12
