@@ -59,27 +59,25 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
     return np.sum(linalg.stacked_singular_values(stack), axis=-1)
 
 
-def _rho_factor(rho: DensityMatrix, povm: Povm) -> np.ndarray:
-    """v w, d x r: for any d x d A, ||A rho||_tr = ||A v w||_tr since v^dag has orthonormal rows."""
+def _element_rho_factors(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """s and the (n, k, r) stack C_j v w from Povm.root_factors and rho's support.
+
+    For E_j = u_j diag(s_j) u_j^dag and C_j = sqrt(s_j) u_j^dag, E_j^a = u_j s_j^(a - 1/2) C_j,
+    and the orthonormal columns of u_j and v drop out: ||E_j^a rho||_tr =
+    ||s_j^(a - 1/2) C_j v w||_tr.
+    """
     require_same_dim(rho.dim, povm.dim)
     w, v = rho.support
-    return v * w
+    s, c = povm.root_factors
+    return s[:, :, None], c @ (v * w)
 
 
 def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundReport:
     """Factorized bound sum_{j!=k} ||E_j^(p/2) rho||^(1/p) ||E_k^(q/2) rho||^(1/q)."""
     p, q = check_exponents(p, q)
-    vw = _rho_factor(rho, povm)
-    # sigma(E_j^a v w) = sigma(s_j^a u_j^dag v w) for E_j = u_j s_j u_j^dag: one
-    # eigendecomposition per element serves both powers
-    spectra, projections = [], []
-    for e in povm.elements:
-        s, u = linalg.eig_hermitian(e)
-        spectra.append(linalg.clamp_psd_eigenvalues(s))
-        projections.append(u.conj().T @ vw)
-    s, proj = np.array(spectra)[..., None], np.stack(projections)
-    a = _trace_norms(s ** (p / 2.0) * proj) ** (1.0 / p)
-    b = _trace_norms(s ** (q / 2.0) * proj) ** (1.0 / q)
+    s, cvw = _element_rho_factors(rho, povm)
+    a = _trace_norms(s ** ((p - 1.0) / 2.0) * cvw) ** (1.0 / p)
+    b = _trace_norms(s ** ((q - 1.0) / 2.0) * cvw) ** (1.0 / q)
     value = float(a.sum() * b.sum() - np.dot(a, b))
     c_l1 = measures.l1_coherence(rho, povm).value
     return BoundReport(c_l1, value, "thm1", (p, q))
@@ -87,20 +85,21 @@ def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundRep
 
 def holder_bound_22(rho: DensityMatrix, povm: Povm) -> BoundReport:
     """p = q = 2 closed form: (sum_j ||E_j rho||^(1/2))^2 - sum_j ||E_j rho||."""
-    t = _trace_norms(np.array(povm.elements) @ _rho_factor(rho, povm))
+    s, cvw = _element_rho_factors(rho, povm)
+    t = _trace_norms(np.sqrt(s) * cvw)
     value = float(np.sum(np.sqrt(t)) ** 2 - np.sum(t))
     c_l1 = measures.l1_coherence(rho, povm).value
     return BoundReport(c_l1, value, "thm1_p2q2", (2.0, 2.0))
 
 
 def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundReport]:
-    """Sorted and uniform pair bounds from t_j = ||sqrt(E_j) rho||_tr.
+    """Sorted and uniform pair bounds from t_j = ||sqrt(E_j) rho||_tr = ||C_j v w||_tr.
 
     sorted:  2 sum_j (n - j) t_(j)  with t_(1) <= ... <= t_(n)
     uniform: (n - 1) sum_j t_j
     """
     n = povm.outcomes
-    t = _trace_norms(povm.sqrt_elements @ _rho_factor(rho, povm))
+    t = _trace_norms(_element_rho_factors(rho, povm)[1])
     t_sorted = np.sort(t)
     coeff = n - 1.0 - np.arange(n)
     ordered_value = float(2.0 * np.dot(coeff, t_sorted))

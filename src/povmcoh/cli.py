@@ -172,12 +172,9 @@ def cmd_bounds(args) -> int:
     povm = _load_povm(args.povm)
     basis = None
     if povm.is_rank_one_projective():
-        # each element is a rank-one projector; its top eigenvector is the basis column
-        cols = []
-        for e in povm.elements:
-            w, v = np.linalg.eigh(e)
-            cols.append(v[:, -1])
-        basis = np.column_stack(cols)
+        # each element is a rank-one projector; the top row of its factor, sqrt(s) u^dag
+        # with s = 1, is the conjugated basis column
+        basis = povm.root_factors[1][:, 0, :].conj().T
     writer.writerow(header)
     writer.writerow([""] + _bound_row(rho, povm, pq_list, basis))
     return 0

@@ -241,6 +241,8 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
     samples = int(samples)
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
+    if workers < 1:
+        raise ValidationError(f"need at least 1 worker, got {workers}")
     if measure_id == measures.RELATIVE_ENTROPY:
         value_of = measures.pure_relative_entropy_coherence
     elif measure_id == measures.L1:

@@ -161,6 +161,20 @@ def stacked_psd_eigenvalues(m: np.ndarray) -> np.ndarray:
     return clamp_psd_eigenvalues(w)
 
 
+def stacked_psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of each Hermitian PSD matrix in a stack (..., d, d), w
+    descending along the last axis after the PSD roundoff clamp.  The stack is
+    symmetrized first; one batched LAPACK call instead of a Python loop."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSquareError(f"expected a stack of square matrices, got shape {m.shape}")
+    try:
+        w, v = npl.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    except npl.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceFailureError(str(exc)) from exc
+    return clamp_psd_eigenvalues(w[..., ::-1]), v[..., ::-1]
+
+
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
     return float(np.sum(singular_values(m)))

@@ -12,6 +12,7 @@ all j != k) and are invariant under relabeling of outcomes.
 """
 
 import logging
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ logger = logging.getLogger(__name__)
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
 # anything lower means a kernel bug.
 NEGATIVE_VALUE_TOL = 1e-9
+# Rows of pure states per matrix product in pure_state_probabilities.
+PROBABILITY_ROWS = 1024
 
 RELATIVE_ENTROPY = "relative_entropy"
 L1 = "l1"
@@ -55,33 +58,50 @@ def _clamp_value(value: float, measure_id: str) -> float:
 
 
 def _support_factor(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """rho's support spectrum w and the (n, d, r) stack X_j = sqrt(E_j) v sqrt(w),
-    which factors every block: sqrt(E_j) rho sqrt(E_k) = X_j X_k^dag."""
+    """rho's support spectrum w and the (n, k, r) stack Y_j = C_j v sqrt(w), with
+    C_j the element factor of Povm.root_factors: sqrt(E_j) rho sqrt(E_k) =
+    u_j Y_j Y_k^dag u_k^dag has the trace norm and spectrum of Y_j Y_k^dag."""
     require_same_dim(rho.dim, povm.dim)
     w, v = rho.support
-    return w, povm.sqrt_elements @ (v * np.sqrt(w))
+    return w, povm.root_factors[1] @ (v * np.sqrt(w))
 
 
 def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
     """Entropy gained by the unrecorded measurement transition.
 
-    sqrt(E_j) rho sqrt(E_j) = X_j X_j^dag has the nonzero spectrum of the r x r
-    core X_j^dag X_j, and S(rho) is the entropy of the support spectrum.
+    sqrt(E_j) rho sqrt(E_j) has the nonzero spectrum of Y_j Y_j^dag (k x k) and of
+    Y_j^dag Y_j (r x r), whichever is smaller; S(rho) is the entropy of the support
+    spectrum.
     """
-    w, x = _support_factor(rho, povm)
-    blocks = linalg.stacked_psd_eigenvalues(x.conj().swapaxes(-1, -2) @ x)
+    w, y = _support_factor(rho, povm)
+    yh = y.conj().swapaxes(-1, -2)
+    blocks = linalg.stacked_psd_eigenvalues(y @ yh if y.shape[-2] <= y.shape[-1] else yh @ y)
     value = float(np.sum(linalg.spectrum_entropy(blocks)) - linalg.spectrum_entropy(w))
     return CoherenceResult(_clamp_value(value, RELATIVE_ENTROPY), RELATIVE_ENTROPY)
+
+
+# C_l1 of each (rho, POVM) pair, keyed weakly on rho and then on the POVM: both are
+# immutable, and every l1 bound certifies itself against the same value.
+_L1_MEMO = weakref.WeakKeyDictionary()
 
 
 def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
     """Total trace norm of the cross blocks sqrt(E_j) rho sqrt(E_k), j != k.
 
-    With X_j = Q_j R_j (thin QR, R_j r x r), ||X_j X_k^dag||_tr = ||R_j R_k^dag||_tr,
-    so a rank-r state costs r x r singular values per block instead of d x d.
+    ||sqrt(E_j) rho sqrt(E_k)||_tr = ||Y_j Y_k^dag||_tr, with Y_j k x r.  When r < k,
+    the thin QR Y_j = Q_j R_j gives ||R_j R_k^dag||_tr instead, so every core is
+    min(k, r) square: 1 x 1 for rank-one elements or a pure state.  The value is
+    computed once per pair.
     """
-    _, x = _support_factor(rho, povm)
-    cores = np.linalg.qr(x, mode="r") if x.shape[-1] < x.shape[-2] else x
+    by_povm = _L1_MEMO.setdefault(rho, weakref.WeakKeyDictionary())
+    if povm not in by_povm:
+        by_povm[povm] = _clamp_value(_cross_block_trace_norms(rho, povm), L1)
+    return CoherenceResult(by_povm[povm], L1)
+
+
+def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
+    _, y = _support_factor(rho, povm)
+    cores = np.linalg.qr(y, mode="r") if y.shape[-1] < y.shape[-2] else y
     total = 0.0
     for j in range(len(cores) - 1):
         # the (k, j) block is the adjoint of the (j, k) block: same trace norm.  The
@@ -89,7 +109,7 @@ def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
         # and only one row of cores is alive at a time.
         total += 2.0 * float(np.sum(linalg.stacked_singular_values(
             cores[j].conj() @ cores[j + 1:].swapaxes(-1, -2))))
-    return CoherenceResult(_clamp_value(total, L1), L1)
+    return total
 
 
 def check_alpha(alpha: float) -> float:
@@ -111,9 +131,10 @@ def tsallis_coherence(rho: DensityMatrix, povm: Povm, alpha: float) -> Coherence
     alpha = check_alpha(alpha)
     require_same_dim(rho.dim, povm.dim)
     w, v = rho.support
-    # rho^(alpha/2) = v w^(alpha/2) v^dag, and v's orthonormal columns drop out of
-    # the singular values: sigma(M_j) = sigma(w^(alpha/2) v^dag sqrt(E_j)), r x d each
-    m = (w ** (alpha / 2.0))[:, None] * (v.conj().T @ povm.sqrt_elements)
+    # rho^(alpha/2) = v w^(alpha/2) v^dag and sqrt(E_j) = C_j^dag u_j^dag; the
+    # orthonormal columns of v and u_j drop out of the singular values:
+    # sigma(M_j) = sigma(C_j v w^(alpha/2)), k x r each
+    m = povm.root_factors[1] @ (v * w ** (alpha / 2.0))
     total = float(np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha)))
     value = (total - 1.0) / (alpha - 1.0)
     return CoherenceResult(_clamp_value(value, TSALLIS), TSALLIS, alpha)
@@ -149,11 +170,20 @@ def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> Inc
 # The pure-state functions below act on the last axis: a (batch, d) stack of states
 # gives (batch, n) probabilities, and those give one measure value per row.
 def pure_state_probabilities(vec: np.ndarray, povm: Povm) -> np.ndarray:
-    """Outcome probabilities <psi|E_j|psi> of a pure state, clipped at 0."""
+    """Outcome probabilities <psi|E_j|psi> of a pure state, nonnegative by construction."""
     vec = np.asarray(vec, dtype=complex)
     require_same_dim(vec.shape[-1], povm.dim)
-    p = np.einsum("...i,kij,...j->...k", vec.conj(), np.array(povm.elements), vec).real
-    return np.clip(p, 0.0, None)
+    # <psi|E_j|psi> = ||C_j psi||^2: one (rows, d) x (d, k) product per outcome and
+    # block of rows, so every transient stays (PROBABILITY_ROWS, k); the squared norm
+    # reads the product as real pairs
+    p = np.empty(vec.shape[:-1] + (povm.outcomes,))
+    rows, out = vec.reshape(-1, vec.shape[-1]), p.reshape(-1, povm.outcomes)
+    for start in range(0, len(rows), PROBABILITY_ROWS):
+        block = rows[start:start + PROBABILITY_ROWS]
+        for j, c in enumerate(povm.root_factors[1]):
+            y = (block @ c.T).view(float)
+            out[start:start + PROBABILITY_ROWS, j] = np.einsum("ij,ij->i", y, y)
+    return p
 
 
 def pure_l1_coherence(p: np.ndarray) -> float:

@@ -208,10 +208,32 @@ class Povm:
         return len(self.elements)
 
     @cached_property
+    def root_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (s, C): each element factored once on its support.
+
+        E_j = u_j diag(s_j) u_j^dag keeps the eigenvalues above
+        linalg.SUPPORT_RTOL * max(s_j); s is (n, k) and C is (n, k, d) with
+        C_j = sqrt(s_j) u_j^dag, k the largest element rank (lower ranks get zero
+        rows).  Then sqrt(E_j) = u_j C_j and E_j = C_j^dag C_j, so every block
+        sqrt(E_j) rho sqrt(E_k) has the trace norm and spectrum of C_j rho C_k^dag.
+        Computed from one batched eigendecomposition of the element stack.
+        """
+        s, u = linalg.stacked_psd_eigh(np.array(self.elements))
+        keep = s > linalg.SUPPORT_RTOL * s[:, :1]  # s descending: a prefix of each row
+        k = int(keep.sum(axis=1).max())
+        s = np.where(keep, s, 0.0)[:, :k]
+        c = np.sqrt(s)[:, :, None] * u[:, :, :k].conj().swapaxes(-1, -2)
+        s.flags.writeable = False
+        c.flags.writeable = False
+        return s, c
+
+    @cached_property
     def sqrt_elements(self) -> np.ndarray:
-        """Principal square roots of the elements as one read-only (n, d, d) stack
-        (computed once, reused everywhere)."""
-        roots = np.stack([linalg.sqrt_psd(e) for e in self.elements])
+        """Principal square roots of the elements as one read-only (n, d, d) stack,
+        sqrt(E_j) = C_j^dag diag(s_j^(-1/2)) C_j from root_factors."""
+        s, c = self.root_factors
+        inv_root = np.divide(1.0, np.sqrt(s), out=np.zeros_like(s), where=s > 0.0)
+        roots = (c.conj().swapaxes(-1, -2) * inv_root[:, None, :]) @ c
         roots.flags.writeable = False
         return roots
 

@@ -31,11 +31,16 @@ class UncertaintyReport:
 
 
 def overlap_constant(e: Povm, f: Povm) -> float:
-    """c = max_{jk} ||sqrt(E_j) sqrt(F_k)||."""
+    """c = max_{jk} ||sqrt(E_j) sqrt(F_k)||.
+
+    sqrt(E_j) sqrt(F_k) = u_j C_j D_k^dag u'_k^dag with C, D the element factors of
+    E and F, so each norm is that of the small core C_j D_k^dag.
+    """
     require_same_dim(e.dim, f.dim)
+    d_h = f.root_factors[1].conj().swapaxes(-1, -2)
     return max(
-        float(np.max(linalg.stacked_singular_values(re @ f.sqrt_elements)[:, 0]))
-        for re in e.sqrt_elements
+        float(np.max(linalg.stacked_singular_values(c @ d_h)[:, 0]))
+        for c in e.root_factors[1]
     )
 
 

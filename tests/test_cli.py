@@ -312,6 +312,15 @@ def test_haar_mc_deterministic_for_seed(capsys, z_path):
     assert a["seed"] == 11
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_haar_rejects_fewer_than_one_worker(capsys, z_path, workers):
+    code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "r", "--mc", "100",
+                                  "--workers", workers])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
 def test_haar_seed_from_environment(capsys, z_path, monkeypatch):
     monkeypatch.setenv("COH_SEED", "123")
     code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "r",

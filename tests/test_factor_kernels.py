@@ -1,9 +1,13 @@
-"""The support-factor kernels against dense per-block evaluation.
+"""The factor kernels against dense per-block evaluation.
 
-Every measure and trace-norm bound works from rho's support eigenpairs and r x r
-or d x r cores; these tests rebuild each value block by block from the full d x d
-state and check agreement on low-rank, full-rank and wide-spread spectra.
+Every measure and trace-norm bound works from rho's support eigenpairs and each
+element's factor on its own support, with cores of size min(k, r); these tests
+rebuild each value block by block from the full d x d state and elements and
+check agreement on low-rank, full-rank, wide-spread and mixed-rank inputs.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from helpers import (
     spread_density,
 )
 from povmcoh import (
+    Povm,
     holder_bound,
     holder_bound_22,
     is_povm_incoherent,
@@ -32,6 +37,8 @@ from povmcoh import (
     relative_entropy_coherence,
     tsallis_coherence,
 )
+from povmcoh import linalg
+from povmcoh.linalg import stacked_singular_values
 from povmcoh.measures import (
     pure_l1_coherence,
     pure_relative_entropy_coherence,
@@ -102,3 +109,102 @@ def test_rank_one_states_reproduce_the_pure_state_forms():
         assert abs(relative_entropy_coherence(rho, povm).value - pure_relative_entropy_coherence(p)) < ATOL
         for alpha in (0.5, 2.0):
             assert abs(tsallis_coherence(rho, povm, alpha).value - pure_tsallis_coherence(p, alpha)) < ATOL
+
+
+# --------------------------------------------------------------------------
+# the element factor C_j = sqrt(s_j) u_j^dag of Povm.root_factors
+
+
+def mixed_rank_povm(rng, d):
+    """Elements of rank 1, 2, d and d: half of a projective split, with the full-rank
+    remainder I - E_1 - E_2 shared out by a Wishart matrix W, 0 < W < I."""
+    u = random_unitary(rng, d)
+    e1 = 0.5 * np.outer(u[:, 0], u[:, 0].conj())
+    e2 = 0.5 * u[:, 1:3] @ u[:, 1:3].conj().T
+    root = linalg.sqrt_psd(np.eye(d) - e1 - e2)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = a @ a.conj().T
+    w = g / (linalg.operator_norm(g) + 1.0)
+    return Povm([e1, e2, root @ w @ root, root @ (np.eye(d) - w) @ root])
+
+
+@pytest.mark.parametrize("rank", [1, 2, D])
+def test_mixed_element_ranks_match_dense_blocks(rank):
+    rng = np.random.default_rng(70 + rank)
+    povm = mixed_rank_povm(rng, D)
+    s, c = povm.root_factors
+    assert c.shape == (4, D, D)
+    assert list(np.count_nonzero(s, axis=1)) == [1, 2, D, D]
+    rho = random_rank_density(rng, D, rank) if rank < D else random_density(rng, D)
+    assert abs(l1_coherence(rho, povm).value - dense_l1(rho, povm)) < ATOL
+    assert abs(relative_entropy_coherence(rho, povm).value - dense_relative_entropy(rho, povm)) < ATOL
+    for alpha in (0.5, 2.0):
+        assert abs(tsallis_coherence(rho, povm, alpha).value - dense_tsallis(rho, povm, alpha)) < ATOL
+    ordered, uniform = pair_bounds(rho, povm)
+    want_ordered, want_uniform = dense_pair_bounds(rho, povm)
+    assert abs(ordered.bound_value - want_ordered) < ATOL
+    assert abs(uniform.bound_value - want_uniform) < ATOL
+    assert abs(holder_bound(rho, povm, 3.0, 1.5).bound_value - dense_holder(rho, povm, 3.0, 1.5)) < ATOL
+    assert abs(holder_bound_22(rho, povm).bound_value - dense_holder_22(rho, povm)) < ATOL
+
+
+def test_rank_one_projective_l1_is_the_off_diagonal_sum():
+    rng = np.random.default_rng(80)
+    d = 32
+    basis = random_unitary(rng, d)
+    povm = projective_povm(basis)
+    rho = random_density(rng, d)
+    assert povm.root_factors[1].shape == (d, 1, d)  # 1 x 1 cores
+    r = basis.conj().T @ rho.mat @ basis
+    want = float(np.sum(np.abs(r)) - np.sum(np.abs(np.diagonal(r))))
+    assert abs(l1_coherence(rho, povm).value - want) < 1e-12
+
+
+def test_l1_value_is_computed_once_per_pair(monkeypatch):
+    rng = np.random.default_rng(81)
+    povm = random_povm(D, 5, rng)
+    rho = random_density(rng, D)
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return stacked_singular_values(m)
+
+    monkeypatch.setattr(linalg, "stacked_singular_values", counting)
+    value = l1_coherence(rho, povm).value
+    assert len(calls) == povm.outcomes - 1  # one row of cores per call
+    calls.clear()
+    assert l1_coherence(rho, povm).value == value
+    assert calls == []
+    for report in (*pair_bounds(rho, povm), holder_bound_22(rho, povm)):
+        assert report.c_l1_value == value
+    assert len(calls) == 2  # the two bounds' own trace norms, no C_l1 rows
+    calls.clear()
+    other = Povm(povm.elements)  # the memo is keyed on the object
+    assert abs(l1_coherence(rho, other).value - value) < 1e-14
+    assert len(calls) == povm.outcomes - 1
+
+
+def test_l1_memo_holds_no_strong_reference():
+    rng = np.random.default_rng(82)
+    povm = random_povm(D, 3, rng)
+    rho = random_density(rng, D)
+    l1_coherence(rho, povm)
+    rho_ref, povm_ref = weakref.ref(rho), weakref.ref(povm)
+    del rho, povm
+    gc.collect()
+    assert rho_ref() is None
+    assert povm_ref() is None
+
+
+def test_root_factors_are_cached_read_only_and_give_the_roots():
+    povm = mixed_rank_povm(np.random.default_rng(83), D)
+    factors = povm.root_factors
+    assert povm.root_factors is factors
+    s, c = factors
+    for array in (s, c):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    for e, root, cj in zip(povm.elements, povm.sqrt_elements, c):
+        assert np.max(np.abs(root - linalg.sqrt_psd(e))) < 1e-14
+        assert np.max(np.abs(cj.conj().T @ cj - e)) < 1e-14

@@ -287,6 +287,13 @@ def test_mc_deterministic_across_worker_counts():
     assert a.std_error == b.std_error
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_mc_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValidationError, match="worker"):
+        monte_carlo_average(z_basis_povm(), "relative_entropy", 100, np.random.default_rng(1),
+                            workers=workers)
+
+
 def test_mc_std_error_matches_two_pass_variance():
     # {I/2 + eps D, I/2 - eps D}: the spread of C_r is far below its mean, where
     # a one-pass variance sum(x^2) - N mean^2 loses every digit
