@@ -265,8 +265,16 @@ def cmd_haar(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they exit 2 with JSON on stderr like
+    every other error; the subcommand parsers share this class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="povmcoh",
         description="Coherence measures over general quantum measurements",
     )
@@ -322,9 +330,8 @@ def _fail(exc: PovmcohError, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         return _fail(exc, 2)

@@ -32,6 +32,8 @@ from .objects import Povm
 CLUSTER_TOL = 1e-8
 # Samples per Monte Carlo chunk; fixed so results don't depend on worker count.
 MC_CHUNK = 8192
+# Largest Monte Carlo sample count; checked before any chunk list or generator exists.
+MAX_MC_SAMPLES = 10**8
 LN2 = math.log(2.0)
 
 
@@ -123,9 +125,19 @@ def divided_difference(nodes, fn, cluster_tol: float = CLUSTER_TOL) -> float:
     return float(col[0])
 
 
-def _clamped_spectrum(element: np.ndarray) -> np.ndarray:
-    w, _ = linalg.eig_hermitian(element)
-    return linalg.clamp_psd_eigenvalues(w)
+def _element_spectra(povm: Povm) -> np.ndarray:
+    """(n, d) clamped element spectra: Povm.root_factors' s, zero-padded to d."""
+    s = povm.root_factors[0]
+    return np.pad(s, ((0, 0), (0, povm.dim - s.shape[1])))
+
+
+def _spectrum_moment(lam: np.ndarray, beta: float) -> float:
+    """haar_moment of an element with clamped spectrum lam, beta > 0."""
+    d = lam.size
+    prefactor = float(math.factorial(d - 1))
+    for i in range(1, d):
+        prefactor /= beta + i
+    return prefactor * divided_difference(lam, PowerFunction(d + beta - 1.0))
 
 
 def haar_moment(element: np.ndarray, beta: float) -> float:
@@ -138,12 +150,8 @@ def haar_moment(element: np.ndarray, beta: float) -> float:
     beta = float(beta)
     if beta <= 0.0:
         raise BetaNonPositiveError(f"beta must be positive, got {beta}")
-    lam = _clamped_spectrum(element)
-    d = lam.size
-    prefactor = float(math.factorial(d - 1))
-    for i in range(1, d):
-        prefactor /= beta + i
-    return prefactor * divided_difference(lam, PowerFunction(d + beta - 1.0))
+    w, _ = linalg.eig_hermitian(element)
+    return _spectrum_moment(linalg.clamp_psd_eigenvalues(w), beta)
 
 
 def harmonic_shift(d: int) -> float:
@@ -155,27 +163,24 @@ def haar_average_relative_entropy(povm: Povm) -> float:
     """Exact Haar average of the relative-entropy coherence measure."""
     d = povm.dim
     g = PowerLogFunction(d, harmonic_shift(d))
-    total = sum(divided_difference(_clamped_spectrum(e), g) for e in povm.elements)
+    total = sum(divided_difference(lam, g) for lam in _element_spectra(povm))
     return -total / (d * LN2)
 
 
 def haar_average_tsallis(povm: Povm, alpha: float) -> float:
     """Exact Haar average of the Tsallis coherence measure of order alpha."""
     alpha = measures.check_alpha(alpha)
-    total = sum(haar_moment(e, 1.0 / alpha) for e in povm.elements)
+    total = sum(_spectrum_moment(lam, 1.0 / alpha) for lam in _element_spectra(povm))
     return (total - 1.0) / (alpha - 1.0)
 
 
 def tsallis_half_trace_formula(povm: Povm) -> float:
     """Trace-only closed form of the alpha = 1/2 Haar average:
     2 [ 1 - sum_j ( (tr E_j)^2 + tr E_j^2 ) / (d (d+1)) ]."""
-    d = povm.dim
-    total = 0.0
-    for e in povm.elements:
-        tr = float(np.real(np.trace(e)))
-        tr_sq = float(np.real(np.trace(e @ e)))
-        total += tr * tr + tr_sq
-    return 2.0 * (1.0 - total / (d * (d + 1.0)))
+    d, e = povm.dim, povm.elements
+    tr = np.real(np.trace(e, axis1=1, axis2=2))
+    tr_sq = np.real(np.einsum("jab,jba->j", e, e))
+    return 2.0 * (1.0 - float(np.sum(tr * tr + tr_sq)) / (d * (d + 1.0)))
 
 
 def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
@@ -188,12 +193,13 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
     from .bounds import check_exponents  # local import; bounds pulls measures
 
     n = povm.outcomes
+    spectra = _element_spectra(povm)
     moments: dict[tuple[int, float], float] = {}
 
     def moment(j: int, beta: float) -> float:
         key = (j, beta)
         if key not in moments:
-            moments[key] = haar_moment(povm.elements[j], beta)
+            moments[key] = _spectrum_moment(spectra[j], beta)
         return moments[key]
 
     total = 0.0
@@ -241,6 +247,8 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
     samples = int(samples)
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
+    if samples > MAX_MC_SAMPLES:
+        raise ValidationError(f"at most {MAX_MC_SAMPLES} samples, got {samples}")
     if workers < 1:
         raise ValidationError(f"need at least 1 worker, got {workers}")
     if measure_id == measures.RELATIVE_ENTROPY:

@@ -23,8 +23,8 @@ SUPPORT_RTOL = 1e-13
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2."""
-    return 0.5 * (m + m.conj().T)
+    """(M + M^dag)/2, of one matrix or of each matrix in a stack (..., d, d)."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -169,7 +169,7 @@ def stacked_psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquareError(f"expected a stack of square matrices, got shape {m.shape}")
     try:
-        w, v = npl.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+        w, v = npl.eigh(hermitian_part(m))
     except npl.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailureError(str(exc)) from exc
     return clamp_psd_eigenvalues(w[..., ::-1]), v[..., ::-1]

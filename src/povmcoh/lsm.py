@@ -74,15 +74,11 @@ def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:
     require_same_dim(rho.dim, povm.dim)
     w, v = rho.support
     root = (v * np.sqrt(w)) @ v.conj().T
-    states, weights = [], []
-    for e in povm.elements:
-        block = linalg.hermitian_part(root @ e @ root)
-        eta = float(np.real(np.trace(block)))
-        if eta <= WEIGHT_DROP_TOL:
-            continue
-        states.append(DensityMatrix(block / eta))
-        weights.append(eta)
-    weights = np.asarray(weights, dtype=float)
+    blocks = linalg.hermitian_part(root @ povm.elements @ root)
+    etas = np.real(np.trace(blocks, axis1=1, axis2=2))
+    keep = etas > WEIGHT_DROP_TOL
+    weights = etas[keep]
+    states = [DensityMatrix(block / eta) for block, eta in zip(blocks[keep], weights)]
     return Ensemble(states, weights / weights.sum())
 
 

@@ -158,7 +158,7 @@ def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> Inc
     require_same_dim(rho.dim, povm.dim)
     w, v = rho.support
     # E_j rho E_k = Y_j Y_k^dag with Y_j = E_j v sqrt(w), d x r
-    y = np.array(povm.elements) @ (v * np.sqrt(w))
+    y = povm.elements @ (v * np.sqrt(w))
     defect = 0.0
     for j in range(len(y) - 1):
         # E_k rho E_j is the adjoint of E_j rho E_k, and conj(Y_j) Y_k^T its conjugate:

@@ -80,26 +80,29 @@ def validate_pure(vec: np.ndarray) -> list[Violation]:
 
 
 def validate_povm(elements) -> list[Violation]:
-    """Violations of: per-element Hermitian PSD, common dimension, completeness."""
-    if not elements:
-        return [Violation("nonempty", 0.0)]
+    """Violations of: per-element Hermitian PSD, common dimension, completeness.
+    Any sequence of matrices and an (n, d, d) array give the same list."""
     mats = [np.asarray(e, dtype=complex) for e in elements]
+    if not mats:
+        return [Violation("nonempty", 0.0)]
     d = mats[0].shape[0] if mats[0].ndim == 2 else -1
-    out = []
+    # one element at a time until the stack exists: a ragged input cannot be stacked
     for i, e in enumerate(mats):
-        if e.ndim != 2 or e.shape != (d, d):
+        if e.ndim != 2 or e.shape != (d, d) or d == 0:
             return [Violation(f"element_{i}_shape", float(e.ndim))]
         if not _finite(e):
             return [Violation(f"element_{i}_finite", np.inf)]
-        herm = linalg.hermiticity_defect(e)
-        if herm > HERMITICITY_TOL:
-            out.append(Violation(f"element_{i}_hermitian", herm))
-            continue
-        w = np.linalg.eigvalsh(linalg.hermitian_part(e))
-        if w.min() < -PSD_TOL:
-            out.append(Violation(f"element_{i}_positive", float(-w.min())))
+    stack = np.array(mats)
+    herm = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2))
+    low = np.linalg.eigvalsh(linalg.hermitian_part(stack))[:, 0]
+    out = []
+    for i in np.flatnonzero((herm > HERMITICITY_TOL) | (low < -PSD_TOL)):
+        if herm[i] > HERMITICITY_TOL:  # a non-Hermitian element skips the PSD check
+            out.append(Violation(f"element_{i}_hermitian", float(herm[i])))
+        else:
+            out.append(Violation(f"element_{i}_positive", float(-low[i])))
     if not out:
-        comp = float(np.max(np.abs(sum(mats) - np.eye(d))))
+        comp = float(np.max(np.abs(stack.sum(axis=0) - np.eye(d))))
         if comp > COMPLETENESS_TOL:
             out.append(Violation("completeness", comp))
     return out
@@ -119,6 +122,8 @@ def validate_ensemble(states, weights) -> list[Violation]:
             d = mat.shape[0]
         elif mat.shape[0] != d:
             return [Violation(f"member_{i}_dimension", float(mat.shape[0] - d))]
+        if isinstance(s, DensityMatrix):
+            continue  # validated when built, and immutable
         for v in validate_density(mat):
             out.append(Violation(f"member_{i}_{v.invariant}", v.defect))
     weights = np.asarray(weights, dtype=float)
@@ -191,21 +196,22 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Measurement: PSD elements summing to the identity."""
+    """Measurement: PSD elements summing to the identity, one read-only (n, d, d) stack."""
 
-    elements: tuple
+    elements: np.ndarray
 
     def __init__(self, elements):
-        object.__setattr__(self, "elements", tuple(_frozen(e) for e in elements))
-        _raise_if(validate_povm(self.elements), "POVM")
+        elements = [np.asarray(e, dtype=complex) for e in elements]
+        _raise_if(validate_povm(elements), "POVM")
+        object.__setattr__(self, "elements", _frozen(elements))
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def outcomes(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
     @cached_property
     def root_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +224,7 @@ class Povm:
         sqrt(E_j) rho sqrt(E_k) has the trace norm and spectrum of C_j rho C_k^dag.
         Computed from one batched eigendecomposition of the element stack.
         """
-        s, u = linalg.stacked_psd_eigh(np.array(self.elements))
+        s, u = linalg.stacked_psd_eigh(self.elements)
         keep = s > linalg.SUPPORT_RTOL * s[:, :1]  # s descending: a prefix of each row
         k = int(keep.sum(axis=1).max())
         s = np.where(keep, s, 0.0)[:, :k]
@@ -241,12 +247,10 @@ class Povm:
         """n == d and every element is idempotent with unit trace."""
         if self.outcomes != self.dim:
             return False
-        for e in self.elements:
-            if abs(float(np.real(np.trace(e))) - 1.0) > 1e-8:
-                return False
-            if float(np.max(np.abs(e @ e - e))) > tol:
-                return False
-        return True
+        e = self.elements
+        if float(np.max(np.abs(np.real(np.trace(e, axis1=1, axis2=2)) - 1.0))) > 1e-8:
+            return False
+        return float(np.max(np.abs(e @ e - e))) <= tol
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,7 +47,7 @@ def overlap_constant(e: Povm, f: Povm) -> float:
 def refined_overlap_constant(e: Povm, f: Povm) -> float:
     """c' = min over the two sandwich directions of the largest sum norm."""
     require_same_dim(e.dim, f.dim)
-    es, fs = np.array(e.elements), np.array(f.elements)
+    es, fs = e.elements, f.elements
     first = max(linalg.operator_norm(np.sum(es @ fk @ es, axis=0)) for fk in fs)
     second = max(linalg.operator_norm(np.sum(fs @ ej @ fs, axis=0)) for ej in es)
     return min(first, second)

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import plus_density, x_basis_povm, z_basis_povm
 from povmcoh import DensityMatrix, Ensemble, NumericError, PureState, ValidationError, fileio
-from povmcoh import cli
+from povmcoh import cli, haar
 
 
 def write_obj(tmp_path, name, obj):
@@ -321,6 +321,14 @@ def test_haar_rejects_fewer_than_one_worker(capsys, z_path, workers):
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+def test_haar_rejects_mc_above_the_limit(capsys, z_path):
+    code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "r",
+                                  "--mc", str(haar.MAX_MC_SAMPLES + 1)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
 def test_haar_seed_from_environment(capsys, z_path, monkeypatch):
     monkeypatch.setenv("COH_SEED", "123")
     code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "r",
@@ -358,6 +366,27 @@ def test_haar_rejects_negative_seed(capsys, z_path, monkeypatch):
 
 # --------------------------------------------------------------------------
 # exit codes
+
+
+@pytest.mark.parametrize("argv", [
+    ["haar", "--measure", "r"],
+    ["haar", "--povm", "p.json", "--measure", "q"],
+    ["haar", "--povm", "p.json", "--measure", "r", "--seed", "abc"],
+    [],
+])
+def test_usage_errors_are_json(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "usage:" not in err
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_numeric_error_exit_code(capsys, plus_path, z_path, monkeypatch):

@@ -34,7 +34,7 @@ from povmcoh import (
     random_povm,
     tsallis_half_trace_formula,
 )
-from povmcoh.haar import MC_CHUNK
+from povmcoh.haar import MAX_MC_SAMPLES, MC_CHUNK
 from povmcoh.measures import pure_l1_coherence
 
 
@@ -318,6 +318,15 @@ def test_mc_rejects_tiny_sample_counts():
     povm = z_basis_povm()
     with pytest.raises(ValidationError):
         monte_carlo_average(povm, "l1", 50, np.random.default_rng(0))
+
+
+def test_mc_rejects_sample_counts_above_the_limit():
+    class Unsampled:
+        def spawn(self, n):
+            raise AssertionError("the sample count is checked before any generator exists")
+
+    with pytest.raises(ValidationError, match="at most"):
+        monte_carlo_average(z_basis_povm(), "l1", MAX_MC_SAMPLES + 1, Unsampled())
 
 
 def test_mc_agrees_with_exact_relative_entropy():

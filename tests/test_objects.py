@@ -17,7 +17,14 @@ from povmcoh import (
     random_povm,
     validate,
 )
-from povmcoh.objects import validate_density, validate_ensemble, validate_povm, validate_pure
+from povmcoh import objects
+from povmcoh.objects import (
+    Violation,
+    validate_density,
+    validate_ensemble,
+    validate_povm,
+    validate_pure,
+)
 
 
 def test_validate_density_accepts_maximally_mixed():
@@ -47,6 +54,48 @@ def test_validate_povm_completeness():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     violations = validate_povm([p0])  # missing the other projector
     assert any("complete" in v.invariant.lower() for v in violations)
+
+
+@pytest.mark.parametrize("elements, expected", [
+    ([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 1.0]]), np.diag([0.5, -0.2]),
+      np.diag([-0.5, 1.2])],
+     [("element_1_hermitian", 1.0), ("element_2_positive", 0.2), ("element_3_positive", 0.5)]),
+    ([np.eye(2), np.eye(3)], [("element_1_shape", 2.0)]),
+    ([np.eye(2), np.full((2, 2), np.nan)], [("element_1_finite", np.inf)]),
+    ([0.5 * np.eye(2), 0.4 * np.eye(2)], [("completeness", 0.1)]),
+])
+def test_validate_povm_violation_list(elements, expected):
+    got = validate_povm(elements)
+    assert [v.invariant for v in got] == [name for name, _ in expected]
+    assert [v.defect for v in got] == pytest.approx([defect for _, defect in expected], abs=1e-12)
+
+
+def test_validate_povm_accepts_an_array_stack():
+    stack = projective_povm(np.eye(2)).elements
+    assert isinstance(stack, np.ndarray) and stack.shape == (2, 2, 2)
+    assert validate_povm(np.array(stack)) == validate_povm(list(stack)) == []
+    bad = np.array([np.diag([1.0, 0.0]), np.diag([0.5, -0.2]), np.diag([-0.5, 1.2])])
+    assert validate_povm(bad) == validate_povm(list(bad)) != []
+    assert validate_povm(np.zeros((0, 2, 2))) == [Violation("nonempty", 0.0)]
+    assert validate_povm([np.zeros((0, 0))]) == [Violation("element_0_shape", 2.0)]
+    for form in (tuple(stack), np.array(stack)):
+        assert np.array_equal(Povm(form).elements, stack)
+
+
+def test_ensemble_validates_each_member_once(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return validate_density(mat)
+
+    monkeypatch.setattr(objects, "validate_density", counting)
+    members = [np.diag([1.0, 0.0]), np.eye(2) / 2.0, np.diag([0.0, 1.0])]
+    Ensemble(members, [0.2, 0.3, 0.5])
+    assert len(calls) == len(members)
+    # raw-array members are still checked and reported by index
+    violations = validate_ensemble([members[0], np.eye(2)], [0.5, 0.5])
+    assert [v.invariant for v in violations] == ["member_1_unit_trace"]
 
 
 def test_validate_ensemble_weight_sum():
