@@ -9,7 +9,9 @@ of A.  Two function families cover every average used here:
 
 Repeated eigenvalues are handled confluently: nodes within an absolute
 tolerance are snapped to their cluster mean and the divided-difference table
-uses analytic derivatives, f[x,...,x] (m+1 nodes) = f^(m)(x) / m!.
+uses analytic derivatives, f[x,...,x] (m+1 nodes) = f^(m)(x) / m!.  Integer
+moments need no table: over d nodes, the divided difference of w^(d+m-1) is the
+complete homogeneous symmetric polynomial h_m of the nodes.
 """
 
 import math
@@ -100,13 +102,13 @@ def _cluster_nodes(nodes, cluster_tol: float) -> np.ndarray:
         raise ValidationError("divided difference needs at least one node")
     if not np.all(np.isfinite(xs)):
         raise ValidationError("divided difference nodes must be finite")
-    snapped = np.empty_like(xs)
     start = 0
     for i in range(1, xs.size + 1):
         if i == xs.size or xs[i] - xs[i - 1] > cluster_tol:
-            snapped[start:i] = xs[start:i].mean()
+            if i - start > 1:  # a singleton is its own mean
+                xs[start:i] = xs[start:i].mean()
             start = i
-    return snapped
+    return xs
 
 
 def divided_difference(nodes, fn, cluster_tol: float = CLUSTER_TOL) -> float:
@@ -128,15 +130,34 @@ def divided_difference(nodes, fn, cluster_tol: float = CLUSTER_TOL) -> float:
 def _element_spectra(povm: Povm) -> np.ndarray:
     """(n, d) clamped element spectra: Povm.root_factors' s, zero-padded to d."""
     s = povm.root_factors[0]
-    return np.pad(s, ((0, 0), (0, povm.dim - s.shape[1])))
+    lam = np.zeros((povm.outcomes, povm.dim))
+    lam[:, :s.shape[1]] = s
+    return lam
+
+
+def _complete_homogeneous(lam: np.ndarray, m: int) -> float:
+    """h_m(lam), the sum of all degree-m monomials in lam, by adding one
+    variable at a time: h_j += x h_(j-1), j ascending."""
+    h = [1.0] + [0.0] * m
+    for x in lam.tolist():
+        for j in range(1, m + 1):
+            h[j] += x * h[j - 1]
+    return h[m]
 
 
 def _spectrum_moment(lam: np.ndarray, beta: float) -> float:
-    """haar_moment of an element with clamped spectrum lam, beta > 0."""
+    """haar_moment of an element with clamped spectrum lam, 0 < beta < inf.
+
+    For an integer beta = m <= d the divided difference of w^(d+m-1) over the
+    d nodes is h_m(lam): a sum of nonnegative terms, exact to roundoff at any
+    node spacing, in O(d m) instead of the Newton table's O(d^2).
+    """
     d = lam.size
     prefactor = float(math.factorial(d - 1))
     for i in range(1, d):
         prefactor /= beta + i
+    if beta.is_integer() and beta <= d:
+        return prefactor * _complete_homogeneous(lam, int(beta))
     return prefactor * divided_difference(lam, PowerFunction(d + beta - 1.0))
 
 
@@ -148,8 +169,8 @@ def haar_moment(element: np.ndarray, beta: float) -> float:
     exact product (d-1)! / prod_{i=1..d-1} (beta + i).
     """
     beta = float(beta)
-    if beta <= 0.0:
-        raise BetaNonPositiveError(f"beta must be positive, got {beta}")
+    if not (0.0 < beta < math.inf):
+        raise BetaNonPositiveError(f"beta must be positive and finite, got {beta}")
     w, _ = linalg.eig_hermitian(element)
     return _spectrum_moment(linalg.clamp_psd_eigenvalues(w), beta)
 
@@ -227,9 +248,15 @@ class McEstimate:
 def _chunk_stats(povm: Povm, count: int, gen: np.random.Generator,
                  value_of) -> tuple[int, float, float]:
     """(count, mean, sum of squared deviations) of one chunk of samples."""
-    psi = gen.standard_normal((count, povm.dim)) + 1j * gen.standard_normal((count, povm.dim))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    vals = value_of(measures.pure_state_probabilities(psi, povm))
+    # the same two draws as A + 1j B, written straight into one complex array
+    g = np.empty((count, povm.dim), dtype=complex)
+    g.real = gen.standard_normal((count, povm.dim))
+    g.imag = gen.standard_normal((count, povm.dim))
+    # the Haar state is g / ||g||: divide the (count, n) weights by ||g||^2, not g
+    p = measures.pure_state_probabilities(g, povm)
+    gr = g.view(float)
+    p /= np.einsum("ij,ij->i", gr, gr)[:, None]
+    vals = value_of(p)
     mean = float(vals.mean())
     return count, mean, float(np.sum((vals - mean) ** 2))
 

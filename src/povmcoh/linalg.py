@@ -188,8 +188,7 @@ def operator_norm(m: np.ndarray) -> float:
 
 def spectrum_entropy(w: np.ndarray) -> np.ndarray:
     """-sum w log2 w over the last axis of nonnegative values, with 0 log 0 = 0."""
-    pos = w > 0.0
-    return -np.sum(np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0), axis=-1)
+    return -np.sum(w * np.log2(w, out=np.zeros(w.shape), where=w > 0.0), axis=-1)
 
 
 def entropy_psd(m: np.ndarray) -> float:

@@ -26,7 +26,8 @@ logger = logging.getLogger(__name__)
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
 # anything lower means a kernel bug.
 NEGATIVE_VALUE_TOL = 1e-9
-# Rows of pure states per matrix product in pure_state_probabilities.
+# pure_state_probabilities takes PROBABILITY_ROWS // n rows of states per matrix
+# product, so its (rows, n k) transient holds at most PROBABILITY_ROWS k entries.
 PROBABILITY_ROWS = 1024
 
 RELATIVE_ENTROPY = "relative_entropy"
@@ -170,19 +171,23 @@ def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> Inc
 # The pure-state functions below act on the last axis: a (batch, d) stack of states
 # gives (batch, n) probabilities, and those give one measure value per row.
 def pure_state_probabilities(vec: np.ndarray, povm: Povm) -> np.ndarray:
-    """Outcome probabilities <psi|E_j|psi> of a pure state, nonnegative by construction."""
+    """Outcome weights <psi|E_j|psi> = ||C_j psi||^2, nonnegative by construction.
+
+    For unit vectors these are the outcome probabilities; an unnormalised row g
+    gives ||g||^2 times those of g / ||g||.
+    """
     vec = np.asarray(vec, dtype=complex)
     require_same_dim(vec.shape[-1], povm.dim)
-    # <psi|E_j|psi> = ||C_j psi||^2: one (rows, d) x (d, k) product per outcome and
-    # block of rows, so every transient stays (PROBABILITY_ROWS, k); the squared norm
-    # reads the product as real pairs
-    p = np.empty(vec.shape[:-1] + (povm.outcomes,))
-    rows, out = vec.reshape(-1, vec.shape[-1]), p.reshape(-1, povm.outcomes)
-    for start in range(0, len(rows), PROBABILITY_ROWS):
-        block = rows[start:start + PROBABILITY_ROWS]
-        for j, c in enumerate(povm.root_factors[1]):
-            y = (block @ c.T).view(float)
-            out[start:start + PROBABILITY_ROWS, j] = np.einsum("ij,ij->i", y, y)
+    n, k, d = povm.root_factors[1].shape
+    # one (rows, d) x (d, n k) product per block of rows against the stacked factor;
+    # its squared entries, read as real pairs, sum in groups of 2k per outcome
+    stacked = povm.root_factors[1].reshape(n * k, d).T
+    p = np.empty(vec.shape[:-1] + (n,))
+    rows, out = vec.reshape(-1, d), p.reshape(-1, n)
+    step = max(1, PROBABILITY_ROWS // n)
+    for start in range(0, len(rows), step):
+        y = (rows[start:start + step] @ stacked).view(float).reshape(-1, n, 2 * k)
+        np.einsum("ijk,ijk->ij", y, y, out=out[start:start + step])
     return p
 
 

@@ -109,7 +109,8 @@ def validate_povm(elements) -> list[Violation]:
 
 
 def validate_ensemble(states, weights) -> list[Violation]:
-    """Violations of: nonempty, matching lengths/dims, valid members, weights >= 0 summing to 1."""
+    """Violations of: nonempty, matching lengths/dims, valid members, finite weights
+    >= 0 summing to 1."""
     if len(states) == 0:
         return [Violation("nonempty", 0.0)]
     if len(states) != len(weights):
@@ -118,6 +119,9 @@ def validate_ensemble(states, weights) -> list[Violation]:
     d = None
     for i, s in enumerate(states):
         mat = s.mat if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
+        if mat.ndim != 2:  # a scalar or vector member has no dimension to compare
+            out.append(Violation(f"member_{i}_square", float(mat.ndim)))
+            continue
         if d is None:
             d = mat.shape[0]
         elif mat.shape[0] != d:
@@ -127,6 +131,9 @@ def validate_ensemble(states, weights) -> list[Violation]:
         for v in validate_density(mat):
             out.append(Violation(f"member_{i}_{v.invariant}", v.defect))
     weights = np.asarray(weights, dtype=float)
+    if not _finite(weights):  # NaN slips through every comparison below
+        out.append(Violation("weights_finite", np.inf))
+        return out
     if weights.min() < -WEIGHT_SUM_TOL:
         out.append(Violation("weights_nonnegative", float(-weights.min())))
     sum_defect = abs(float(weights.sum()) - 1.0)

@@ -236,6 +236,21 @@ def test_lsm_ensemble_mode(capsys, tmp_path):
     assert doc["support_restricted"] is False
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_lsm_rejects_non_finite_ensemble_weights(capsys, tmp_path, bad):
+    # JSON NaN / Infinity literals parse; the ensemble must reject them, not fail later
+    doc = json.loads(fileio.dumps(Ensemble([np.eye(2, dtype=complex) / 2.0] * 2, [0.5, 0.5])))
+    doc["weights"] = [bad, 1.0]
+    path = tmp_path / "bad_weights.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["lsm", "--ensemble", str(path)])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert [v["invariant"] for v in error["violations"]] == ["weights_finite"]
+
+
 def test_lsm_rejects_ensemble_plus_state(capsys, tmp_path, plus_path):
     ens = Ensemble([np.eye(2, dtype=complex) / 2.0], [1.0])
     path = write_obj(tmp_path, "ens1.json", ens)

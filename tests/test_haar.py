@@ -1,6 +1,10 @@
 """Haar averages of the coherence measures: divided differences, exact moment
 formulas, the l1 pair bound, and the Monte Carlo cross-check."""
 
+import math
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +120,9 @@ def test_haar_moment_rejects_nonpositive_beta():
         haar_moment(np.eye(2, dtype=complex), 0.0)
     with pytest.raises(BetaNonPositiveError):
         haar_moment(np.eye(2, dtype=complex), -1.0)
+    for beta in (np.inf, np.nan):  # NaN fails every comparison, so it is checked apart
+        with pytest.raises(BetaNonPositiveError):
+            haar_moment(np.eye(2, dtype=complex), beta)
 
 
 # --------------------------------------------------------------------------
@@ -133,6 +140,34 @@ def test_haar_moment_qubit_projector_first_moment():
     # E[<psi|0><0|psi>] = 1/d
     proj = np.diag([1.0, 0.0]).astype(complex)
     assert abs(haar_moment(proj, 1.0) - 0.5) < 1e-12
+
+
+def test_integer_moments_match_exact_rational_values():
+    # for integer beta = m the moment is (d-1)! / prod_{i<d} (m+i) times h_m(lam), the
+    # complete homogeneous symmetric polynomial; dyadic spectra (repeats and zeros
+    # included) are exact in binary, so Fractions give the exact value
+    rng = np.random.default_rng(58)
+    for _ in range(25):
+        d = int(rng.integers(2, 8))
+        lam = [Fraction(int(k), 64) for k in rng.integers(0, 65, size=d)]
+        lam[int(rng.integers(d))] = lam[0]
+        element = np.diag([float(x) for x in lam]).astype(complex)
+        for m in range(1, d + 1):
+            h = sum((math.prod(c) for c in combinations_with_replacement(lam, m)), Fraction(0))
+            exact = h * math.factorial(d - 1) / math.prod(m + i for i in range(1, d))
+            assert abs(haar_moment(element, m) - float(exact)) <= 1e-14 * float(exact)
+
+
+@pytest.mark.parametrize("eps", [10.0**-k for k in range(3, 10)])
+def test_integer_moments_exact_on_near_degenerate_pairs(eps):
+    # {I/2 + eps D, I/2 - eps D}: the nodes of each element sit eps/d apart, where
+    # the Newton table loses every digit; the alpha = 1/2 average and the p = q = 2
+    # l1 bound need only integer moments
+    d = 6
+    shift = eps * np.diag(np.arange(d) / d)
+    povm = Povm([0.5 * np.eye(d) + shift, 0.5 * np.eye(d) - shift])
+    assert abs(haar_average_tsallis(povm, 0.5) - tsallis_half_trace_formula(povm)) < 1e-12
+    assert abs(haar_average_l1_bound(povm) - 1.0) < 1e-12
 
 
 def test_haar_moment_against_monte_carlo():
@@ -294,6 +329,20 @@ def test_mc_rejects_fewer_than_one_worker(workers):
                             workers=workers)
 
 
+def two_pass_mc(povm, counts, seed, value_of):
+    """(mean, std error) from the same chunked draws as monte_carlo_average, with
+    normalised states, probabilities by einsum over the elements and a two-pass
+    variance."""
+    d, vals = povm.dim, []
+    for count, gen in zip(counts, np.random.default_rng(seed).spawn(len(counts))):
+        psi = gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        probs = np.einsum("bi,kij,bj->bk", psi.conj(), np.array(povm.elements), psi).real
+        vals.append(value_of(probs))
+    vals = np.concatenate(vals)
+    return vals.mean(), np.std(vals, ddof=1) / np.sqrt(vals.size)
+
+
 def test_mc_std_error_matches_two_pass_variance():
     # {I/2 + eps D, I/2 - eps D}: the spread of C_r is far below its mean, where
     # a one-pass variance sum(x^2) - N mean^2 loses every digit
@@ -302,16 +351,30 @@ def test_mc_std_error_matches_two_pass_variance():
     povm = Povm([0.5 * np.eye(d) + shift, 0.5 * np.eye(d) - shift])
     counts = [MC_CHUNK, MC_CHUNK, 100]
     est = monte_carlo_average(povm, "relative_entropy", sum(counts), np.random.default_rng(3))
-    vals = []
-    for count, gen in zip(counts, np.random.default_rng(3).spawn(len(counts))):
-        psi = gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        probs = np.einsum("bi,kij,bj->bk", psi.conj(), np.array(povm.elements), psi).real
-        vals.append(-np.sum(probs * np.log2(probs), axis=1))
-    vals = np.concatenate(vals)
-    assert abs(est.mean - vals.mean()) < 1e-12
-    expected = np.std(vals, ddof=1) / np.sqrt(vals.size)
-    assert abs(est.std_error - expected) <= 1e-6 * expected
+    mean, std_error = two_pass_mc(povm, counts, 3, lambda p: -np.sum(p * np.log2(p), axis=1))
+    assert abs(est.mean - mean) < 1e-12
+    assert abs(est.std_error - std_error) <= 1e-6 * std_error
+
+
+@pytest.mark.parametrize("measure_id, alpha, value_of", [
+    ("relative_entropy", None, lambda p: -np.sum(p * np.log2(p), axis=1)),
+    ("l1", None, lambda p: np.sum(np.sqrt(p), axis=1) ** 2 - np.sum(p, axis=1)),
+    ("tsallis", 2.0, lambda p: (np.sum(np.sqrt(p), axis=1) - 1.0) / (2.0 - 1.0)),
+])
+def test_mc_mixed_rank_matches_two_pass_reference(measure_id, alpha, value_of):
+    # element ranks 1, 2 and d: the stacked factor is k = d rows per element, the
+    # lower-rank elements padded with zero rows
+    d = 5
+    q = np.linalg.qr(np.random.default_rng(59).standard_normal((d, d)))[0].astype(complex)
+    e1 = 0.5 * np.outer(q[:, 0], q[:, 0])
+    e2 = 0.5 * q[:, 1:3] @ q[:, 1:3].T
+    povm = Povm([e1, e2, np.eye(d) - e1 - e2])
+    assert povm.root_factors[1].shape == (3, d, d)
+    counts = [MC_CHUNK, 1000]
+    est = monte_carlo_average(povm, measure_id, sum(counts), np.random.default_rng(4), alpha=alpha)
+    mean, std_error = two_pass_mc(povm, counts, 4, value_of)
+    assert abs(est.mean - mean) < 1e-12
+    assert abs(est.std_error - std_error) <= 1e-6 * std_error
 
 
 def test_mc_rejects_tiny_sample_counts():

@@ -104,6 +104,22 @@ def test_validate_ensemble_weight_sum():
     assert violations != []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_ensemble_rejects_non_finite_weights(bad):
+    rho = np.eye(2, dtype=complex) / 2.0
+    assert validate_ensemble([rho, rho], [bad, 1.0]) == [Violation("weights_finite", np.inf)]
+    with pytest.raises(ValidationError, match="weights_finite"):
+        Ensemble([rho, rho], [bad, 1.0])
+
+
+def test_validate_ensemble_reports_non_matrix_member():
+    assert validate_ensemble([np.float64(1.0)], [1.0]) == [Violation("member_0_square", 0.0)]
+    rho = np.eye(2) / 2.0
+    assert validate_ensemble([rho, np.ones(2) / 2.0], [0.5, 0.5]) == [
+        Violation("member_1_square", 1.0)
+    ]
+
+
 def test_constructors_reject_invalid():
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(2, dtype=complex))  # trace 2
