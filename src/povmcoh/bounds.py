@@ -12,6 +12,8 @@ curves.  Note the b1 reference curve for family 2 is the unsorted evaluation
 x = 1/sqrt(33); see README.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 

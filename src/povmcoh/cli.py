@@ -6,6 +6,8 @@ success, 2 for input or validation problems, 3 for dimension mismatches,
 4 for numeric failures.
 """
 
+from __future__ import annotations
+
 import argparse
 import csv
 import json

@@ -1,6 +1,8 @@
 """Exception hierarchy. Three branches map to CLI exit codes:
 input/validation problems (2), dimension mismatches (3), numeric failures (4)."""
 
+from __future__ import annotations
+
 
 class PovmcohError(Exception):
     """Base class for all library errors."""

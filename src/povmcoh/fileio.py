@@ -11,6 +11,8 @@ Every complex entry is an [re, im] pair.  Serialization uses Python's repr
 floats, so a dump/load cycle reproduces finite doubles bit-exactly.
 """
 
+from __future__ import annotations
+
 import json
 
 import numpy as np

@@ -14,8 +14,9 @@ moments need no table: over d nodes, the divided difference of w^(d+m-1) is the
 complete homogeneous symmetric polynomial h_m of the nodes.
 """
 
+from __future__ import annotations
+
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -296,6 +297,8 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
         return _chunk_stats(povm, counts[idx], gens[idx], value_of)
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # kept off the import path
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(len(counts))))
     else:

@@ -1,6 +1,8 @@
 """Dense Hermitian linear algebra kernel: eigendecompositions, matrix functions,
 norms and entropy. Everything downstream funnels through these few routines."""
 
+from __future__ import annotations
+
 import numpy as np
 import numpy.linalg as npl
 

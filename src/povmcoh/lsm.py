@@ -7,6 +7,8 @@ ensemble equals half the Tsallis(1/2) coherence of the pair — checked by
 `discrimination_identity_check` and exercised heavily in the test suite.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

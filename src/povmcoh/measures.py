@@ -11,7 +11,8 @@ All three vanish exactly on measurement-incoherent states (E_j rho E_k = 0 for
 all j != k) and are invariant under relabeling of outcomes.
 """
 
-import logging
+from __future__ import annotations
+
 import weakref
 from dataclasses import dataclass
 
@@ -20,8 +21,6 @@ import numpy as np
 from . import linalg
 from .errors import AlphaOutOfRangeError, NumericError
 from .objects import DensityMatrix, Povm, require_same_dim
-
-logger = logging.getLogger(__name__)
 
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
 # anything lower means a kernel bug.
@@ -53,7 +52,9 @@ def _clamp_value(value: float, measure_id: str) -> float:
     if value < -NEGATIVE_VALUE_TOL:
         raise NumericError(f"{measure_id} evaluated to {value:.3e}, below -{NEGATIVE_VALUE_TOL:.1e}")
     if value < 0.0:
-        logger.debug("%s value %.3e clamped to 0 (roundoff)", measure_id, value)
+        import logging  # kept off the import path: only a clamp needs it
+
+        logging.getLogger(__name__).debug("%s value %.3e clamped to 0 (roundoff)", measure_id, value)
         return 0.0
     return value
 

@@ -4,6 +4,8 @@ Construction validates; `validate_*` helpers report violations on raw arrays
 so callers (and the CLI) can surface measured defects instead of a bare error.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,13 +121,16 @@ def validate_ensemble(states, weights) -> list[Violation]:
     d = None
     for i, s in enumerate(states):
         mat = s.mat if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
-        if mat.ndim != 2:  # a scalar or vector member has no dimension to compare
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            # a non-square member has no dimension to compare: the first square
+            # member sets the reference
             out.append(Violation(f"member_{i}_square", float(mat.ndim)))
             continue
         if d is None:
             d = mat.shape[0]
         elif mat.shape[0] != d:
-            return [Violation(f"member_{i}_dimension", float(mat.shape[0] - d))]
+            out.append(Violation(f"member_{i}_dimension", float(mat.shape[0] - d)))
+            return out
         if isinstance(s, DensityMatrix):
             continue  # validated when built, and immutable
         for v in validate_density(mat):

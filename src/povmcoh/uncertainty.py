@@ -11,6 +11,8 @@ c' <= c^2 <= c, so the refined bound is never weaker.  For pure states the
 left side is at least log2(1/c) with no entropy correction.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 

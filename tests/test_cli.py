@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,3 +417,22 @@ def test_numeric_error_exit_code(capsys, plus_path, z_path, monkeypatch):
                                   "--measure", "r"])
     assert code == 4
     assert json.loads(err)["error"]["type"] == "NumericError"
+
+
+# --------------------------------------------------------------------------
+# import path
+
+
+def test_cli_import_path_stays_light():
+    """A fresh `import povmcoh.cli` loads every layer module but none of the
+    modules only a rare branch needs. It runs in a subprocess: pytest itself
+    imports logging."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import json, sys; import povmcoh.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    loaded = set(json.loads(proc.stdout))
+    assert {"numpy.random", "logging", "concurrent.futures"}.isdisjoint(loaded)
+    layers = ("linalg", "objects", "measures", "bounds", "lsm", "uncertainty", "haar", "fileio", "cli")
+    assert {f"povmcoh.{layer}" for layer in layers} <= loaded

@@ -1,5 +1,7 @@
 """The three coherence measures and the incoherence membership test."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from povmcoh import (
     AlphaOutOfRangeError,
     DensityMatrix,
     DimensionMismatchError,
+    NumericError,
     Povm,
     haar_random_pure,
     is_povm_incoherent,
@@ -24,6 +27,7 @@ from povmcoh import (
     relative_entropy_coherence,
     tsallis_coherence,
 )
+from povmcoh import measures
 from povmcoh.bounds import figure1_state
 from povmcoh.measures import (
     compute,
@@ -88,6 +92,16 @@ def test_compute_dispatch():
         compute(rho, povm, "tsallis")
     with pytest.raises(AlphaOutOfRangeError):
         compute(rho, povm, "nope")
+
+
+def test_roundoff_clamp_is_logged_and_larger_negatives_raise(caplog):
+    with caplog.at_level(logging.DEBUG, logger="povmcoh.measures"):
+        assert measures._clamp_value(-1e-12, "x") == 0.0
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == "x value -1.000e-12 clamped to 0 (roundoff)"
+    with pytest.raises(NumericError):
+        measures._clamp_value(-1e-6, "x")
 
 
 def test_dimension_mismatch():

@@ -120,6 +120,25 @@ def test_validate_ensemble_reports_non_matrix_member():
     ]
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_validate_ensemble_blames_the_non_square_member(shape):
+    rho = np.eye(3) / 3.0
+    bad = np.ones(shape)
+    # the first square member sets the dimension, whichever order they come in
+    assert validate_ensemble([bad, rho], [0.5, 0.5]) == [Violation("member_0_square", 2.0)]
+    assert validate_ensemble([rho, bad], [0.5, 0.5]) == [Violation("member_1_square", 2.0)]
+
+
+def test_validate_ensemble_dimension_mismatch_keeps_earlier_violations():
+    assert validate_ensemble([np.eye(2) / 2.0, np.eye(3) / 3.0], [0.5, 0.5]) == [
+        Violation("member_1_dimension", 1.0)
+    ]
+    assert validate_ensemble([np.eye(2), np.eye(3) / 3.0], [0.5, 0.5]) == [
+        Violation("member_0_unit_trace", 1.0),
+        Violation("member_1_dimension", 1.0),
+    ]
+
+
 def test_constructors_reject_invalid():
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(2, dtype=complex))  # trace 2
