@@ -22,6 +22,16 @@ PSD_CLAMP_TOL = 1e-10
 # Default relative floor for square roots and a state's support: eigenvalues at or
 # below this fraction of the largest count as kernel (see sqrt_psd).
 SUPPORT_RTOL = 1e-13
+# Batched products over many pairs of matrices run in blocks of at most this many
+# entries per product stack (or one pair's worth), so their transients stay bounded.
+BLOCK_ENTRIES = 1 << 14
+
+
+def blocks(count: int, entries_each: int):
+    """Slices of range(count) with at most BLOCK_ENTRIES // entries_each items, and
+    at least one, in each."""
+    step = max(1, BLOCK_ENTRIES // max(entries_each, 1))
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -54,12 +64,8 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     defect = hermiticity_defect(m)
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    try:
-        w, v = npl.eigh(hermitian_part(m))
-    except npl.LinAlgError as exc:  # pragma: no cover - LAPACK essentially never fails here
-        raise ConvergenceFailureError(str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    w, v = stacked_eigh(m)
+    return w[::-1], v[:, ::-1]
 
 
 def clamp_psd_eigenvalues(w: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
@@ -140,10 +146,14 @@ def singular_values(m: np.ndarray) -> np.ndarray:
 
 def stacked_singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of each matrix in a stack (..., rows, cols), descending
-    along the last axis.  One batched LAPACK call instead of a Python loop."""
+    along the last axis.  One batched LAPACK call instead of a Python loop; a
+    stack of row or column vectors has one singular value each, its norm, and
+    needs no LAPACK call."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2:
         raise NotSquareError(f"expected a stack of matrices, got shape {m.shape}")
+    if min(m.shape[-2:]) == 1:
+        return np.sqrt(np.square(np.abs(m)).sum(axis=(-2, -1)))[..., None]
     try:
         return npl.svd(m, compute_uv=False)
     except npl.LinAlgError as exc:  # pragma: no cover
@@ -156,6 +166,8 @@ def stacked_psd_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquareError(f"expected a stack of square matrices, got shape {m.shape}")
+    if m.shape[-1] == 1:  # each 1 x 1 matrix is its own eigenvalue
+        return clamp_psd_eigenvalues(m[..., 0].real)
     try:
         w = npl.eigvalsh(m)
     except npl.LinAlgError as exc:  # pragma: no cover
@@ -163,18 +175,16 @@ def stacked_psd_eigenvalues(m: np.ndarray) -> np.ndarray:
     return clamp_psd_eigenvalues(w)
 
 
-def stacked_psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, v) of each Hermitian PSD matrix in a stack (..., d, d), w
-    descending along the last axis after the PSD roundoff clamp.  The stack is
-    symmetrized first; one batched LAPACK call instead of a Python loop."""
+def stacked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of the Hermitian part of each matrix in a stack (..., d, d),
+    w ascending along the last axis and unclamped.  One batched LAPACK call."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquareError(f"expected a stack of square matrices, got shape {m.shape}")
     try:
-        w, v = npl.eigh(hermitian_part(m))
-    except npl.LinAlgError as exc:  # pragma: no cover
+        return npl.eigh(hermitian_part(m))
+    except npl.LinAlgError as exc:  # pragma: no cover - LAPACK essentially never fails here
         raise ConvergenceFailureError(str(exc)) from exc
-    return clamp_psd_eigenvalues(w[..., ::-1]), v[..., ::-1]
 
 
 def trace_norm(m: np.ndarray) -> float:

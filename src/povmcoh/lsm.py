@@ -80,8 +80,7 @@ def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:
     etas = np.real(np.trace(blocks, axis1=1, axis2=2))
     keep = etas > WEIGHT_DROP_TOL
     weights = etas[keep]
-    states = [DensityMatrix(block / eta) for block, eta in zip(blocks[keep], weights)]
-    return Ensemble(states, weights / weights.sum())
+    return Ensemble(blocks[keep] / weights[:, None, None], weights / weights.sum())
 
 
 def _mixture_support(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,25 +91,25 @@ def _mixture_support(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _sandwiches(weights: np.ndarray, stack: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
+    """eta_j inv_root rho_j inv_root for every member of an (m, d, d) stack, symmetrized."""
+    return linalg.hermitian_part(weights[:, None, None] * (inv_root @ stack @ inv_root))
+
+
 def build_lsm(ensemble: Ensemble) -> LsmInstance:
     """LSM operators M_j = eta_j W rho_j W, W the inverse square root of the
     average state on its support, and the discrimination error probability."""
-    rho_out = ensemble.average_state()
-    w, v = _mixture_support(rho_out)
+    eta, stack = ensemble.weights, ensemble.stack
+    w, v = _mixture_support(ensemble.average_state())
     rank = w.size
-    w_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     projector = v @ v.conj().T
-
-    operators = []
-    success = 0.0
-    for eta, member in zip(ensemble.weights, ensemble.states):
-        m = linalg.hermitian_part(eta * (w_inv_sqrt @ member.mat @ w_inv_sqrt))
-        operators.append(m)
-        success += float(eta) * float(np.real(np.trace(m @ member.mat)))
+    operators = _sandwiches(eta, stack, (v / np.sqrt(w)) @ v.conj().T)
+    # success = sum_j eta_j tr(M_j rho_j), each trace as an elementwise product sum
+    success = float(eta @ np.einsum("jab,jba->j", operators, stack).real)
     error = 1.0 - success
     if -1e-10 <= error < 0.0:
         error = 0.0
-    defect = float(np.max(np.abs(sum(operators) - projector)))
+    defect = float(np.max(np.abs(operators.sum(axis=0) - projector)))
     return LsmInstance(
         ensemble=ensemble,
         operators=tuple(operators),
@@ -131,19 +130,17 @@ def measurement_from_ensemble(ensemble: Ensemble) -> StatePovmResult:
     """
     rho_out = ensemble.average_state()
     w, v = _mixture_support(rho_out)
+    stack = ensemble.stack
     if w.size == ensemble.dim and float(w[-1]) > FULL_RANK_TOL:
         basis, inv_root = None, (v / np.sqrt(w)) @ v.conj().T
     else:
         # restricted to the support, written in the eigenbasis of the mixture
         basis, inv_root = v, np.diag(1.0 / np.sqrt(w))
         rho_out = linalg.hermitian_part(basis.conj().T @ rho_out @ basis)
-    elements = []
-    for eta, member in zip(ensemble.weights, ensemble.states):
-        mat = member.mat if basis is None else basis.conj().T @ member.mat @ basis
-        elements.append(linalg.hermitian_part(eta * (inv_root @ mat @ inv_root)))
+        stack = basis.conj().T @ stack @ basis
     return StatePovmResult(
         state=DensityMatrix(rho_out),
-        povm=Povm(elements),
+        povm=Povm(_sandwiches(ensemble.weights, stack, inv_root)),
         support_restricted=basis is not None,
         support_basis=basis,
     )

@@ -56,7 +56,24 @@ def _clamp_value(value: float, measure_id: str) -> float:
 
         logging.getLogger(__name__).debug("%s value %.3e clamped to 0 (roundoff)", measure_id, value)
         return 0.0
-    return value
+    return value + 0.0  # -0.0 + 0.0 is +0.0: an exact zero reports unsigned
+
+
+# Measure values per (rho, POVM) pair, keyed weakly on rho and then on the POVM (both
+# immutable), then on (measure id, alpha): the bounds certify themselves against
+# C_l1, and the LSM identity and the uncertainty relation reuse C_T and C_r.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _memoised(rho: DensityMatrix, povm: Povm, key: tuple, evaluate) -> float:
+    """The clamped value of evaluate(), computed once per (rho, povm, key)."""
+    by_povm = _MEMO.get(rho)
+    if by_povm is None:
+        by_povm = _MEMO[rho] = weakref.WeakKeyDictionary()
+    values = by_povm.setdefault(povm, {})
+    if key not in values:
+        values[key] = _clamp_value(evaluate(), key[0])
+    return values[key]
 
 
 def _support_factor(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
@@ -75,16 +92,15 @@ def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResul
     Y_j^dag Y_j (r x r), whichever is smaller; S(rho) is the entropy of the support
     spectrum.
     """
+    return CoherenceResult(_memoised(rho, povm, (RELATIVE_ENTROPY, None),
+                                     lambda: _block_entropies(rho, povm)), RELATIVE_ENTROPY)
+
+
+def _block_entropies(rho: DensityMatrix, povm: Povm) -> float:
     w, y = _support_factor(rho, povm)
     yh = y.conj().swapaxes(-1, -2)
     blocks = linalg.stacked_psd_eigenvalues(y @ yh if y.shape[-2] <= y.shape[-1] else yh @ y)
-    value = float(np.sum(linalg.spectrum_entropy(blocks)) - linalg.spectrum_entropy(w))
-    return CoherenceResult(_clamp_value(value, RELATIVE_ENTROPY), RELATIVE_ENTROPY)
-
-
-# C_l1 of each (rho, POVM) pair, keyed weakly on rho and then on the POVM: both are
-# immutable, and every l1 bound certifies itself against the same value.
-_L1_MEMO = weakref.WeakKeyDictionary()
+    return float(np.sum(linalg.spectrum_entropy(blocks)) - linalg.spectrum_entropy(w))
 
 
 def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
@@ -92,26 +108,33 @@ def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
 
     ||sqrt(E_j) rho sqrt(E_k)||_tr = ||Y_j Y_k^dag||_tr, with Y_j k x r.  When r < k,
     the thin QR Y_j = Q_j R_j gives ||R_j R_k^dag||_tr instead, so every core is
-    min(k, r) square: 1 x 1 for rank-one elements or a pure state.  The value is
-    computed once per pair.
+    min(k, r) square: 1 x 1 for rank-one elements or a pure state.
     """
-    by_povm = _L1_MEMO.setdefault(rho, weakref.WeakKeyDictionary())
-    if povm not in by_povm:
-        by_povm[povm] = _clamp_value(_cross_block_trace_norms(rho, povm), L1)
-    return CoherenceResult(by_povm[povm], L1)
+    return CoherenceResult(_memoised(rho, povm, (L1, None), lambda: _cross_block_trace_norms(rho, povm)), L1)
 
 
 def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
     _, y = _support_factor(rho, povm)
-    cores = np.linalg.qr(y, mode="r") if y.shape[-1] < y.shape[-2] else y
+    n, k, r = y.shape
+    if r < k:  # the thin QR's R_j; for r = 1 that is the column norm ||Y_j||
+        cores = np.linalg.norm(y, axis=1, keepdims=True) if r == 1 else np.linalg.qr(y, mode="r")
+    else:
+        cores = y
+    if cores.shape[1] == 1:
+        # 1 x b cores: each block's trace norm is |c_j . conj(c_k)|, an entry of
+        # one Gram matrix
+        gram = np.abs(cores[:, 0].conj() @ cores[:, 0].T)
+        gram.flat[:: n + 1] = 0.0
+        return float(gram.sum())
+    # the (k, j) block is the adjoint of the (j, k) block: same trace norm.  Each pair
+    # j < k is taken conjugated, conj(R_j) R_k^T, and the pairs go to one batched SVD
+    # per block (linalg.blocks)
+    first, second = np.triu_indices(n, 1)
     total = 0.0
-    for j in range(len(cores) - 1):
-        # the (k, j) block is the adjoint of the (j, k) block: same trace norm.  The
-        # row is taken conjugated, conj(R_j) R_k^T, which leaves the stack uncopied,
-        # and only one row of cores is alive at a time.
-        total += 2.0 * float(np.sum(linalg.stacked_singular_values(
-            cores[j].conj() @ cores[j + 1:].swapaxes(-1, -2))))
-    return total
+    for pairs in linalg.blocks(len(first), cores[0].size):
+        products = cores[first[pairs]].conj() @ cores[second[pairs]].swapaxes(-1, -2)
+        total += float(linalg.stacked_singular_values(products).sum())
+    return 2.0 * total
 
 
 def check_alpha(alpha: float) -> float:
@@ -131,6 +154,11 @@ def tsallis_coherence(rho: DensityMatrix, povm: Povm, alpha: float) -> Coherence
     being amplified by the fractional outer power on rank-deficient states.
     """
     alpha = check_alpha(alpha)
+    return CoherenceResult(_memoised(rho, povm, (TSALLIS, alpha),
+                                     lambda: _tsallis_value(rho, povm, alpha)), TSALLIS, alpha)
+
+
+def _tsallis_value(rho: DensityMatrix, povm: Povm, alpha: float) -> float:
     require_same_dim(rho.dim, povm.dim)
     w, v = rho.support
     # rho^(alpha/2) = v w^(alpha/2) v^dag and sqrt(E_j) = C_j^dag u_j^dag; the
@@ -138,8 +166,7 @@ def tsallis_coherence(rho: DensityMatrix, povm: Povm, alpha: float) -> Coherence
     # sigma(M_j) = sigma(C_j v w^(alpha/2)), k x r each
     m = povm.root_factors[1] @ (v * w ** (alpha / 2.0))
     total = float(np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha)))
-    value = (total - 1.0) / (alpha - 1.0)
-    return CoherenceResult(_clamp_value(value, TSALLIS), TSALLIS, alpha)
+    return (total - 1.0) / (alpha - 1.0)
 
 
 def compute(rho: DensityMatrix, povm: Povm, measure_id: str, alpha: float | None = None) -> CoherenceResult:

@@ -46,28 +46,54 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _finite(a: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(a)))
+    return bool(np.isfinite(a).all())
 
 
 def validate_density(mat: np.ndarray) -> list[Violation]:
     """Violations of: square, finite, Hermitian, PSD, unit trace."""
+    return _check_density(mat)[0]
+
+
+def _check_density(mat) -> tuple[list[Violation], tuple | None]:
+    """validate_density's list and the state's eigenpairs as a one-member stack."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        return [Violation("square", float(mat.ndim))]
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+        return [Violation("square", float(mat.ndim))], None
     if not _finite(mat):
-        return [Violation("finite", np.inf)]
-    out = []
-    herm = linalg.hermiticity_defect(mat)
-    if herm > HERMITICITY_TOL:
-        out.append(Violation("hermitian", herm))
-        return out
-    w = np.linalg.eigvalsh(linalg.hermitian_part(mat))
-    if w.min() < -PSD_TOL:
-        out.append(Violation("positive_semidefinite", float(-w.min())))
-    tr = abs(float(np.real(np.trace(mat))) - 1.0)
-    if tr > TRACE_TOL:
-        out.append(Violation("unit_trace", tr))
-    return out
+        return [Violation("finite", np.inf)], None
+    violations, w, v = _check_density_stack(mat[None])
+    return violations.get(0, []), (w, v)
+
+
+def _check_density_stack(stack: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Hermitian, PSD and unit-trace checks of every member of a finite (m, d, d)
+    stack, from one batched eigendecomposition: {member: violations} for the
+    members that fail, and the eigenpairs (w, v) of each member, w ascending."""
+    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+    w, v = linalg.stacked_eigh(stack)
+    trace = np.abs(stack.trace(axis1=1, axis2=2).real - 1.0)
+    failing = (herm > HERMITICITY_TOL) | (w[:, 0] < -PSD_TOL) | (trace > TRACE_TOL)
+    violations = {}
+    for i in np.flatnonzero(failing) if failing.any() else ():
+        if herm[i] > HERMITICITY_TOL:  # a non-Hermitian member skips the other checks
+            violations[i] = [Violation("hermitian", float(herm[i]))]
+            continue
+        violations[i] = []
+        if w[i, 0] < -PSD_TOL:
+            violations[i].append(Violation("positive_semidefinite", float(-w[i, 0])))
+        if trace[i] > TRACE_TOL:
+            violations[i].append(Violation("unit_trace", float(trace[i])))
+    return violations, w, v
+
+
+def _supports(w: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """DensityMatrix.support of each member of a valid stack, from its eigenpairs
+    (w ascending): read-only views of one descending copy of the stack's pairs."""
+    w, v = linalg.clamp_psd_eigenvalues(w[:, ::-1]), v[:, :, ::-1].copy()
+    w.flags.writeable = False
+    v.flags.writeable = False
+    ranks = np.count_nonzero(w > linalg.SUPPORT_RTOL * w[:, :1], axis=1)  # a prefix of each row
+    return [(w[i, :r], v[i, :, :r]) for i, r in enumerate(ranks.tolist())]
 
 
 def validate_pure(vec: np.ndarray) -> list[Violation]:
@@ -84,30 +110,41 @@ def validate_pure(vec: np.ndarray) -> list[Violation]:
 def validate_povm(elements) -> list[Violation]:
     """Violations of: per-element Hermitian PSD, common dimension, completeness.
     Any sequence of matrices and an (n, d, d) array give the same list."""
+    return _check_povm(elements)[0]
+
+
+def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
+    """validate_povm's list and, when it is empty, the element stack with its
+    eigenpairs (w, u), w ascending: one batched eigendecomposition."""
     mats = [np.asarray(e, dtype=complex) for e in elements]
     if not mats:
-        return [Violation("nonempty", 0.0)]
+        return [Violation("nonempty", 0.0)], None
     d = mats[0].shape[0] if mats[0].ndim == 2 else -1
-    # one element at a time until the stack exists: a ragged input cannot be stacked
-    for i, e in enumerate(mats):
-        if e.ndim != 2 or e.shape != (d, d) or d == 0:
-            return [Violation(f"element_{i}_shape", float(e.ndim))]
-        if not _finite(e):
-            return [Violation(f"element_{i}_finite", np.inf)]
-    stack = np.array(mats)
-    herm = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2))
-    low = np.linalg.eigvalsh(linalg.hermitian_part(stack))[:, 0]
+    # a ragged input cannot be stacked: the elements before the first misshapen one
+    # are, and the first element that is misshapen or non-finite is reported
+    shaped = next((i for i, e in enumerate(mats) if e.ndim != 2 or e.shape != (d, d) or d == 0), len(mats))
+    stack = np.array(mats[:shaped]) if shaped else np.empty((0, 0, 0), dtype=complex)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        return [Violation(f"element_{int(np.argmin(finite))}_finite", np.inf)], None
+    if shaped < len(mats):
+        return [Violation(f"element_{shaped}_shape", float(mats[shaped].ndim))], None
+    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+    w, u = linalg.stacked_eigh(stack)
+    failing = (herm > HERMITICITY_TOL) | (w[:, 0] < -PSD_TOL)
     out = []
-    for i in np.flatnonzero((herm > HERMITICITY_TOL) | (low < -PSD_TOL)):
+    for i in np.flatnonzero(failing) if failing.any() else ():
         if herm[i] > HERMITICITY_TOL:  # a non-Hermitian element skips the PSD check
             out.append(Violation(f"element_{i}_hermitian", float(herm[i])))
         else:
-            out.append(Violation(f"element_{i}_positive", float(-low[i])))
+            out.append(Violation(f"element_{i}_positive", float(-w[i, 0])))
     if not out:
-        comp = float(np.max(np.abs(stack.sum(axis=0) - np.eye(d))))
+        total = stack.sum(axis=0)
+        total.flat[:: d + 1] -= 1.0  # sum_j E_j - I
+        comp = float(np.abs(total).max())
         if comp > COMPLETENESS_TOL:
             out.append(Violation("completeness", comp))
-    return out
+    return out, None if out else (stack, w, u)
 
 
 def validate_ensemble(states, weights) -> list[Violation]:
@@ -147,6 +184,27 @@ def validate_ensemble(states, weights) -> list[Violation]:
     return out
 
 
+def _density_stack(mats) -> tuple[np.ndarray | None, tuple[DensityMatrix, ...]]:
+    """States from a sequence of matrices, validated in one batched pass when they
+    stack to a finite (m, d, d) array, which is returned read-only with them.
+
+    Each member gets every check of DensityMatrix, and a failing member raises the
+    error its own DensityMatrix would; the first such member in order does.
+    Matrices that do not stack so are built one DensityMatrix at a time.
+    """
+    try:
+        stack = np.array(mats, dtype=complex)
+    except ValueError:  # ragged
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape or not _finite(stack):
+        return None, tuple(DensityMatrix(m) for m in mats)
+    violations, w, v = _check_density_stack(stack)
+    if violations:
+        _raise_if(violations[min(violations)], "density matrix")
+    stack.flags.writeable = False
+    return stack, tuple(DensityMatrix._checked(m, support) for m, support in zip(stack, _supports(w, v)))
+
+
 def _raise_if(violations, what):
     if violations:
         msg = "; ".join(str(v) for v in violations)
@@ -161,25 +219,33 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _frozen(self.mat))
-        _raise_if(validate_density(self.mat), "density matrix")
+        violations, eigenpairs = _check_density(self.mat)
+        _raise_if(violations, "density matrix")
+        object.__setattr__(self, "_support", _supports(*eigenpairs)[0])
+
+    @classmethod
+    def _checked(cls, mat: np.ndarray, support: tuple) -> DensityMatrix:
+        """A state from a read-only matrix already validated, with its support."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "mat", mat)
+        object.__setattr__(state, "_support", support)
+        return state
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @cached_property
+    @property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only eigenpairs (w, v) on the numerical support, w descending.
 
         rho = (v * w) @ v^dag once eigenvalues at or below linalg.SUPPORT_RTOL * max(w)
         are dropped, so X_j = sqrt(E_j) @ (v * sqrt(w)) factors every block
         sqrt(E_j) rho sqrt(E_k) = X_j X_k^dag through r = len(w) columns.
-        Computed once per state and shared by every measure and bound.
+        Taken from the eigendecomposition that validated the state, and shared by
+        every measure and bound.
         """
-        w, v = linalg.support_eigenpairs(self.mat, linalg.SUPPORT_RTOL)
-        w.flags.writeable = False
-        v.flags.writeable = False
-        return w, v
+        return self._support
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
@@ -213,9 +279,12 @@ class Povm:
     elements: np.ndarray
 
     def __init__(self, elements):
-        elements = [np.asarray(e, dtype=complex) for e in elements]
-        _raise_if(validate_povm(elements), "POVM")
-        object.__setattr__(self, "elements", _frozen(elements))
+        violations, checked = _check_povm(elements)
+        _raise_if(violations, "POVM")
+        stack, w, u = checked  # a new array, owned here
+        stack.flags.writeable = False
+        object.__setattr__(self, "elements", stack)
+        object.__setattr__(self, "_root_factors", _root_factors(w, u))
 
     @property
     def dim(self) -> int:
@@ -225,7 +294,7 @@ class Povm:
     def outcomes(self) -> int:
         return self.elements.shape[0]
 
-    @cached_property
+    @property
     def root_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (s, C): each element factored once on its support.
 
@@ -234,16 +303,9 @@ class Povm:
         C_j = sqrt(s_j) u_j^dag, k the largest element rank (lower ranks get zero
         rows).  Then sqrt(E_j) = u_j C_j and E_j = C_j^dag C_j, so every block
         sqrt(E_j) rho sqrt(E_k) has the trace norm and spectrum of C_j rho C_k^dag.
-        Computed from one batched eigendecomposition of the element stack.
+        Taken from the batched eigendecomposition that validated the elements.
         """
-        s, u = linalg.stacked_psd_eigh(self.elements)
-        keep = s > linalg.SUPPORT_RTOL * s[:, :1]  # s descending: a prefix of each row
-        k = int(keep.sum(axis=1).max())
-        s = np.where(keep, s, 0.0)[:, :k]
-        c = np.sqrt(s)[:, :, None] * u[:, :, :k].conj().swapaxes(-1, -2)
-        s.flags.writeable = False
-        c.flags.writeable = False
-        return s, c
+        return self._root_factors
 
     @cached_property
     def sqrt_elements(self) -> np.ndarray:
@@ -267,13 +329,23 @@ class Povm:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """States with prior weights; weights sum to one."""
+    """States with prior weights; weights sum to one.
+
+    Members given as matrices (a sequence or an (m, d, d) array) are validated in one
+    batched pass; DensityMatrix members were validated when built.  `stack` holds
+    the member matrices as one read-only (m, d, d) array.
+    """
 
     states: tuple
     weights: np.ndarray
 
     def __init__(self, states, weights):
-        states = tuple(s if isinstance(s, DensityMatrix) else DensityMatrix(s) for s in states)
+        states = tuple(states)
+        stack = None
+        if any(isinstance(s, DensityMatrix) for s in states):
+            states = tuple(s if isinstance(s, DensityMatrix) else DensityMatrix(s) for s in states)
+        else:
+            stack, states = _density_stack(states)
         weights = np.array(weights, dtype=float)
         weights.flags.writeable = False
         object.__setattr__(self, "states", states)
@@ -281,6 +353,10 @@ class Ensemble:
         if len(states) == 0:
             raise EmptyEnsembleError("ensemble has no members")
         _raise_if(validate_ensemble(self.states, self.weights), "ensemble")
+        if stack is None:
+            stack = np.array([s.mat for s in states])
+            stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -291,8 +367,22 @@ class Ensemble:
         return len(self.states)
 
     def average_state(self) -> np.ndarray:
-        """Weighted mixture (raw matrix; may be rank-deficient)."""
-        return sum(w * s.mat for w, s in zip(self.weights, self.states))
+        """Weighted mixture (raw matrix; may be rank-deficient): one product of the
+        weights with the read-only (m, d, d) member stack `stack`."""
+        m, d, _ = self.stack.shape
+        return (self.weights @ self.stack.reshape(m, d * d)).reshape(d, d)
+
+
+def _root_factors(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Povm.root_factors from the ascending eigenpairs of a valid element stack."""
+    s, u = linalg.clamp_psd_eigenvalues(w[:, ::-1]), u[:, :, ::-1]
+    keep = s > linalg.SUPPORT_RTOL * s[:, :1]  # s descending: a prefix of each row
+    k = int(keep.sum(axis=1).max())
+    s = np.where(keep, s, 0.0)[:, :k]
+    c = np.sqrt(s)[:, :, None] * u[:, :, :k].conj().swapaxes(-1, -2)
+    s.flags.writeable = False
+    c.flags.writeable = False
+    return s, c
 
 
 def validate(obj) -> list[Violation]:

@@ -36,23 +36,45 @@ def overlap_constant(e: Povm, f: Povm) -> float:
     """c = max_{jk} ||sqrt(E_j) sqrt(F_k)||.
 
     sqrt(E_j) sqrt(F_k) = u_j C_j D_k^dag u'_k^dag with C, D the element factors of
-    E and F, so each norm is that of the small core C_j D_k^dag.
+    E and F, so each norm is that of the small core M = C_j D_k^dag: the square root
+    of the largest eigenvalue of the smaller Gram matrix, M M^dag or M^dag M.  All
+    n_e n_f Gram matrices take one batched eigenvalue call per block of E's outcomes
+    (linalg.blocks).
     """
     require_same_dim(e.dim, f.dim)
-    d_h = f.root_factors[1].conj().swapaxes(-1, -2)
-    return max(
-        float(np.max(linalg.stacked_singular_values(c @ d_h)[:, 0]))
-        for c in e.root_factors[1]
-    )
+    c, d_h = e.root_factors[1], f.root_factors[1].conj().swapaxes(-1, -2)
+    n_f, _, k_f = d_h.shape
+    largest = 0.0
+    for rows in linalg.blocks(len(c), n_f * c.shape[1] * k_f):
+        cores = c[rows, None] @ d_h
+        cores_h = cores.conj().swapaxes(-1, -2)
+        gram = cores @ cores_h if c.shape[1] <= k_f else cores_h @ cores
+        largest = max(largest, float(np.max(linalg.stacked_psd_eigenvalues(gram)[..., -1])))
+    return math.sqrt(largest)
 
 
 def refined_overlap_constant(e: Povm, f: Povm) -> float:
     """c' = min over the two sandwich directions of the largest sum norm."""
     require_same_dim(e.dim, f.dim)
-    es, fs = e.elements, f.elements
-    first = max(linalg.operator_norm(np.sum(es @ fk @ es, axis=0)) for fk in fs)
-    second = max(linalg.operator_norm(np.sum(fs @ ej @ fs, axis=0)) for ej in es)
-    return min(first, second)
+    return min(_largest_sandwich_norm(e.elements, f.elements),
+               _largest_sandwich_norm(f.elements, e.elements))
+
+
+def _largest_sandwich_norm(outer: np.ndarray, inner: np.ndarray) -> float:
+    """max_k ||sum_j A_j B_k A_j|| for element stacks A (outer) and B (inner).
+
+    Each sum is Hermitian PSD, so its norm is its largest eigenvalue.  With
+    tall = [A_1; ...; A_n], tall @ B_k stacks the A_j B_k, and laying those side
+    by side, [A_1 B_k | ... | A_n B_k] @ tall is the whole sum in one product.
+    """
+    n, d = outer.shape[:2]
+    tall = outer.reshape(n * d, d)
+    largest = 0.0
+    for ks in linalg.blocks(len(inner), n * d * d):
+        wide = (tall @ inner[ks]).reshape(-1, n, d, d).swapaxes(1, 2).reshape(-1, d, n * d)
+        sums = wide @ tall
+        largest = max(largest, float(np.max(linalg.stacked_psd_eigenvalues(sums)[:, -1])))
+    return largest
 
 
 def uncertainty_report(rho: DensityMatrix, e: Povm, f: Povm) -> UncertaintyReport:

@@ -201,3 +201,45 @@ def dense_incoherence_defect(rho, povm):
     es = povm.elements
     return max((float(np.max(np.abs(es[j] @ rho.mat @ es[k])))
                 for j in range(len(es)) for k in range(len(es)) if j != k), default=0.0)
+
+
+def mixed_rank_povm(rng, d):
+    """Elements of rank 1, 2, d and d: half of a projective split, with the full-rank
+    remainder I - E_1 - E_2 shared out by a Wishart matrix W, 0 < W < I."""
+    u = random_unitary(rng, d)
+    e1 = 0.5 * np.outer(u[:, 0], u[:, 0].conj())
+    e2 = 0.5 * u[:, 1:3] @ u[:, 1:3].conj().T
+    root = linalg.sqrt_psd(np.eye(d) - e1 - e2)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = a @ a.conj().T
+    w = g / (linalg.operator_norm(g) + 1.0)
+    return Povm([e1, e2, root @ w @ root, root @ (np.eye(d) - w) @ root])
+
+
+def dense_lsm_error(ensemble, kernel_rtol=1e-12):
+    """LSM operators and error by the per-member definition: M_j = eta_j W rho_j W,
+    W the inverse square root of the mixture on its support, one member at a time,
+    and P_err = 1 - sum_j eta_j tr(M_j rho_j)."""
+    mixture = sum(eta * state.mat for eta, state in zip(ensemble.weights, ensemble.states))
+    w, v = np.linalg.eigh((mixture + mixture.conj().T) / 2.0)
+    keep = w > kernel_rtol * w.max()
+    w_inv_sqrt = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].conj().T
+    operators = [eta * (w_inv_sqrt @ state.mat @ w_inv_sqrt)
+                 for eta, state in zip(ensemble.weights, ensemble.states)]
+    success = sum(eta * np.real(np.trace(m @ state.mat))
+                  for eta, m, state in zip(ensemble.weights, operators, ensemble.states))
+    return operators, 1.0 - success
+
+
+def dense_overlap_c(e, f):
+    """c = max_jk ||sqrt(E_j) sqrt(F_k)||, one 2-D SVD per pair of dense roots."""
+    return max(linalg.operator_norm(a @ b) for a in dense_roots(e) for b in dense_roots(f))
+
+
+def dense_overlap_c_prime(e, f):
+    """c' = min(max_k ||sum_j E_j F_k E_j||, max_j ||sum_k F_k E_j F_k||), one
+    operator norm per outcome."""
+    def largest(outer, inner):
+        return max(linalg.operator_norm(sum(a @ b @ a for a in outer)) for b in inner)
+
+    return min(largest(e.elements, f.elements), largest(f.elements, e.elements))

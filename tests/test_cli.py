@@ -240,6 +240,18 @@ def test_lsm_ensemble_mode(capsys, tmp_path):
     assert doc["support_restricted"] is False
 
 
+def test_exact_zero_values_print_unsigned(capsys, tmp_path, z_path):
+    # an incoherent pair: C_T(1/2) is (1 - 1) / (1/2 - 1), an exact -0.0 before the clamp
+    zero = write_obj(tmp_path, "zero.json", PureState(np.array([1.0, 0.0])))
+    code, out, err = run(capsys, ["compute", "--state", zero, "--povm", z_path,
+                                  "--measure", "tsallis", "--alpha", "0.5"])
+    assert code == 0
+    assert '"value": 0.0' in out and "-0.0" not in out
+    code, out, err = run(capsys, ["lsm", "--state", zero, "--povm", z_path])
+    assert code == 0
+    assert '"tsallis_half": 0.0' in out and "-0.0" not in out
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_lsm_rejects_non_finite_ensemble_weights(capsys, tmp_path, bad):
     # JSON NaN / Infinity literals parse; the ensemble must reject them, not fail later

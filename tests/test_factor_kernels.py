@@ -20,6 +20,7 @@ from helpers import (
     dense_pair_bounds,
     dense_relative_entropy,
     dense_tsallis,
+    mixed_rank_povm,
     random_density,
     random_rank_density,
     random_unitary,
@@ -115,19 +116,6 @@ def test_rank_one_states_reproduce_the_pure_state_forms():
 # the element factor C_j = sqrt(s_j) u_j^dag of Povm.root_factors
 
 
-def mixed_rank_povm(rng, d):
-    """Elements of rank 1, 2, d and d: half of a projective split, with the full-rank
-    remainder I - E_1 - E_2 shared out by a Wishart matrix W, 0 < W < I."""
-    u = random_unitary(rng, d)
-    e1 = 0.5 * np.outer(u[:, 0], u[:, 0].conj())
-    e2 = 0.5 * u[:, 1:3] @ u[:, 1:3].conj().T
-    root = linalg.sqrt_psd(np.eye(d) - e1 - e2)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    g = a @ a.conj().T
-    w = g / (linalg.operator_norm(g) + 1.0)
-    return Povm([e1, e2, root @ w @ root, root @ (np.eye(d) - w) @ root])
-
-
 @pytest.mark.parametrize("rank", [1, 2, D])
 def test_mixed_element_ranks_match_dense_blocks(rank):
     rng = np.random.default_rng(70 + rank)
@@ -172,7 +160,7 @@ def test_l1_value_is_computed_once_per_pair(monkeypatch):
 
     monkeypatch.setattr(linalg, "stacked_singular_values", counting)
     value = l1_coherence(rho, povm).value
-    assert len(calls) == povm.outcomes - 1  # one row of cores per call
+    assert calls == [(povm.outcomes * (povm.outcomes - 1) // 2, D, D)]  # every pair j < k at once
     calls.clear()
     assert l1_coherence(rho, povm).value == value
     assert calls == []
@@ -182,7 +170,7 @@ def test_l1_value_is_computed_once_per_pair(monkeypatch):
     calls.clear()
     other = Povm(povm.elements)  # the memo is keyed on the object
     assert abs(l1_coherence(rho, other).value - value) < 1e-14
-    assert len(calls) == povm.outcomes - 1
+    assert len(calls) == 1
 
 
 def test_l1_memo_holds_no_strong_reference():

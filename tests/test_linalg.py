@@ -21,7 +21,7 @@ from povmcoh.linalg import (
     power_psd,
     singular_values,
     sqrt_psd,
-    stacked_psd_eigh,
+    stacked_eigh,
     support_eigenpairs,
     trace_norm,
 )
@@ -51,22 +51,25 @@ def test_eig_hermitian_reconstruction_and_order():
         assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
 
 
-def test_stacked_psd_eigh_matches_eig_hermitian():
+def test_stacked_eigh_matches_eig_hermitian():
     rng = np.random.default_rng(3)
     stack = np.array([random_density(rng, 5).mat for _ in range(4)])
-    w, v = stacked_psd_eigh(stack)
+    w, v = stacked_eigh(stack)
     assert w.shape == (4, 5) and v.shape == (4, 5, 5)
     for m, wj, vj in zip(stack, w, v):
         want, _ = eig_hermitian(m)
-        assert np.max(np.abs(wj - want)) < 1e-14
+        assert np.all(np.diff(wj) >= 0)  # ascending
+        assert np.max(np.abs(wj[::-1] - want)) < 1e-14
         assert np.max(np.abs((vj * wj) @ vj.conj().T - m)) < 1e-14
 
 
-def test_stacked_psd_eigh_clamps_roundoff_and_rejects_negatives():
-    w, _ = stacked_psd_eigh(np.array([np.diag([1.0, -1e-12]), np.eye(2)]))
-    assert w.min() == 0.0
+def test_stacked_eigh_leaves_the_spectrum_to_the_psd_clamp():
+    # validation reads the raw eigenvalues; the clamp then zeroes roundoff only
+    w, _ = stacked_eigh(np.array([np.diag([1.0, -1e-12]), np.diag([1.0, -1e-3])]))
+    assert w[0, 0] == -1e-12 and w[1, 0] == -1e-3
+    assert clamp_psd_eigenvalues(w[0]).min() == 0.0
     with pytest.raises(NegativeEigenvalueError):
-        stacked_psd_eigh(np.array([np.diag([1.0, -1e-3]), np.eye(2)]))
+        clamp_psd_eigenvalues(w[1])
 
 
 def test_eig_hermitian_rejects_nonhermitian():

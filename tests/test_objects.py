@@ -12,6 +12,7 @@ from povmcoh import (
     Povm,
     PureState,
     ValidationError,
+    ensemble_from_measurement,
     haar_random_pure,
     projective_povm,
     random_povm,
@@ -83,16 +84,25 @@ def test_validate_povm_accepts_an_array_stack():
 
 
 def test_ensemble_validates_each_member_once(monkeypatch):
+    # every state check runs on a stack of members; count the members it sees
+    checked = objects._check_density_stack
     calls = []
 
-    def counting(mat):
-        calls.append(mat)
-        return validate_density(mat)
+    def counting(stack):
+        calls.append(len(stack))
+        return checked(stack)
 
-    monkeypatch.setattr(objects, "validate_density", counting)
+    monkeypatch.setattr(objects, "_check_density_stack", counting)
     members = [np.diag([1.0, 0.0]), np.eye(2) / 2.0, np.diag([0.0, 1.0])]
     Ensemble(members, [0.2, 0.3, 0.5])
-    assert len(calls) == len(members)
+    assert calls == [len(members)]  # all members in one pass
+    calls.clear()
+    states = [DensityMatrix(m) for m in members]
+    Ensemble(states, [0.2, 0.3, 0.5])  # built states are not checked again
+    assert calls == [1] * len(members)
+    calls.clear()
+    steered = ensemble_from_measurement(DensityMatrix(np.eye(3) / 3.0), projective_povm(np.eye(3)))
+    assert calls == [1, steered.size]  # the state, then all members in one pass
     # raw-array members are still checked and reported by index
     violations = validate_ensemble([members[0], np.eye(2)], [0.5, 0.5])
     assert [v.invariant for v in violations] == ["member_1_unit_trace"]
