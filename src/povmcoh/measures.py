@@ -115,25 +115,17 @@ def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
 
 def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
     _, y = _support_factor(rho, povm)
-    n, k, r = y.shape
-    if r < k:  # the thin QR's R_j; for r = 1 that is the column norm ||Y_j||
-        cores = np.linalg.norm(y, axis=1, keepdims=True) if r == 1 else np.linalg.qr(y, mode="r")
-    else:
-        cores = y
-    if cores.shape[1] == 1:
-        # 1 x b cores: each block's trace norm is |c_j . conj(c_k)|, an entry of
-        # one Gram matrix
-        gram = np.abs(cores[:, 0].conj() @ cores[:, 0].T)
-        gram.flat[:: n + 1] = 0.0
-        return float(gram.sum())
-    # the (k, j) block is the adjoint of the (j, k) block: same trace norm.  Each pair
-    # j < k is taken conjugated, conj(R_j) R_k^T, and the pairs go to one batched SVD
-    # per block (linalg.blocks)
-    first, second = np.triu_indices(n, 1)
+    cores = np.linalg.qr(y, mode="r") if y.shape[-1] < y.shape[-2] else y
+    n, a, b = cores.shape
+    # the (k, j) block is the adjoint of the (j, k) block: same trace norm.  A block
+    # of rows j of all the products conj(R_j) R_k^T is one matrix product per block
+    # (linalg.blocks), and its pairs j < k go to one batched SVD
+    flat, outcome = cores.reshape(n * a, b), np.arange(n)
     total = 0.0
-    for pairs in linalg.blocks(len(first), cores[0].size):
-        products = cores[first[pairs]].conj() @ cores[second[pairs]].swapaxes(-1, -2)
-        total += float(linalg.stacked_singular_values(products).sum())
+    for rows in linalg.blocks(n, n * a * a):
+        products = (flat[rows.start * a:rows.stop * a].conj() @ flat.T).reshape(-1, a, n, a)
+        j, k = np.nonzero(outcome[rows, None] < outcome)
+        total += float(linalg.stacked_singular_values(products[j, :, k]).sum())
     return 2.0 * total
 
 

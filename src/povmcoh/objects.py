@@ -66,23 +66,30 @@ def _check_density(mat) -> tuple[list[Violation], tuple | None]:
 
 
 def _check_density_stack(stack: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Hermitian, PSD and unit-trace checks of every member of a finite (m, d, d)
-    stack, from one batched eigendecomposition: {member: violations} for the
-    members that fail, and the eigenpairs (w, v) of each member, w ascending."""
+    """Hermitian, PSD and unit-trace checks of every member of a finite (m, d, d) stack."""
+    trace = np.abs(stack.trace(axis1=1, axis2=2).real - 1.0)
+    return _check_stack(stack, "positive_semidefinite", ("unit_trace", trace, TRACE_TOL))
+
+
+def _check_stack(stack: np.ndarray, psd_name: str, *extra) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Checks of every member of a finite (m, d, d) stack from one batched
+    eigendecomposition: {member: violations} for the members that fail, and the
+    eigenpairs (w, v) of each member, w ascending.
+
+    A non-Hermitian member is reported as "hermitian" alone; the others are checked
+    for a least eigenvalue below -PSD_TOL (reported as psd_name) and then for each
+    extra (name, defects, tol).
+    """
     herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
     w, v = linalg.stacked_eigh(stack)
-    trace = np.abs(stack.trace(axis1=1, axis2=2).real - 1.0)
-    failing = (herm > HERMITICITY_TOL) | (w[:, 0] < -PSD_TOL) | (trace > TRACE_TOL)
+    checks = [("hermitian", herm, HERMITICITY_TOL), (psd_name, -w[:, 0], PSD_TOL), *extra]
+    failing = herm > HERMITICITY_TOL
+    for _, defects, tol in checks[1:]:
+        failing |= defects > tol
     violations = {}
-    for i in np.flatnonzero(failing) if failing.any() else ():
-        if herm[i] > HERMITICITY_TOL:  # a non-Hermitian member skips the other checks
-            violations[i] = [Violation("hermitian", float(herm[i]))]
-            continue
-        violations[i] = []
-        if w[i, 0] < -PSD_TOL:
-            violations[i].append(Violation("positive_semidefinite", float(-w[i, 0])))
-        if trace[i] > TRACE_TOL:
-            violations[i].append(Violation("unit_trace", float(trace[i])))
+    for i in np.flatnonzero(failing).tolist() if failing.any() else ():
+        found = [Violation(name, float(defects[i])) for name, defects, tol in checks if defects[i] > tol]
+        violations[i] = found[:1] if herm[i] > HERMITICITY_TOL else found
     return violations, w, v
 
 
@@ -129,15 +136,8 @@ def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
         return [Violation(f"element_{int(np.argmin(finite))}_finite", np.inf)], None
     if shaped < len(mats):
         return [Violation(f"element_{shaped}_shape", float(mats[shaped].ndim))], None
-    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
-    w, u = linalg.stacked_eigh(stack)
-    failing = (herm > HERMITICITY_TOL) | (w[:, 0] < -PSD_TOL)
-    out = []
-    for i in np.flatnonzero(failing) if failing.any() else ():
-        if herm[i] > HERMITICITY_TOL:  # a non-Hermitian element skips the PSD check
-            out.append(Violation(f"element_{i}_hermitian", float(herm[i])))
-        else:
-            out.append(Violation(f"element_{i}_positive", float(-w[i, 0])))
+    violations, w, u = _check_stack(stack, "positive")
+    out = [Violation(f"element_{i}_{v.invariant}", v.defect) for i, found in violations.items() for v in found]
     if not out:
         total = stack.sum(axis=0)
         total.flat[:: d + 1] -= 1.0  # sum_j E_j - I
@@ -184,25 +184,31 @@ def validate_ensemble(states, weights) -> list[Violation]:
     return out
 
 
-def _density_stack(mats) -> tuple[np.ndarray | None, tuple[DensityMatrix, ...]]:
-    """States from a sequence of matrices, validated in one batched pass when they
-    stack to a finite (m, d, d) array, which is returned read-only with them.
+def _density_stack(states) -> tuple[np.ndarray | None, tuple[DensityMatrix, ...]]:
+    """Ensemble members as states, and their matrices as one read-only (m, d, d) stack.
 
-    Each member gets every check of DensityMatrix, and a failing member raises the
-    error its own DensityMatrix would; the first such member in order does.
-    Matrices that do not stack so are built one DensityMatrix at a time.
+    When the matrices stack to a finite (m, d, d) array, the members given as
+    matrices are validated in one batched pass.  Each gets every check of
+    DensityMatrix, and the first failing one raises the error its own DensityMatrix
+    would.  Otherwise the stack is None, each matrix member is built on its own, and
+    the members are invalid or of different sizes.
     """
     try:
-        stack = np.array(mats, dtype=complex)
+        stack = np.array([s.mat if isinstance(s, DensityMatrix) else s for s in states], dtype=complex)
     except ValueError:  # ragged
         stack = None
     if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape or not _finite(stack):
-        return None, tuple(DensityMatrix(m) for m in mats)
-    violations, w, v = _check_density_stack(stack)
-    if violations:
-        _raise_if(violations[min(violations)], "density matrix")
+        return None, tuple(s if isinstance(s, DensityMatrix) else DensityMatrix(s) for s in states)
     stack.flags.writeable = False
-    return stack, tuple(DensityMatrix._checked(m, support) for m, support in zip(stack, _supports(w, v)))
+    members = list(states)
+    raw = [i for i, s in enumerate(states) if not isinstance(s, DensityMatrix)]
+    if raw:  # DensityMatrix members were validated when built
+        violations, w, v = _check_density_stack(stack[raw])
+        if violations:
+            _raise_if(violations[min(violations)], "density matrix")
+        for i, support in zip(raw, _supports(w, v)):
+            members[i] = DensityMatrix._checked(stack[i], support)
+    return stack, tuple(members)
 
 
 def _raise_if(violations, what):
@@ -340,12 +346,7 @@ class Ensemble:
     weights: np.ndarray
 
     def __init__(self, states, weights):
-        states = tuple(states)
-        stack = None
-        if any(isinstance(s, DensityMatrix) for s in states):
-            states = tuple(s if isinstance(s, DensityMatrix) else DensityMatrix(s) for s in states)
-        else:
-            stack, states = _density_stack(states)
+        stack, states = _density_stack(tuple(states))
         weights = np.array(weights, dtype=float)
         weights.flags.writeable = False
         object.__setattr__(self, "states", states)
@@ -353,10 +354,7 @@ class Ensemble:
         if len(states) == 0:
             raise EmptyEnsembleError("ensemble has no members")
         _raise_if(validate_ensemble(self.states, self.weights), "ensemble")
-        if stack is None:
-            stack = np.array([s.mat for s in states])
-            stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "stack", stack)  # members that pass always stack
 
     @property
     def dim(self) -> int:

@@ -119,12 +119,14 @@ def test_overlap_constants_match_per_outcome_norms(povm_kind):
         assert abs(refined_overlap_constant(e, f) - dense_overlap_c_prime(e, f)) < TOL
 
 
-def test_blocked_products_give_the_unblocked_values(monkeypatch):
+# one outcome per block, or four of C_l1's six rows (D x D cores), the last block short
+@pytest.mark.parametrize("entries", [1, 4 * 6 * D * D])
+def test_blocked_products_give_the_unblocked_values(monkeypatch, entries):
     rng = np.random.default_rng(970)
     e, f = random_povm(D, 6, rng), mixed_rank_povm(rng, D)
     rho = random_density(rng, D)
     want = overlap_constant(e, f), refined_overlap_constant(e, f), l1_coherence(rho, e).value
-    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 1)  # one outcome, or one pair, per block
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", entries)
     got = overlap_constant(e, f), refined_overlap_constant(e, f), l1_coherence(DensityMatrix(rho.mat), e).value
     assert np.max(np.abs(np.array(got) - np.array(want))) < TOL
     assert abs(got[2] - dense_l1(rho, e)) < 1e-11
