@@ -27,6 +27,7 @@ from .errors import (
     BetaNonPositiveError,
     DerivativeUnavailableError,
     DomainError,
+    InvalidExponentsError,
     ValidationError,
 )
 from .objects import Povm
@@ -169,7 +170,10 @@ def haar_moment(element: np.ndarray, beta: float) -> float:
     w^(d+beta-1) over the spectrum of E; the Gamma prefactor telescopes to the
     exact product (d-1)! / prod_{i=1..d-1} (beta + i).
     """
-    beta = float(beta)
+    try:
+        beta = float(beta)
+    except (TypeError, ValueError):
+        raise BetaNonPositiveError(f"beta must be a number, got {beta!r}") from None
     if not (0.0 < beta < math.inf):
         raise BetaNonPositiveError(f"beta must be positive and finite, got {beta}")
     w, _ = linalg.eig_hermitian(element)
@@ -229,8 +233,15 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
         for k in range(n):
             if j == k:
                 continue
-            p, q = (2.0, 2.0) if exponents is None else exponents[(j, k)]
-            p, q = check_exponents(p, q)
+            if exponents is None:
+                p, q = 2.0, 2.0
+            else:
+                try:  # a missing pair, a value that is not a pair, or non-numbers
+                    p, q = check_exponents(*exponents[(j, k)])
+                except (KeyError, TypeError, ValueError):
+                    raise InvalidExponentsError(
+                        f"exponents[({j}, {k})] must be a Hölder pair (p, q) of numbers"
+                    ) from None
             total += moment(j, p / 2.0) / p + moment(k, q / 2.0) / q
     return total
 
@@ -259,7 +270,8 @@ def _chunk_stats(povm: Povm, count: int, gen: np.random.Generator,
     p /= np.einsum("ij,ij->i", gr, gr)[:, None]
     vals = value_of(p)
     mean = float(vals.mean())
-    return count, mean, float(np.sum((vals - mean) ** 2))
+    dev = vals - mean
+    return count, mean, float(dev @ dev)
 
 
 def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
@@ -296,10 +308,10 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
     def run(idx: int) -> tuple[int, float, float]:
         return _chunk_stats(povm, counts[idx], gens[idx], value_of)
 
-    if workers > 1:
+    if workers > 1 and len(counts) > 1:
         from concurrent.futures import ThreadPoolExecutor  # kept off the import path
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(counts))) as pool:
             parts = list(pool.map(run, range(len(counts))))
     else:
         parts = [run(i) for i in range(len(counts))]

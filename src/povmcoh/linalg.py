@@ -199,8 +199,11 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 def spectrum_entropy(w: np.ndarray) -> np.ndarray:
-    """-sum w log2 w over the last axis of nonnegative values, with 0 log 0 = 0."""
-    return -np.sum(w * np.log2(w, out=np.zeros(w.shape), where=w > 0.0), axis=-1)
+    """-sum w log2 w over the last axis of nonnegative values, with 0 log 0 = 0.
+
+    The last axis is short (a spectrum or the outcomes of a POVM): a product with
+    a ones vector reduces it in a fraction of the time np.sum takes."""
+    return -((w * np.log2(w, out=np.zeros(w.shape), where=w > 0.0)) @ np.ones(w.shape[-1]))
 
 
 def entropy_psd(m: np.ndarray) -> float:

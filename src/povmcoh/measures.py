@@ -25,9 +25,6 @@ from .objects import DensityMatrix, Povm, require_same_dim
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
 # anything lower means a kernel bug.
 NEGATIVE_VALUE_TOL = 1e-9
-# pure_state_probabilities takes PROBABILITY_ROWS // n rows of states per matrix
-# product, so its (rows, n k) transient holds at most PROBABILITY_ROWS k entries.
-PROBABILITY_ROWS = 1024
 
 RELATIVE_ENTROPY = "relative_entropy"
 L1 = "l1"
@@ -130,7 +127,10 @@ def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
 
 
 def check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise AlphaOutOfRangeError(f"alpha must be a number, got {alpha!r}") from None
     if not (0.0 < alpha <= 2.0) or alpha == 1.0:
         raise AlphaOutOfRangeError(f"alpha must lie in (0,1) or (1,2], got {alpha}")
     return alpha
@@ -199,22 +199,23 @@ def pure_state_probabilities(vec: np.ndarray, povm: Povm) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     require_same_dim(vec.shape[-1], povm.dim)
     n, k, d = povm.root_factors[1].shape
-    # one (rows, d) x (d, n k) product per block of rows against the stacked factor;
-    # its squared entries, read as real pairs, sum in groups of 2k per outcome
+    # one (rows, d) x (d, n k) product per block of rows against the stacked factor
+    # (linalg.blocks); its entries, read as real pairs, are squared in place and
+    # summed in groups of 2k per outcome by one product with a 0/1 grouping matrix
     stacked = povm.root_factors[1].reshape(n * k, d).T
+    group = np.repeat(np.eye(n), 2 * k, axis=0)
     p = np.empty(vec.shape[:-1] + (n,))
     rows, out = vec.reshape(-1, d), p.reshape(-1, n)
-    step = max(1, PROBABILITY_ROWS // n)
-    for start in range(0, len(rows), step):
-        y = (rows[start:start + step] @ stacked).view(float).reshape(-1, n, 2 * k)
-        np.einsum("ijk,ijk->ij", y, y, out=out[start:start + step])
+    for block in linalg.blocks(len(rows), n * k):
+        y = (rows[block] @ stacked).view(float)
+        np.matmul(np.square(y, out=y), group, out=out[block])
     return p
 
 
 def pure_l1_coherence(p: np.ndarray) -> float:
     """l1 measure of a pure state from its outcome probabilities: (sum sqrt p)^2 - sum p."""
-    r = np.sqrt(p)
-    return np.sum(r, axis=-1) ** 2 - np.sum(p, axis=-1)
+    ones = np.ones(np.shape(p)[-1])
+    return (np.sqrt(p) @ ones) ** 2 - p @ ones
 
 
 def pure_relative_entropy_coherence(p: np.ndarray) -> float:
@@ -225,4 +226,4 @@ def pure_relative_entropy_coherence(p: np.ndarray) -> float:
 def pure_tsallis_coherence(p: np.ndarray, alpha: float) -> float:
     """Tsallis measure of a pure state: [sum_j p_j^(1/alpha) - 1] / (alpha - 1)."""
     alpha = check_alpha(alpha)
-    return (np.sum(p ** (1.0 / alpha), axis=-1) - 1.0) / (alpha - 1.0)
+    return (p ** (1.0 / alpha) @ np.ones(np.shape(p)[-1]) - 1.0) / (alpha - 1.0)

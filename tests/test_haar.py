@@ -20,8 +20,10 @@ from helpers import (
     z_basis_povm,
 )
 from povmcoh import (
+    AlphaOutOfRangeError,
     BetaNonPositiveError,
     DerivativeUnavailableError,
+    InvalidExponentsError,
     Povm,
     PowerFunction,
     PowerLogFunction,
@@ -123,6 +125,12 @@ def test_haar_moment_rejects_nonpositive_beta():
     for beta in (np.inf, np.nan):  # NaN fails every comparison, so it is checked apart
         with pytest.raises(BetaNonPositiveError):
             haar_moment(np.eye(2, dtype=complex), beta)
+
+
+@pytest.mark.parametrize("beta", [None, "x", 1j])
+def test_haar_moment_rejects_non_numeric_beta(beta):
+    with pytest.raises(BetaNonPositiveError, match="number"):
+        haar_moment(np.eye(2, dtype=complex), beta)
 
 
 # --------------------------------------------------------------------------
@@ -289,6 +297,17 @@ def test_l1_bound_rejects_bad_exponents():
         haar_average_l1_bound(povm, exponents={(0, 1): (3.0, 2.0), (1, 0): (2.0, 2.0)})
 
 
+@pytest.mark.parametrize("exponents", [
+    {(0, 1): (2.0, 2.0)},                     # (1, 0) missing
+    {(0, 1): (2.0, 2.0), (1, 0): 2.0},        # not a pair
+    {(0, 1): (2.0, 2.0), (1, 0): (2.0, 2.0, 2.0)},
+    {(0, 1): (2.0, 2.0), (1, 0): ("x", "y")},
+])
+def test_l1_bound_names_the_bad_exponent_pair(exponents):
+    with pytest.raises(InvalidExponentsError, match=r"\(1, 0\)"):
+        haar_average_l1_bound(z_basis_povm(), exponents=exponents)
+
+
 def test_l1_bound_dominates_monte_carlo():
     rng = np.random.default_rng(55)
     povm = random_povm(3, 4, rng)
@@ -320,6 +339,31 @@ def test_mc_deterministic_across_worker_counts():
     )
     assert a.mean == b.mean
     assert a.std_error == b.std_error
+
+
+def test_mc_builds_no_pool_for_one_chunk(monkeypatch):
+    import concurrent.futures
+
+    povm = random_povm(3, 3, np.random.default_rng(57))
+    want = monte_carlo_average(povm, "l1", MC_CHUNK, np.random.default_rng(98))
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    # two chunks take at most one worker each
+    monte_carlo_average(povm, "l1", MC_CHUNK + 100, np.random.default_rng(98), workers=4)
+    assert pools == [2]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one chunk needs no thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    got = monte_carlo_average(povm, "l1", MC_CHUNK, np.random.default_rng(98), workers=4)
+    assert (got.mean, got.std_error) == (want.mean, want.std_error)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -444,6 +488,17 @@ def test_haar_average_dispatch_with_mc():
 def test_haar_average_rejects_l1_id():
     with pytest.raises(ValidationError):
         haar_average(z_basis_povm(), "l1")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda povm, alpha: monte_carlo_average(povm, "tsallis", 1000, np.random.default_rng(0), alpha=alpha),
+    lambda povm, alpha: haar_average(povm, "tsallis", alpha),
+    lambda povm, alpha: haar_average_tsallis(povm, alpha),
+], ids=["monte_carlo_average", "haar_average", "haar_average_tsallis"])
+@pytest.mark.parametrize("alpha", [None, "x", 1j])
+def test_haar_entry_points_reject_non_numeric_alpha(entry, alpha):
+    with pytest.raises(AlphaOutOfRangeError, match="number"):
+        entry(z_basis_povm(), alpha)
 
 
 def test_haar_average_mc_requires_rng():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     block_projective_povm,
+    mixed_rank_povm,
     plus_density,
     random_density,
     random_unitary,
@@ -23,11 +24,12 @@ from povmcoh import (
     haar_random_pure,
     is_povm_incoherent,
     l1_coherence,
+    projective_povm,
     random_povm,
     relative_entropy_coherence,
     tsallis_coherence,
 )
-from povmcoh import measures
+from povmcoh import linalg, measures
 from povmcoh.bounds import figure1_state
 from povmcoh.measures import (
     compute,
@@ -80,6 +82,9 @@ def test_tsallis_alpha_domain():
             tsallis_coherence(rho, z_basis_povm(), alpha)
     # boundary alpha = 2 is admissible
     tsallis_coherence(rho, z_basis_povm(), 2.0)
+    for alpha in (None, "x", 1j):
+        with pytest.raises(AlphaOutOfRangeError, match="number"):
+            tsallis_coherence(rho, z_basis_povm(), alpha)
 
 
 def test_compute_dispatch():
@@ -223,6 +228,60 @@ def test_pure_forms_reduce_over_last_axis():
         batch = form(p)
         assert batch.shape == (7,)
         np.testing.assert_allclose(batch, [form(row) for row in p], rtol=1e-14, atol=1e-16)
+
+
+def probability_povms():
+    rng = np.random.default_rng(13)
+    return {
+        "rank_one": projective_povm(random_unitary(rng, 5)),  # k = 1
+        "mixed_rank": mixed_rank_povm(rng, 5),                 # zero-padded factor rows
+        "wishart": random_povm(5, 4, rng),                     # full-rank elements
+    }
+
+
+@pytest.mark.parametrize("kind", ["rank_one", "mixed_rank", "wishart"])
+@pytest.mark.parametrize("rows_per_block", [1, 5])
+def test_blocked_probabilities_match_unblocked(monkeypatch, kind, rows_per_block):
+    povm = probability_povms()[kind]
+    n, k, d = povm.root_factors[1].shape
+    rng = np.random.default_rng(14)
+    g = rng.standard_normal((37, d)) + 1j * rng.standard_normal((37, d))
+    dense = np.einsum("bi,kij,bj->bk", g.conj(), povm.elements, g).real
+    unblocked = pure_state_probabilities(g, povm)
+    np.testing.assert_allclose(unblocked, dense, rtol=1e-13, atol=0.0)
+    # one row per block, or 5 rows per block with a short last block of 2
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 1 if rows_per_block == 1 else rows_per_block * n * k)
+    blocked = pure_state_probabilities(g, povm)
+    # a one-row block is a matrix-vector product: its sums may round apart by a few
+    # ulps of ||g||^2, the scale of every term
+    scale = np.sum(np.abs(g) ** 2, axis=1, keepdims=True)
+    assert np.all(np.abs(blocked - unblocked) <= d * 1e-15 * scale)
+    assert np.all(blocked >= 0.0)
+
+
+def test_pure_forms_keep_the_shape_of_the_stack():
+    # reductions by a product with a ones vector against np.sum over the last axis
+    povm = probability_povms()["mixed_rank"]
+    rng = np.random.default_rng(15)
+    g = rng.standard_normal((3, 4, povm.dim)) + 1j * rng.standard_normal((3, 4, povm.dim))
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    p3 = pure_state_probabilities(g, povm)
+    assert p3.shape == (3, 4, povm.outcomes)
+    p3[0, 0, 1] = 0.0  # a zero outcome probability
+    def entropy_terms(q):
+        return q * np.log2(q, out=np.zeros(q.shape), where=q > 0.0)
+
+    forms = {
+        pure_l1_coherence: lambda q: np.sum(np.sqrt(q), axis=-1) ** 2 - np.sum(q, axis=-1),
+        pure_relative_entropy_coherence: lambda q: -np.sum(entropy_terms(q), axis=-1),
+        lambda q: pure_tsallis_coherence(q, 0.5): lambda q: (np.sum(q ** 2.0, axis=-1) - 1.0) / -0.5,
+        lambda q: pure_tsallis_coherence(q, 2.0): lambda q: np.sum(np.sqrt(q), axis=-1) - 1.0,
+    }
+    for p in (p3[0, 0], p3[0], p3):
+        for form, reference in forms.items():
+            got, want = form(p), reference(p)
+            assert np.shape(got) == p.shape[:-1]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def test_unitary_covariance_of_measures():
