@@ -20,7 +20,6 @@ from .errors import (
     BetaNonPositiveError,
     ConvergenceFailureError,
     DegenerateEnsembleError,
-    DerivativeUnavailableError,
     DimensionMismatchError,
     DomainError,
     EmptyEnsembleError,
@@ -39,9 +38,6 @@ from .errors import (
 from .haar import (
     HaarAverageResult,
     McEstimate,
-    PowerFunction,
-    PowerLogFunction,
-    divided_difference,
     haar_average,
     haar_average_l1_bound,
     haar_average_relative_entropy,

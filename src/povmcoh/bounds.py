@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, measures
-from .errors import InvalidExponentsError, NumericError, XOutOfRangeError, ZOutOfRangeError
+from .errors import InvalidExponentsError, NumericError, XOutOfRangeError, ZOutOfRangeError, as_float
 from .objects import DensityMatrix, Povm, require_same_dim, require_unitary
 
 EXPONENT_TOL = 1e-12
@@ -48,7 +48,7 @@ class BoundReport:
 
 def check_exponents(p: float, q: float) -> tuple[float, float]:
     """Conjugate Hölder pair: p, q > 1 with 1/p + 1/q = 1."""
-    p, q = float(p), float(q)
+    p, q = as_float(p, InvalidExponentsError, "p"), as_float(q, InvalidExponentsError, "q")
     if not (p > 1.0 and q > 1.0):
         raise InvalidExponentsError(f"exponents must exceed 1, got p={p}, q={q}")
     if abs(1.0 / p + 1.0 / q - 1.0) > EXPONENT_TOL:
@@ -158,28 +158,36 @@ def bound_b3(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
 # single-parameter state families behind the figure replays
 
 
-def figure1_state(z: float) -> DensityMatrix:
-    """Qubit family (1/2) [[1-z, 1/2], [1/2, 1+z]] for z in [0, 4/5]."""
-    z = float(z)
+def _check_z(z) -> float:
+    z = as_float(z, ZOutOfRangeError, "z")
     if not (0.0 <= z <= 0.8):
         raise ZOutOfRangeError(f"z must lie in [0, 0.8], got {z}")
+    return z
+
+
+def _check_x(x) -> float:
+    x = as_float(x, XOutOfRangeError, "x")
+    if not (0.0 <= x <= X_MAX):
+        raise XOutOfRangeError(f"x must lie in [0, {X_MAX!r}], got {x}")
+    return x
+
+
+def figure1_state(z: float) -> DensityMatrix:
+    """Qubit family (1/2) [[1-z, 1/2], [1/2, 1+z]] for z in [0, 4/5]."""
+    z = _check_z(z)
     return DensityMatrix(0.5 * np.array([[1.0 - z, 0.5], [0.5, 1.0 + z]], dtype=complex))
 
 
 def figure2_state(x: float) -> DensityMatrix:
     """Qutrit pure family x|1> + 4x|2> + sqrt(1-17x^2)|3> for x in [0, 1/sqrt(17)]."""
-    x = float(x)
-    if not (0.0 <= x <= X_MAX):
-        raise XOutOfRangeError(f"x must lie in [0, {X_MAX!r}], got {x}")
+    x = _check_x(x)
     vec = np.array([x, 4.0 * x, math.sqrt(max(1.0 - 17.0 * x * x, 0.0))], dtype=complex)
     return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 def figure1_reference_bounds(z: float) -> tuple[float, float, float]:
     """Closed-form (b1, b2, b3) reference curves for the qubit family."""
-    z = float(z)
-    if not (0.0 <= z <= 0.8):
-        raise ZOutOfRangeError(f"z must lie in [0, 0.8], got {z}")
+    z = _check_z(z)
     b1 = math.sqrt(0.25 + (1.0 - z) ** 2)
     b2 = math.sqrt(1.0 - z * z)
     b3 = 0.5
@@ -196,9 +204,7 @@ def figure2_reference_bounds(x: float) -> tuple[float, float, float]:
     family has sum(c_i^4) = 1 + 256 = 257, so the curve overshoots for x > 0.
     All three still dominate the l1 measure on the family's range.
     """
-    x = float(x)
-    if not (0.0 <= x <= X_MAX):
-        raise XOutOfRangeError(f"x must lie in [0, {X_MAX!r}], got {x}")
+    x = _check_x(x)
     tail = math.sqrt(max(1.0 - 17.0 * x * x, 0.0))
     b1 = 12.0 * x
     b2 = (5.0 * x + tail) ** 2 - 1.0

@@ -187,17 +187,16 @@ def cmd_lsm(args) -> int:
         raise ValidationError("--ensemble replaces --state/--povm")
     doc = {}
     if args.ensemble:
-        ensemble = _load_ensemble(args.ensemble)
+        instance = lsm.build_lsm(_load_ensemble(args.ensemble))
     else:
         if not (args.state and args.povm):
             raise ValidationError("need --ensemble, or --state and --povm")
-        rho = _load_state(args.state)
-        povm = _load_povm(args.povm)
-        ensemble = lsm.ensemble_from_measurement(rho, povm)
-        check = lsm.discrimination_identity_check(rho, povm)
+        # the identity check steers the ensemble and builds its LSM: reuse both
+        check = lsm.discrimination_identity_check(_load_state(args.state), _load_povm(args.povm))
+        instance = check.instance
         doc["identity"] = {"tsallis_half": check.lhs, "twice_error": check.rhs,
                            "defect": check.defect}
-    instance = lsm.build_lsm(ensemble)
+    ensemble = instance.ensemble
     doc.update({
         "member_count": ensemble.size,
         "weights": [float(w) for w in ensemble.weights],

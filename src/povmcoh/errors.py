@@ -4,6 +4,14 @@ input/validation problems (2), dimension mismatches (3), numeric failures (4).""
 from __future__ import annotations
 
 
+def as_float(value, error: type, name: str) -> float:
+    """float(value), or `error` when value is not a real number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {value!r}") from None
+
+
 class PovmcohError(Exception):
     """Base class for all library errors."""
 
@@ -50,10 +58,6 @@ class EmptyEnsembleError(ValidationError):
 
 class BetaNonPositiveError(ValidationError):
     pass
-
-
-class DerivativeUnavailableError(ValidationError):
-    """A repeated divided-difference node needs a derivative that diverges there."""
 
 
 class DimensionMismatchError(PovmcohError):

@@ -9,7 +9,7 @@ ensemble equals half the Tsallis(1/2) coherence of the pair — checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +62,13 @@ class StatePovmResult:
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """C_{T,1/2}(rho, E) = lhs against rhs = 2 P_err, with the LSM instance of the
+    steered ensemble that gave P_err."""
+
     lhs: float
     rhs: float
     defect: float
+    instance: LsmInstance | None = field(default=None, repr=False, compare=False)
 
 
 def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:
@@ -151,4 +155,4 @@ def discrimination_identity_check(rho: DensityMatrix, povm: Povm) -> IdentityChe
     lhs = measures.tsallis_coherence(rho, povm, 0.5).value
     instance = build_lsm(ensemble_from_measurement(rho, povm))
     rhs = 2.0 * instance.error_probability
-    return IdentityCheck(lhs, rhs, abs(lhs - rhs))
+    return IdentityCheck(lhs, rhs, abs(lhs - rhs), instance)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AlphaOutOfRangeError, NumericError
+from .errors import AlphaOutOfRangeError, NumericError, ValidationError, as_float
 from .objects import DensityMatrix, Povm, require_same_dim
 
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
@@ -127,10 +127,7 @@ def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
 
 
 def check_alpha(alpha: float) -> float:
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError):
-        raise AlphaOutOfRangeError(f"alpha must be a number, got {alpha!r}") from None
+    alpha = as_float(alpha, AlphaOutOfRangeError, "alpha")
     if not (0.0 < alpha <= 2.0) or alpha == 1.0:
         raise AlphaOutOfRangeError(f"alpha must lie in (0,1) or (1,2], got {alpha}")
     return alpha
@@ -171,7 +168,7 @@ def compute(rho: DensityMatrix, povm: Povm, measure_id: str, alpha: float | None
         if alpha is None:
             raise AlphaOutOfRangeError("tsallis measure requires alpha")
         return tsallis_coherence(rho, povm, alpha)
-    raise AlphaOutOfRangeError(f"unknown measure id: {measure_id!r}")
+    raise ValidationError(f"unknown measure id: {measure_id!r}")
 
 
 def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> IncoherenceReport:

@@ -80,8 +80,8 @@ def block_projective_povm(d, blocks):
 def ddiff_reference(nodes, values):
     """Divided difference by the explicit kernel sum_k f(x_k) / prod_{l!=k}(x_k - x_l).
 
-    Valid only for pairwise-distinct nodes; this is the independent oracle the
-    confluent Newton-table implementation is checked against.
+    Valid only for pairwise-distinct nodes: the perturbed averages below shift
+    repeated eigenvalues apart before using it.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -223,7 +223,7 @@ def test_criterion_08():
 
 
 def test_criterion_09():
-    with criterion(9, "degenerate spectra: confluent tables match perturbation", 10.0):
+    with criterion(9, "degenerate spectra: exact averages match perturbation", 10.0):
         cases = [
             (block_projective_povm(4, [(0, 1), (2, 3)]), (1e-4, 1e-5)),
             (block_projective_povm(6, [(0, 1), (2, 3), (4, 5)]), (1e-4, 1e-5)),

@@ -42,6 +42,21 @@ def test_check_exponents():
         check_exponents(3.0, 1.4999)
 
 
+@pytest.mark.parametrize("bad", ["x", None, 1j])
+@pytest.mark.parametrize("call, error", [
+    (lambda bad: holder_bound(figure1_state(0.5), projective_povm(np.eye(2)), bad, 2), InvalidExponentsError),
+    (lambda bad: holder_bound(figure1_state(0.5), projective_povm(np.eye(2)), 2, bad), InvalidExponentsError),
+    (figure1_state, ZOutOfRangeError),
+    (figure1_reference_bounds, ZOutOfRangeError),
+    (figure2_state, XOutOfRangeError),
+    (figure2_reference_bounds, XOutOfRangeError),
+], ids=["holder_p", "holder_q", "figure1_state", "figure1_reference_bounds",
+        "figure2_state", "figure2_reference_bounds"])
+def test_non_numeric_parameters_raise_typed_errors(call, error, bad):
+    with pytest.raises(error, match="must be a number"):
+        call(bad)
+
+
 def test_bound_report_rejects_unsound_values():
     with pytest.raises(NumericError):
         BoundReport(c_l1_value=1.0, bound_value=0.5, bound_id="thm1")

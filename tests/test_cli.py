@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from helpers import plus_density, x_basis_povm, z_basis_povm
-from povmcoh import DensityMatrix, Ensemble, NumericError, PureState, ValidationError, fileio
-from povmcoh import cli, haar
+from povmcoh import DensityMatrix, Ensemble, NumericError, Povm, PureState, ValidationError, fileio
+from povmcoh import cli, haar, lsm
 
 
 def write_obj(tmp_path, name, obj):
@@ -252,6 +252,24 @@ def test_exact_zero_values_print_unsigned(capsys, tmp_path, z_path):
     assert '"tsallis_half": 0.0' in out and "-0.0" not in out
 
 
+def test_lsm_steering_mode_builds_ensemble_and_lsm_once(capsys, plus_path, z_path, monkeypatch):
+    calls = {"ensemble_from_measurement": 0, "build_lsm": 0}
+
+    def counted(name):
+        original = getattr(lsm, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    want = run(capsys, ["lsm", "--state", plus_path, "--povm", z_path])
+    for name in calls:
+        monkeypatch.setattr(lsm, name, counted(name))
+    assert run(capsys, ["lsm", "--state", plus_path, "--povm", z_path]) == want
+    assert calls == {"ensemble_from_measurement": 1, "build_lsm": 1}
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_lsm_rejects_non_finite_ensemble_weights(capsys, tmp_path, bad):
     # JSON NaN / Infinity literals parse; the ensemble must reject them, not fail later
@@ -322,6 +340,16 @@ def test_haar_tsallis_half(capsys, z_path):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["analytic"] - 2.0 / 3.0) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [["--measure", "r"], ["--measure", "tsallis", "--alpha", "0.5"]],
+                         ids=["r", "tsallis"])
+def test_haar_trivial_povm_prints_unsigned_zero(capsys, tmp_path, argv):
+    # on {I} every outcome is certain: the averages are exact zeros up to roundoff
+    path = write_obj(tmp_path, "identity.json", Povm([np.eye(3, dtype=complex)]))
+    code, out, err = run(capsys, ["haar", "--povm", path, *argv])
+    assert code == 0
+    assert '"analytic": 0.0' in out and "-0.0" not in out
 
 
 def test_haar_l1bound(capsys, z_path):

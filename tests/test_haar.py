@@ -1,5 +1,6 @@
-"""Haar averages of the coherence measures: divided differences, exact moment
-formulas, the l1 pair bound, and the Monte Carlo cross-check."""
+"""Haar averages of the coherence measures: the Laplace-transform kernel against a
+high-precision oracle, exact moment formulas, the l1 pair bound, and the Monte
+Carlo cross-check."""
 
 import math
 from fractions import Fraction
@@ -7,12 +8,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import mp_oracle
 from helpers import (
     block_projective_povm,
-    ddiff_reference,
     perturbed_avg_relative_entropy,
     perturbed_avg_tsallis,
     richardson,
@@ -22,13 +21,9 @@ from helpers import (
 from povmcoh import (
     AlphaOutOfRangeError,
     BetaNonPositiveError,
-    DerivativeUnavailableError,
     InvalidExponentsError,
     Povm,
-    PowerFunction,
-    PowerLogFunction,
     ValidationError,
-    divided_difference,
     haar_average,
     haar_average_l1_bound,
     haar_average_relative_entropy,
@@ -45,76 +40,64 @@ from povmcoh.measures import pure_l1_coherence
 
 
 # --------------------------------------------------------------------------
-# divided differences
+# the kernel against a high-precision oracle
 
 
-def test_ddiff_two_distinct_nodes_square():
-    # f[a, b] of w^2 is a + b
-    assert abs(divided_difference([0.25, 0.75], PowerFunction(2.0)) - 1.0) < 1e-12
+def _assert_matches_oracle(spectra):
+    """avg C_r and avg C_{T,alpha} of the POVM of diagonal elements with these
+    spectra, within 1e-10 relative of the oracle."""
+    povm = Povm([np.diag(lam).astype(complex) for lam in spectra])
+    got = haar_average_relative_entropy(povm)
+    want = mp_oracle.avg_relative_entropy(spectra)
+    assert abs(got - want) <= 1e-10 * abs(want), ("C_r", got, want)
+    for alpha in (0.7, 1.01, 1.3, 2.0):
+        got = haar_average_tsallis(povm, alpha)
+        want = mp_oracle.avg_tsallis(spectra, alpha)
+        assert abs(got - want) <= 1e-10 * abs(want), (alpha, got, want)
 
 
-def test_ddiff_repeated_node_square():
-    # confluent limit: f[a, a] = f'(a) = 2a
-    assert abs(divided_difference([0.3, 0.3], PowerFunction(2.0)) - 0.6) < 1e-12
+@pytest.mark.parametrize("eps", [10.0**-k for k in range(2, 10)])
+def test_averages_match_oracle_on_near_degenerate_pairs(eps):
+    # {I/2 + eps D, I/2 - eps D}, D = diag(0..d-1)/d: each element's nodes sit eps/d
+    # apart, where a Newton divided-difference table loses every digit
+    for d in range(2, 9):
+        lam = 0.5 + eps * np.arange(d) / d
+        _assert_matches_oracle([lam, 1.0 - lam])
 
 
-def test_ddiff_matches_explicit_kernel_power():
-    rng = np.random.default_rng(50)
-    for _ in range(30):
-        d = int(rng.integers(2, 7))
-        nodes = np.sort(rng.random(d)) + rng.random(d) * 0  # distinct whp
-        nodes = nodes + np.arange(d) * 0.05  # force separation
-        fn = PowerFunction(d + 0.5)
-        got = divided_difference(nodes, fn)
-        want = ddiff_reference(nodes, nodes ** (d + 0.5))
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+@pytest.mark.parametrize("d", [4, 8, 16, 24, 32])
+@pytest.mark.parametrize("spectrum", ["wishart", "dirichlet"])
+def test_averages_match_oracle_on_binary_povms(spectrum, d):
+    # {E, I - E} with E of trace one: a spread spectrum and its reflection 1 - lam,
+    # clustered near 1
+    rng = np.random.default_rng(1000 + d)
+    if spectrum == "wishart":
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        lam = np.linalg.eigvalsh(a @ a.conj().T)
+        lam /= lam.sum()
+    else:
+        lam = rng.dirichlet(np.ones(d))
+    _assert_matches_oracle([lam, 1.0 - lam])
 
 
-def test_ddiff_matches_explicit_kernel_power_log():
-    rng = np.random.default_rng(51)
-    for _ in range(30):
-        d = int(rng.integers(2, 7))
-        nodes = 0.1 + rng.random(d) + np.arange(d) * 0.05
-        shift = 0.37
-        fn = PowerLogFunction(d, shift)
-        got = divided_difference(nodes, fn)
-        want = ddiff_reference(nodes, nodes**d * (np.log(nodes) - shift))
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_averages_match_oracle_on_spread_spectra(d):
+    # {E, I - E} with E's eigenvalues log-spaced over 1e-12..1 (then normalised): the
+    # integrand turns over once per decade of s
+    lam = np.logspace(-12.0, 0.0, d)
+    lam /= lam.sum()
+    _assert_matches_oracle([lam, 1.0 - lam])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=6))
-def test_ddiff_permutation_invariant(nodes):
-    fn = PowerFunction(float(len(nodes)))
-    base = divided_difference(nodes, fn)
-    rng = np.random.default_rng(7)
-    shuffled = list(nodes)
-    rng.shuffle(shuffled)
-    assert divided_difference(shuffled, fn) == pytest.approx(base, abs=1e-9, rel=1e-9)
-
-
-def test_ddiff_cluster_snapping():
-    # nodes within 1e-8 are treated as one confluent cluster
-    fn = PowerFunction(3.0)
-    tight = divided_difference([0.5, 0.5 + 1e-12], fn)
-    exact = divided_difference([0.5, 0.5], fn)
-    assert abs(tight - exact) < 1e-10
-
-
-def test_power_function_zero_limits():
-    fn = PowerFunction(2.5)
-    assert fn.eval(0.0, 0) == 0.0
-    assert fn.eval(0.0, 2) == 0.0
-    with pytest.raises(DerivativeUnavailableError):
-        fn.eval(0.0, 3)  # w^(-0.5) diverges
-
-
-def test_power_log_zero_limits():
-    fn = PowerLogFunction(3, 0.0)
-    assert fn.eval(0.0, 0) == 0.0
-    assert fn.eval(0.0, 2) == 0.0
-    with pytest.raises(DerivativeUnavailableError):
-        fn.eval(0.0, 3)
+@pytest.mark.parametrize("beta", [0.999, 1.999, 300.5, 2000.5])
+def test_haar_moment_matches_oracle(beta):
+    # just below an integer, the kernel's k = floor(beta) + 2 keeps the integrand
+    # decaying like s^(k - beta) at s -> 0; for large beta it peaks narrowly near
+    # s = (k - beta) / k
+    lam = np.array([0.9, 0.6, 0.35, 0.2, 0.05])
+    u = np.linalg.qr(np.random.default_rng(62).standard_normal((5, 5)))[0]
+    want = mp_oracle.haar_moment(lam, beta)
+    assert abs(haar_moment((u * lam) @ u.T, beta) - want) <= 1e-10 * want
 
 
 def test_haar_moment_rejects_nonpositive_beta():
@@ -168,9 +151,8 @@ def test_integer_moments_match_exact_rational_values():
 
 @pytest.mark.parametrize("eps", [10.0**-k for k in range(3, 10)])
 def test_integer_moments_exact_on_near_degenerate_pairs(eps):
-    # {I/2 + eps D, I/2 - eps D}: the nodes of each element sit eps/d apart, where
-    # the Newton table loses every digit; the alpha = 1/2 average and the p = q = 2
-    # l1 bound need only integer moments
+    # {I/2 + eps D, I/2 - eps D}: the nodes of each element sit eps/d apart; the
+    # alpha = 1/2 average and the p = q = 2 l1 bound need only integer moments, h_m
     d = 6
     shift = eps * np.diag(np.arange(d) / d)
     povm = Povm([0.5 * np.eye(d) + shift, 0.5 * np.eye(d) - shift])
@@ -229,6 +211,16 @@ def test_average_tsallis_trivial_povm():
         assert abs(haar_average_tsallis(povm, alpha)) < 1e-12
 
 
+def test_trivial_povm_averages_are_never_negative():
+    # on {I} the averages vanish; negative roundoff is clamped like a measure value, so
+    # a zero is unsigned (the alpha = 1/2 form is (1 - 1) / (1/2 - 1) = -0.0 unclamped)
+    for d in range(1, 17):
+        povm = Povm([np.eye(d, dtype=complex)])
+        for value in (haar_average_relative_entropy(povm), haar_average_tsallis(povm, 0.5),
+                      haar_average_tsallis(povm, 1.3)):
+            assert 0.0 <= value < 1e-14 and math.copysign(1.0, value) == 1.0
+
+
 def test_trace_formula_matches_moment_route():
     rng = np.random.default_rng(53)
     for _ in range(20):
@@ -240,8 +232,8 @@ def test_trace_formula_matches_moment_route():
 
 
 def test_degenerate_spectra_via_perturbation():
-    # POVMs built from rank-2 projectors have confluent nodes; compare the
-    # confluent table against Richardson-extrapolated perturbed evaluations
+    # POVMs built from rank-2 projectors have repeated eigenvalues; compare the
+    # exact averages against Richardson-extrapolated perturbed evaluations
     povm = block_projective_povm(4, [(0, 1), (2, 3)])
     exact_r = haar_average_relative_entropy(povm)
     approx_r = richardson(

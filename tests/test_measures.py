@@ -21,6 +21,7 @@ from povmcoh import (
     DimensionMismatchError,
     NumericError,
     Povm,
+    ValidationError,
     haar_random_pure,
     is_povm_incoherent,
     l1_coherence,
@@ -95,8 +96,13 @@ def test_compute_dispatch():
     assert compute(rho, povm, "tsallis", 2.0).alpha == 2.0
     with pytest.raises(AlphaOutOfRangeError):
         compute(rho, povm, "tsallis")
-    with pytest.raises(AlphaOutOfRangeError):
-        compute(rho, povm, "nope")
+
+
+def test_compute_rejects_unknown_measure_id():
+    # a bad id is an input error, not an out-of-range alpha
+    with pytest.raises(ValidationError, match="unknown measure id") as info:
+        compute(plus_density(), z_basis_povm(), "bogus")
+    assert not isinstance(info.value, AlphaOutOfRangeError)
 
 
 def test_roundoff_clamp_is_logged_and_larger_negatives_raise(caplog):
