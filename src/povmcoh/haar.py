@@ -35,6 +35,9 @@ from .objects import Povm
 MC_CHUNK = 8192
 # Largest Monte Carlo sample count; checked before any chunk list or generator exists.
 MAX_MC_SAMPLES = 10**8
+# Largest moment order: an order-beta moment costs about beta cumulative sums, so
+# the exact averages take alpha >= 1e-4 and Hölder exponents up to 2e4.
+MAX_BETA = 1e4
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
 
@@ -87,6 +90,10 @@ def _laplace_integral(lam: np.ndarray, k: int, weight) -> tuple[np.ndarray, np.n
 
 def _spectra_moments(lam: np.ndarray, beta: float) -> np.ndarray:
     """E <psi|E_j|psi>^beta for each row of the (n, d) clamped spectra lam, beta > 0."""
+    if beta > MAX_BETA:
+        raise ValidationError(
+            f"moment order must be at most {MAX_BETA:g} (alpha >= {1.0 / MAX_BETA:g}, "
+            f"Hölder exponents up to {2.0 * MAX_BETA:g}), got {beta:g}")
     # G(d) G(1 + beta) / G(d + beta), as d - 1 factors below 1; times E X^beta / G(1 + beta)
     prefactor = math.prod(i / (beta + i) for i in range(1, lam.shape[1]))
     if beta.is_integer():
@@ -161,12 +168,14 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
             if exponents is None:
                 p, q = 2.0, 2.0
             else:
-                try:  # a missing pair, a value that is not a pair, or a bad pair
+                try:  # a missing pair or a value that is not a pair
                     p, q = check_exponents(*exponents[(j, k)])
-                except (KeyError, TypeError, InvalidExponentsError):
+                except (KeyError, TypeError):
                     raise InvalidExponentsError(
-                        f"exponents[({j}, {k})] must be a Hölder pair (p, q) of numbers"
+                        f"exponents[({j}, {k})] must be a Hölder pair (p, q)"
                     ) from None
+                except InvalidExponentsError as exc:
+                    raise InvalidExponentsError(f"exponents[({j}, {k})]: {exc}") from None
             total += moment(j, p / 2.0) / p + moment(k, q / 2.0) / q
     return total
 

@@ -68,7 +68,7 @@ class IdentityCheck:
     lhs: float
     rhs: float
     defect: float
-    instance: LsmInstance | None = field(default=None, repr=False, compare=False)
+    instance: LsmInstance = field(repr=False, compare=False)
 
 
 def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:

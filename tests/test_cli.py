@@ -352,6 +352,13 @@ def test_haar_trivial_povm_prints_unsigned_zero(capsys, tmp_path, argv):
     assert '"analytic": 0.0' in out and "-0.0" not in out
 
 
+def test_haar_tsallis_below_smallest_alpha_is_invalid_input(capsys, z_path):
+    code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "tsallis",
+                                  "--alpha", "1e-6"])
+    assert code == 2 and out == ""
+    assert "moment order" in json.loads(err)["error"]["message"]
+
+
 def test_haar_l1bound(capsys, z_path):
     code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "l1bound"])
     assert code == 0

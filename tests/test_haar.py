@@ -35,7 +35,7 @@ from povmcoh import (
     random_povm,
     tsallis_half_trace_formula,
 )
-from povmcoh.haar import MAX_MC_SAMPLES, MC_CHUNK
+from povmcoh.haar import MAX_BETA, MAX_MC_SAMPLES, MC_CHUNK
 from povmcoh.measures import pure_l1_coherence
 
 
@@ -98,6 +98,41 @@ def test_haar_moment_matches_oracle(beta):
     u = np.linalg.qr(np.random.default_rng(62).standard_normal((5, 5)))[0]
     want = mp_oracle.haar_moment(lam, beta)
     assert abs(haar_moment((u * lam) @ u.T, beta) - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("beta", [9999.5, MAX_BETA])
+def test_haar_moment_matches_oracle_at_largest_order(beta):
+    # a top eigenvalue of 1 keeps the moment from underflowing at beta = 1e4
+    lam = np.array([1.0, 0.9999, 0.9998, 0.2, 0.0])
+    u = np.linalg.qr(np.random.default_rng(63).standard_normal((5, 5)))[0]
+    want = mp_oracle.haar_moment(lam, beta)
+    assert abs(haar_moment((u * lam) @ u.T, beta) - want) <= 1e-10 * want
+
+
+def _conjugate_pairs(p):
+    pair = (p, p / (p - 1.0))
+    return {(0, 1): pair, (1, 0): pair}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: haar_moment(np.eye(2, dtype=complex), 1e9),
+    lambda: haar_moment(np.eye(2, dtype=complex), 10000.5),
+    lambda: haar_average_tsallis(z_basis_povm(), 1e-6),
+    lambda: haar_average_l1_bound(z_basis_povm(), exponents=_conjugate_pairs(1.0 + 1e-6)),
+], ids=["moment-1e9", "moment-10000.5", "tsallis-1e-6", "l1bound-p-1+1e-6"])
+def test_moment_orders_above_the_largest_are_rejected(call):
+    # the kernel's cost grows with the order, so it refuses orders above MAX_BETA
+    # before doing any work
+    with pytest.raises(ValidationError, match="moment order"):
+        call()
+
+
+def test_tsallis_at_the_smallest_alpha():
+    # alpha = 1 / MAX_BETA is the exact integer moment of order 1e4
+    assert abs(haar_average_tsallis(Povm([np.eye(3, dtype=complex)]), 1.0 / MAX_BETA)) == 0.0
+    # C_T = (sum_j E Y_j^beta - 1) / (alpha - 1) lies in [0, 1 / (1 - alpha)]
+    povm = random_povm(3, 3, np.random.default_rng(64))
+    assert 0.0 < haar_average_tsallis(povm, 1.0 / MAX_BETA) <= 1.0 / (1.0 - 1.0 / MAX_BETA)
 
 
 def test_haar_moment_rejects_nonpositive_beta():
@@ -298,6 +333,11 @@ def test_l1_bound_rejects_bad_exponents():
 def test_l1_bound_names_the_bad_exponent_pair(exponents):
     with pytest.raises(InvalidExponentsError, match=r"\(1, 0\)"):
         haar_average_l1_bound(z_basis_povm(), exponents=exponents)
+
+
+def test_l1_bound_keeps_the_exponent_message():
+    with pytest.raises(InvalidExponentsError, match=r"exponents\[\(1, 0\)\]: 1/p \+ 1/q = .* != 1"):
+        haar_average_l1_bound(z_basis_povm(), exponents={(0, 1): (2.0, 2.0), (1, 0): (3.0, 2.0)})
 
 
 def test_l1_bound_dominates_monte_carlo():
