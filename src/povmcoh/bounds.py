@@ -56,30 +56,24 @@ def check_exponents(p: float, q: float) -> tuple[float, float]:
     return p, q
 
 
-def _trace_norms(stack: np.ndarray) -> np.ndarray:
-    """Trace norm of every matrix in a stack."""
-    return np.sum(linalg.stacked_singular_values(stack), axis=-1)
-
-
-def _element_rho_factors(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """s and the (n, k, r) stack C_j v w from Povm.root_factors and rho's support.
+def _element_trace_norms(rho: DensityMatrix, povm: Povm, *powers: float) -> np.ndarray:
+    """||E_j^a rho||_tr for each power a (rows) and outcome j (columns), in one stacked SVD.
 
     For E_j = u_j diag(s_j) u_j^dag and C_j = sqrt(s_j) u_j^dag, E_j^a = u_j s_j^(a - 1/2) C_j,
     and the orthonormal columns of u_j and v drop out: ||E_j^a rho||_tr =
-    ||s_j^(a - 1/2) C_j v w||_tr.
+    ||s_j^(a - 1/2) C_j v w||_tr, a row scaling of one measures._factor stack.
     """
-    require_same_dim(rho.dim, povm.dim)
-    w, v = rho.support
-    s, c = povm.root_factors
-    return s[:, :, None], c @ (v * w)
+    cvw = measures._factor(rho, povm, 1.0)
+    s = povm.root_factors[0][:, :, None]
+    stack = np.array([s ** (a - 0.5) * cvw for a in powers])
+    return np.sum(linalg.stacked_singular_values(stack), axis=-1)
 
 
 def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundReport:
     """Factorized bound sum_{j!=k} ||E_j^(p/2) rho||^(1/p) ||E_k^(q/2) rho||^(1/q)."""
     p, q = check_exponents(p, q)
-    s, cvw = _element_rho_factors(rho, povm)
-    a = _trace_norms(s ** ((p - 1.0) / 2.0) * cvw) ** (1.0 / p)
-    b = _trace_norms(s ** ((q - 1.0) / 2.0) * cvw) ** (1.0 / q)
+    a, b = _element_trace_norms(rho, povm, p / 2.0, q / 2.0)
+    a, b = a ** (1.0 / p), b ** (1.0 / q)
     value = float(a.sum() * b.sum() - np.dot(a, b))
     c_l1 = measures.l1_coherence(rho, povm).value
     return BoundReport(c_l1, value, "thm1", (p, q))
@@ -87,8 +81,7 @@ def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundRep
 
 def holder_bound_22(rho: DensityMatrix, povm: Povm) -> BoundReport:
     """p = q = 2 closed form: (sum_j ||E_j rho||^(1/2))^2 - sum_j ||E_j rho||."""
-    s, cvw = _element_rho_factors(rho, povm)
-    t = _trace_norms(np.sqrt(s) * cvw)
+    (t,) = _element_trace_norms(rho, povm, 1.0)
     value = float(np.sum(np.sqrt(t)) ** 2 - np.sum(t))
     c_l1 = measures.l1_coherence(rho, povm).value
     return BoundReport(c_l1, value, "thm1_p2q2", (2.0, 2.0))
@@ -101,7 +94,7 @@ def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundRepor
     uniform: (n - 1) sum_j t_j
     """
     n = povm.outcomes
-    t = _trace_norms(_element_rho_factors(rho, povm)[1])
+    (t,) = _element_trace_norms(rho, povm, 0.5)
     t_sorted = np.sort(t)
     coeff = n - 1.0 - np.arange(n)
     ordered_value = float(2.0 * np.dot(coeff, t_sorted))

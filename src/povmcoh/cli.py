@@ -36,27 +36,17 @@ MEASURE_BY_FLAG = {
 }
 
 
-def _load_state(path: str) -> DensityMatrix:
+_KINDS = {"state": ((DensityMatrix, PureState), "a state or pure_state"),
+          "povm": (Povm, "a povm"), "ensemble": (Ensemble, "an ensemble")}
+
+
+def _load(path: str, kind: str):
+    """The object in a matrix file of the given _KINDS key; a pure state loads as its density matrix."""
     obj = fileio.load(path)
-    if isinstance(obj, PureState):
-        return obj.density()
-    if isinstance(obj, DensityMatrix):
-        return obj
-    raise ValidationError(f"{path}: expected a state or pure_state file")
-
-
-def _load_povm(path: str) -> Povm:
-    obj = fileio.load(path)
-    if not isinstance(obj, Povm):
-        raise ValidationError(f"{path}: expected a povm file")
-    return obj
-
-
-def _load_ensemble(path: str) -> Ensemble:
-    obj = fileio.load(path)
-    if not isinstance(obj, Ensemble):
-        raise ValidationError(f"{path}: expected an ensemble file")
-    return obj
+    types, name = _KINDS[kind]
+    if not isinstance(obj, types):
+        raise ValidationError(f"{path}: expected {name} file")
+    return obj.density() if isinstance(obj, PureState) else obj
 
 
 def _resolve_seed(args) -> int:
@@ -77,8 +67,8 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_compute(args) -> int:
-    rho = _load_state(args.state)
-    povm = _load_povm(args.povm)
+    rho = _load(args.state, "state")
+    povm = _load(args.povm, "povm")
     measure_id = MEASURE_BY_FLAG[args.measure]
     if measure_id == measures.TSALLIS and args.alpha is None:
         raise ValidationError("--alpha is required for the tsallis measure")
@@ -170,8 +160,8 @@ def cmd_bounds(args) -> int:
 
     if not (args.state and args.povm):
         raise ValidationError("need --state and --povm (or --figure)")
-    rho = _load_state(args.state)
-    povm = _load_povm(args.povm)
+    rho = _load(args.state, "state")
+    povm = _load(args.povm, "povm")
     basis = None
     if povm.is_rank_one_projective():
         # each element is a rank-one projector; the top row of its factor, sqrt(s) u^dag
@@ -187,12 +177,12 @@ def cmd_lsm(args) -> int:
         raise ValidationError("--ensemble replaces --state/--povm")
     doc = {}
     if args.ensemble:
-        instance = lsm.build_lsm(_load_ensemble(args.ensemble))
+        instance = lsm.build_lsm(_load(args.ensemble, "ensemble"))
     else:
         if not (args.state and args.povm):
             raise ValidationError("need --ensemble, or --state and --povm")
         # the identity check steers the ensemble and builds its LSM: reuse both
-        check = lsm.discrimination_identity_check(_load_state(args.state), _load_povm(args.povm))
+        check = lsm.discrimination_identity_check(_load(args.state, "state"), _load(args.povm, "povm"))
         instance = check.instance
         doc["identity"] = {"tsallis_half": check.lhs, "twice_error": check.rhs,
                            "defect": check.defect}
@@ -210,9 +200,9 @@ def cmd_lsm(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    rho = _load_state(args.state)
-    e = _load_povm(args.povm)
-    f = _load_povm(args.povm2)
+    rho = _load(args.state, "state")
+    e = _load(args.povm, "povm")
+    f = _load(args.povm2, "povm")
     report = uncertainty.uncertainty_report(rho, e, f)
     _emit({
         "lhs": report.lhs,
@@ -230,7 +220,7 @@ def cmd_uncertainty(args) -> int:
 
 
 def cmd_haar(args) -> int:
-    povm = _load_povm(args.povm)
+    povm = _load(args.povm, "povm")
     if args.measure == "l1bound":
         value = haar.haar_average_l1_bound(povm)
         _emit({

@@ -3,6 +3,10 @@ input/validation problems (2), dimension mismatches (3), numeric failures (4).""
 
 from __future__ import annotations
 
+import operator
+
+import numpy as np
+
 
 def as_float(value, error: type, name: str) -> float:
     """float(value), or `error` when value is not a real number."""
@@ -10,6 +14,23 @@ def as_float(value, error: type, name: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise error(f"{name} must be a number, got {value!r}") from None
+
+
+def as_count(value, error: type, name: str) -> int:
+    """operator.index(value), or `error` when value is not an integer: an int or a
+    numpy integer passes, a float (even an integral one), a string or None does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_array(value, error: type, name: str) -> np.ndarray:
+    """np.asarray(value, dtype=complex), or `error` when value holds no numbers."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an array of numbers, got {value!r}") from None
 
 
 class PovmcohError(Exception):

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from . import linalg, measures
-from .errors import BetaNonPositiveError, InvalidExponentsError, ValidationError, as_float
+from .errors import BetaNonPositiveError, InvalidExponentsError, ValidationError, as_count, as_float
 from .objects import Povm
 
 # Samples per Monte Carlo chunk; fixed so results don't depend on worker count.
@@ -49,14 +49,6 @@ _S = np.exp(0.5 * math.pi * np.sinh(_V))
 _W = _S * (0.5 * math.pi * np.cosh(_V)) * _STEP
 
 
-def _element_spectra(povm: Povm) -> np.ndarray:
-    """(n, d) clamped element spectra: Povm.root_factors' s, zero-padded to d."""
-    s = povm.root_factors[0]
-    lam = np.zeros((povm.outcomes, povm.dim))
-    lam[:, :s.shape[1]] = s
-    return lam
-
-
 def _complete_homogeneous(x: np.ndarray, m: int) -> np.ndarray:
     """h_m (m >= 1) of the variables along x's first axis, elementwise over the rest.
 
@@ -72,7 +64,7 @@ def _complete_homogeneous(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def _laplace_integral(lam: np.ndarray, k: int, weight) -> tuple[np.ndarray, np.ndarray]:
-    """(top, int_0^inf weight(s) L(s) h_k(mu) ds) for each row of the (n, d) spectra
+    """(top, int_0^inf weight(s) L(s) h_k(mu) ds) for each row of the (n, k) spectra
     lam, taken on the rescaled spectra lam / top (top = max lam, or 1 for a zero row).
 
     The densest nodes sit at s = 1, where L turns over.  For k > 8 the integrand
@@ -88,14 +80,15 @@ def _laplace_integral(lam: np.ndarray, k: int, weight) -> tuple[np.ndarray, np.n
     return top, (laplace * _complete_homogeneous(x / (1.0 + sx), k)) @ (shift * _W * weight(s))
 
 
-def _spectra_moments(lam: np.ndarray, beta: float) -> np.ndarray:
-    """E <psi|E_j|psi>^beta for each row of the (n, d) clamped spectra lam, beta > 0."""
+def _spectra_moments(lam: np.ndarray, d: int, beta: float) -> np.ndarray:
+    """E <psi|E_j|psi>^beta in dimension d for each row of the (n, k) clamped
+    spectra lam (k <= d: the zero eigenvalues may be left out), beta > 0."""
     if beta > MAX_BETA:
         raise ValidationError(
             f"moment order must be at most {MAX_BETA:g} (alpha >= {1.0 / MAX_BETA:g}, "
             f"Hölder exponents up to {2.0 * MAX_BETA:g}), got {beta:g}")
     # G(d) G(1 + beta) / G(d + beta), as d - 1 factors below 1; times E X^beta / G(1 + beta)
-    prefactor = math.prod(i / (beta + i) for i in range(1, lam.shape[1]))
+    prefactor = math.prod(i / (beta + i) for i in range(1, d))
     if beta.is_integer():
         return prefactor * _complete_homogeneous(lam.T, int(beta))
     k = math.floor(beta) + 2
@@ -110,14 +103,13 @@ def haar_moment(element: np.ndarray, beta: float) -> float:
     if not (0.0 < beta < math.inf):
         raise BetaNonPositiveError(f"beta must be positive and finite, got {beta}")
     w, _ = linalg.eig_hermitian(element)
-    return float(_spectra_moments(linalg.clamp_psd_eigenvalues(w)[None, :], beta)[0])
+    return float(_spectra_moments(linalg.clamp_psd_eigenvalues(w)[None, :], w.size, beta)[0])
 
 
 def haar_average_relative_entropy(povm: Povm) -> float:
     """Exact Haar average of the relative-entropy coherence measure,
     -sum_j E Y_j log2 Y_j."""
-    lam = _element_spectra(povm)
-    d = povm.dim
+    lam, d = povm.root_factors[0], povm.dim
     top, integral = _laplace_integral(lam, 2, lambda s: -EULER_GAMMA - np.log(s))
     # X = top X' gives E X ln X = top E X' ln X' + ln(top) sum(lam)
     harmonic = sum(1.0 / m for m in range(1, d + 1))
@@ -129,7 +121,7 @@ def haar_average_relative_entropy(povm: Povm) -> float:
 def haar_average_tsallis(povm: Povm, alpha: float) -> float:
     """Exact Haar average of the Tsallis coherence measure of order alpha."""
     alpha = measures.check_alpha(alpha)
-    total = float(_spectra_moments(_element_spectra(povm), 1.0 / alpha).sum())
+    total = float(_spectra_moments(povm.root_factors[0], povm.dim, 1.0 / alpha).sum())
     return measures._clamp_value((total - 1.0) / (alpha - 1.0), measures.TSALLIS)
 
 
@@ -152,12 +144,11 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
     from .bounds import check_exponents  # local import; bounds pulls measures
 
     n = povm.outcomes
-    spectra = _element_spectra(povm)
     moments: dict[float, np.ndarray] = {}
 
     def moment(j: int, beta: float) -> float:
         if beta not in moments:
-            moments[beta] = _spectra_moments(spectra, beta)
+            moments[beta] = _spectra_moments(povm.root_factors[0], povm.dim, beta)
         return float(moments[beta][j])
 
     total = 0.0
@@ -218,7 +209,8 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
     in chunk order (Chan et al.), so the estimate is identical for a given rng
     state regardless of `workers`.
     """
-    samples = int(samples)
+    samples = as_count(samples, ValidationError, "samples")
+    workers = as_count(workers, ValidationError, "workers")
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
     if samples > MAX_MC_SAMPLES:

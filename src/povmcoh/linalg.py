@@ -12,6 +12,7 @@ from .errors import (
     NegativeEigenvalueError,
     NotHermitianError,
     NotSquareError,
+    as_array,
 )
 
 # Inputs are accepted as Hermitian when max|M - M^dag| is below this.
@@ -45,7 +46,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def _require_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = as_array(m, NotSquareError, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

@@ -73,13 +73,14 @@ def _memoised(rho: DensityMatrix, povm: Povm, key: tuple, evaluate) -> float:
     return values[key]
 
 
-def _support_factor(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """rho's support spectrum w and the (n, k, r) stack Y_j = C_j v sqrt(w), with
-    C_j the element factor of Povm.root_factors: sqrt(E_j) rho sqrt(E_k) =
-    u_j Y_j Y_k^dag u_k^dag has the trace norm and spectrum of Y_j Y_k^dag."""
+def _factor(rho: DensityMatrix, povm: Povm, a: float) -> np.ndarray:
+    """The (n, k, r) stack C_j v w^a from rho's support eigenpairs (w, v) and the element
+    factors C_j = sqrt(s_j) u_j^dag of Povm.root_factors.  The orthonormal columns of v
+    and u_j drop out of the norms and spectra taken from it: with Y = _factor(rho, povm,
+    1/2), sqrt(E_j) rho sqrt(E_k) = u_j Y_j Y_k^dag u_k^dag."""
     require_same_dim(rho.dim, povm.dim)
     w, v = rho.support
-    return w, povm.root_factors[1] @ (v * np.sqrt(w))
+    return povm.root_factors[1] @ (v * w**a)
 
 
 def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
@@ -94,10 +95,10 @@ def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResul
 
 
 def _block_entropies(rho: DensityMatrix, povm: Povm) -> float:
-    w, y = _support_factor(rho, povm)
+    y = _factor(rho, povm, 0.5)
     yh = y.conj().swapaxes(-1, -2)
     blocks = linalg.stacked_psd_eigenvalues(y @ yh if y.shape[-2] <= y.shape[-1] else yh @ y)
-    return float(np.sum(linalg.spectrum_entropy(blocks)) - linalg.spectrum_entropy(w))
+    return float(np.sum(linalg.spectrum_entropy(blocks)) - linalg.spectrum_entropy(rho.support[0]))
 
 
 def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
@@ -111,7 +112,7 @@ def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
 
 
 def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
-    _, y = _support_factor(rho, povm)
+    y = _factor(rho, povm, 0.5)
     cores = np.linalg.qr(y, mode="r") if y.shape[-1] < y.shape[-2] else y
     n, a, b = cores.shape
     # the (k, j) block is the adjoint of the (j, k) block: same trace norm.  A block
@@ -148,12 +149,8 @@ def tsallis_coherence(rho: DensityMatrix, povm: Povm, alpha: float) -> Coherence
 
 
 def _tsallis_value(rho: DensityMatrix, povm: Povm, alpha: float) -> float:
-    require_same_dim(rho.dim, povm.dim)
-    w, v = rho.support
-    # rho^(alpha/2) = v w^(alpha/2) v^dag and sqrt(E_j) = C_j^dag u_j^dag; the
-    # orthonormal columns of v and u_j drop out of the singular values:
-    # sigma(M_j) = sigma(C_j v w^(alpha/2)), k x r each
-    m = povm.root_factors[1] @ (v * w ** (alpha / 2.0))
+    # sigma(M_j) = sigma(C_j v w^(alpha/2)), k x r each: rho^(alpha/2) = v w^(alpha/2) v^dag
+    m = _factor(rho, povm, alpha / 2.0)
     total = float(np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha)))
     return (total - 1.0) / (alpha - 1.0)
 
@@ -209,18 +206,18 @@ def pure_state_probabilities(vec: np.ndarray, povm: Povm) -> np.ndarray:
     return p
 
 
-def pure_l1_coherence(p: np.ndarray) -> float:
+def pure_l1_coherence(p: np.ndarray) -> np.ndarray:
     """l1 measure of a pure state from its outcome probabilities: (sum sqrt p)^2 - sum p."""
     ones = np.ones(np.shape(p)[-1])
     return (np.sqrt(p) @ ones) ** 2 - p @ ones
 
 
-def pure_relative_entropy_coherence(p: np.ndarray) -> float:
+def pure_relative_entropy_coherence(p: np.ndarray) -> np.ndarray:
     """Relative-entropy measure of a pure state: Shannon entropy of the outcome distribution."""
     return linalg.spectrum_entropy(p)
 
 
-def pure_tsallis_coherence(p: np.ndarray, alpha: float) -> float:
+def pure_tsallis_coherence(p: np.ndarray, alpha: float) -> np.ndarray:
     """Tsallis measure of a pure state: [sum_j p_j^(1/alpha) - 1] / (alpha - 1)."""
     alpha = check_alpha(alpha)
     return (p ** (1.0 / alpha) @ np.ones(np.shape(p)[-1]) - 1.0) / (alpha - 1.0)

@@ -18,6 +18,8 @@ from .errors import (
     NotUnitaryError,
     SingularSumError,
     ValidationError,
+    as_array,
+    as_count,
 )
 
 HERMITICITY_TOL = linalg.HERMITICITY_TOL  # 1e-9
@@ -39,8 +41,8 @@ class Violation:
         return f"{self.invariant} (defect {self.defect:.3e})"
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
+def _frozen(a: np.ndarray, what: str) -> np.ndarray:
+    out = np.array(as_array(a, ValidationError, what))
     out.flags.writeable = False
     return out
 
@@ -123,7 +125,7 @@ def validate_povm(elements) -> list[Violation]:
 def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
     """validate_povm's list and, when it is empty, the element stack with its
     eigenpairs (w, u), w ascending: one batched eigendecomposition."""
-    mats = [np.asarray(e, dtype=complex) for e in elements]
+    mats = [as_array(e, ValidationError, "POVM element") for e in _members(elements, "POVM elements")]
     if not mats:
         return [Violation("nonempty", 0.0)], None
     d = mats[0].shape[0] if mats[0].ndim == 2 else -1
@@ -211,6 +213,14 @@ def _density_stack(states) -> tuple[np.ndarray | None, tuple[DensityMatrix, ...]
     return stack, tuple(members)
 
 
+def _members(items, what: str) -> tuple:
+    """tuple(items), or ValidationError when items cannot be iterated."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, got {items!r}") from None
+
+
 def _raise_if(violations, what):
     if violations:
         msg = "; ".join(str(v) for v in violations)
@@ -224,7 +234,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(self.mat))
+        object.__setattr__(self, "mat", _frozen(self.mat, "density matrix"))
         violations, eigenpairs = _check_density(self.mat)
         _raise_if(violations, "density matrix")
         object.__setattr__(self, "_support", _supports(*eigenpairs)[0])
@@ -267,7 +277,7 @@ class PureState:
     vec: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vec", _frozen(self.vec))
+        object.__setattr__(self, "vec", _frozen(self.vec, "pure state"))
         _raise_if(validate_pure(self.vec), "pure state")
 
     @property
@@ -346,7 +356,7 @@ class Ensemble:
     weights: np.ndarray
 
     def __init__(self, states, weights):
-        stack, states = _density_stack(tuple(states))
+        stack, states = _density_stack(_members(states, "ensemble states"))
         weights = np.array(weights, dtype=float)
         weights.flags.writeable = False
         object.__setattr__(self, "states", states)
@@ -407,6 +417,7 @@ def require_same_dim(*dims):
 
 def haar_random_pure(d: int, rng: np.random.Generator) -> PureState:
     """Haar-distributed pure state: normalized vector of iid complex Gaussians."""
+    d = as_count(d, ValidationError, "dimension")
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -419,6 +430,7 @@ def random_povm(d: int, n: int, rng: np.random.Generator, max_attempts: int = 10
     Wishart blocks G_j = A_j A_j^dag are normalized by S = sum_j G_j via
     E_j = S^{-1/2} G_j S^{-1/2}; a numerically singular S triggers a resample.
     """
+    d, n = as_count(d, ValidationError, "d"), as_count(n, ValidationError, "n")
     if d < 1 or n < 1:
         raise ValidationError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     for _ in range(max_attempts):
@@ -438,7 +450,7 @@ def random_povm(d: int, n: int, rng: np.random.Generator, max_attempts: int = 10
 
 def require_unitary(basis: np.ndarray) -> np.ndarray:
     """The basis as a complex array, after checking it is a square unitary matrix."""
-    basis = np.asarray(basis, dtype=complex)
+    basis = as_array(basis, NotUnitaryError, "basis")
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise NotUnitaryError(f"basis must be a square matrix, got shape {basis.shape}")
     d = basis.shape[0]

@@ -173,6 +173,27 @@ def test_l1_value_is_computed_once_per_pair(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("bound", [
+    lambda rho, povm: holder_bound(rho, povm, 3.0, 1.5),
+    holder_bound_22,
+    pair_bounds,
+])
+def test_each_bound_takes_its_trace_norms_in_one_stacked_svd(monkeypatch, bound):
+    rng = np.random.default_rng(84)
+    povm = random_povm(D, 5, rng)
+    rho = random_density(rng, D)
+    l1_coherence(rho, povm)  # memoised, so the bound's C_l1 makes no call
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return stacked_singular_values(m)
+
+    monkeypatch.setattr(linalg, "stacked_singular_values", counting)
+    bound(rho, povm)
+    assert len(calls) == 1
+
+
 def test_l1_memo_holds_no_strong_reference():
     rng = np.random.default_rng(82)
     povm = random_povm(D, 3, rng)

@@ -405,6 +405,30 @@ def test_mc_rejects_fewer_than_one_worker(workers):
                             workers=workers)
 
 
+@pytest.mark.parametrize("call", [
+    lambda rng: monte_carlo_average(z_basis_povm(), "l1", math.inf, rng),
+    lambda rng: monte_carlo_average(z_basis_povm(), "l1", math.nan, rng),
+    lambda rng: monte_carlo_average(z_basis_povm(), "l1", "x", rng),
+    lambda rng: monte_carlo_average(z_basis_povm(), "l1", 150.7, rng),
+    lambda rng: monte_carlo_average(z_basis_povm(), "l1", "300", rng),
+    lambda rng: monte_carlo_average(z_basis_povm(), "l1", 300, rng, workers=None),
+    lambda rng: haar_random_pure(None, rng),
+    lambda rng: haar_random_pure(2.5, rng),
+    lambda rng: random_povm(math.nan, 2, rng),
+    lambda rng: random_povm(2.5, 2, rng),
+])
+def test_counts_must_be_integers(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(np.random.default_rng(2))
+
+
+def test_counts_accept_numpy_integers():
+    rng = np.random.default_rng(3)
+    assert monte_carlo_average(z_basis_povm(), "l1", np.int64(300), rng, workers=np.int32(2)).samples == 300
+    assert haar_random_pure(np.int64(3), rng).dim == 3
+    assert random_povm(np.int32(2), np.uint8(3), rng).outcomes == 3
+
+
 def two_pass_mc(povm, counts, seed, value_of):
     """(mean, std error) from the same chunked draws as monte_carlo_average, with
     normalised states, probabilities by einsum over the elements and a two-pass

@@ -8,11 +8,14 @@ from povmcoh import (
     DensityMatrix,
     EmptyEnsembleError,
     Ensemble,
+    NotSquareError,
     NotUnitaryError,
     Povm,
     PureState,
     ValidationError,
+    bound_b1,
     ensemble_from_measurement,
+    haar_moment,
     haar_random_pure,
     projective_povm,
     random_povm,
@@ -285,6 +288,22 @@ def test_projective_povm_hadamard_basis():
 def test_projective_povm_rejects_nonunitary():
     with pytest.raises(NotUnitaryError):
         projective_povm(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: DensityMatrix("x"), ValidationError),
+    (lambda: PureState("x"), ValidationError),
+    (lambda: Povm(None), ValidationError),
+    (lambda: Povm(0), ValidationError),
+    (lambda: Ensemble(None, [1.0]), ValidationError),
+    (lambda: projective_povm("x"), NotUnitaryError),
+    (lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), "x"), NotUnitaryError),
+    (lambda: haar_moment("x", 1), NotSquareError),
+])
+def test_non_numeric_and_non_iterable_inputs_raise_the_entry_point_error(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_random_unitary_helper_is_unitary():
