@@ -25,10 +25,10 @@ def as_count(value, error: type, name: str) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
-def as_array(value, error: type, name: str) -> np.ndarray:
-    """np.asarray(value, dtype=complex), or `error` when value holds no numbers."""
+def as_array(value, error: type, name: str, dtype: type = complex) -> np.ndarray:
+    """np.asarray(value, dtype=dtype), or `error` when value holds no such numbers."""
     try:
-        return np.asarray(value, dtype=complex)
+        return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):
         raise error(f"{name} must be an array of numbers, got {value!r}") from None
 

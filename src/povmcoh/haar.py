@@ -231,16 +231,9 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
         counts.append(samples % MC_CHUNK)
     gens = rng.spawn(len(counts))
 
-    def run(idx: int) -> tuple[int, float, float]:
-        return _chunk_stats(povm, counts[idx], gens[idx], value_of)
-
-    if workers > 1 and len(counts) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # kept off the import path
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(counts))) as pool:
-            parts = list(pool.map(run, range(len(counts))))
-    else:
-        parts = [run(i) for i in range(len(counts))]
+    # min(workers, chunks) threads, each chunk's stats in chunk order (linalg.map_blocks)
+    parts = linalg.map_blocks(lambda idx: _chunk_stats(povm, counts[idx], gens[idx], value_of),
+                              range(len(counts)), workers)
 
     total, mean, m2 = parts[0]
     for count, chunk_mean, chunk_m2 in parts[1:]:

@@ -115,16 +115,28 @@ def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
     y = _factor(rho, povm, 0.5)
     cores = np.linalg.qr(y, mode="r") if y.shape[-1] < y.shape[-2] else y
     n, a, b = cores.shape
-    # the (k, j) block is the adjoint of the (j, k) block: same trace norm.  A block
-    # of rows j of all the products conj(R_j) R_k^T is one matrix product per block
-    # (linalg.blocks), and its pairs j < k go to one batched SVD
-    flat, outcome = cores.reshape(n * a, b), np.arange(n)
-    total = 0.0
-    for rows in linalg.blocks(n, n * a * a):
-        products = (flat[rows.start * a:rows.stop * a].conj() @ flat.T).reshape(-1, a, n, a)
-        j, k = np.nonzero(outcome[rows, None] < outcome)
-        total += float(linalg.stacked_singular_values(products[j, :, k]).sum())
-    return 2.0 * total
+    # the (k, j) block is the adjoint of the (j, k) block: same trace norm, so only
+    # the pairs j < k are taken, in blocks of pairs (linalg.blocks) of one batched
+    # SVD each.  numpy's SVD overlaps on two threads only from about 8192 complex
+    # entries per call, so the blocks are as large as BLOCK_ENTRIES allows and run
+    # on two threads (linalg.map_blocks)
+    outcome = np.arange(n)
+    j, k = np.nonzero(outcome[:, None] < outcome)
+    batches = list(linalg.blocks(len(j), a * a))
+    if len(batches) == 1:
+        # a single block (every small input) starts no thread and takes its products
+        # from one product of the stacked cores: no slower at these sizes, and its
+        # rounding is the one the figures and CLI values print (per-pair products
+        # round some last bits apart)
+        flat = cores.reshape(n * a, b)
+        products = (flat.conj() @ flat.T).reshape(n, a, n, a)[j, :, k]
+        return 2.0 * float(linalg.stacked_singular_values(products).sum())
+
+    def trace_norms(pairs: slice) -> float:
+        products = cores[j[pairs]].conj() @ cores[k[pairs]].swapaxes(-1, -2)
+        return float(linalg.stacked_singular_values(products).sum())
+
+    return 2.0 * sum(linalg.map_blocks(trace_norms, batches))
 
 
 def check_alpha(alpha: float) -> float:
@@ -170,6 +182,7 @@ def compute(rho: DensityMatrix, povm: Povm, measure_id: str, alpha: float | None
 
 def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> IncoherenceReport:
     """Check E_j rho E_k = 0 for all j != k; defect is the largest entry magnitude."""
+    tol = as_float(tol, ValidationError, "tol")
     require_same_dim(rho.dim, povm.dim)
     w, v = rho.support
     # E_j rho E_k = Y_j Y_k^dag with Y_j = E_j v sqrt(w), d x r

@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
     as_array,
     as_count,
+    as_float,
 )
 
 HERMITICITY_TOL = linalg.HERMITICITY_TOL  # 1e-9
@@ -58,7 +59,7 @@ def validate_density(mat: np.ndarray) -> list[Violation]:
 
 def _check_density(mat) -> tuple[list[Violation], tuple | None]:
     """validate_density's list and the state's eigenpairs as a one-member stack."""
-    mat = np.asarray(mat, dtype=complex)
+    mat = as_array(mat, ValidationError, "density matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         return [Violation("square", float(mat.ndim))], None
     if not _finite(mat):
@@ -107,7 +108,7 @@ def _supports(w: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray
 
 def validate_pure(vec: np.ndarray) -> list[Violation]:
     """Violations of: 1-D, finite, unit norm."""
-    vec = np.asarray(vec, dtype=complex)
+    vec = as_array(vec, ValidationError, "pure state")
     if vec.ndim != 1 or vec.size == 0:
         return [Violation("vector", float(vec.ndim))]
     if not _finite(vec):
@@ -154,6 +155,9 @@ def validate_ensemble(states, weights) -> list[Violation]:
     >= 0 summing to 1."""
     if len(states) == 0:
         return [Violation("nonempty", 0.0)]
+    weights = as_array(weights, ValidationError, "ensemble weights", float)
+    if weights.ndim != 1:
+        return [Violation("weights_shape", float(weights.ndim))]
     if len(states) != len(weights):
         return [Violation("weights_length", float(len(states) - len(weights)))]
     out = []
@@ -174,7 +178,6 @@ def validate_ensemble(states, weights) -> list[Violation]:
             continue  # validated when built, and immutable
         for v in validate_density(mat):
             out.append(Violation(f"member_{i}_{v.invariant}", v.defect))
-    weights = np.asarray(weights, dtype=float)
     if not _finite(weights):  # NaN slips through every comparison below
         out.append(Violation("weights_finite", np.inf))
         return out
@@ -267,7 +270,7 @@ class DensityMatrix:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
     def is_pure(self, tol: float = 1e-9) -> bool:
-        return self.purity() >= 1.0 - tol
+        return self.purity() >= 1.0 - as_float(tol, ValidationError, "tol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +360,7 @@ class Ensemble:
 
     def __init__(self, states, weights):
         stack, states = _density_stack(_members(states, "ensemble states"))
-        weights = np.array(weights, dtype=float)
+        weights = as_array(weights, ValidationError, "ensemble weights", float).copy()
         weights.flags.writeable = False
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
@@ -431,6 +434,7 @@ def random_povm(d: int, n: int, rng: np.random.Generator, max_attempts: int = 10
     E_j = S^{-1/2} G_j S^{-1/2}; a numerically singular S triggers a resample.
     """
     d, n = as_count(d, ValidationError, "d"), as_count(n, ValidationError, "n")
+    max_attempts = as_count(max_attempts, ValidationError, "max_attempts")
     if d < 1 or n < 1:
         raise ValidationError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     for _ in range(max_attempts):

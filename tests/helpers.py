@@ -1,6 +1,7 @@
 """Shared random-instance generators and independent reference oracles."""
 
 import math
+import threading
 
 import numpy as np
 
@@ -243,3 +244,16 @@ def dense_overlap_c_prime(e, f):
         return max(linalg.operator_norm(sum(a @ b @ a for a in outer)) for b in inner)
 
     return min(largest(e.elements, f.elements), largest(f.elements, e.elements))
+
+
+def record_thread_starts(monkeypatch) -> list:
+    """The threads started from now on, as a list that fills as they start."""
+    starts = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return starts

@@ -1,4 +1,4 @@
-"""High-precision oracle for the exact Haar averages.
+"""High-precision oracles for the exact Haar averages and for C_l1.
 
 Over a Haar-random pure state, E f(<psi|E|psi>) = (d-1)! F[lam_1, ..., lam_d]
 (Hermite-Genocchi), a divided difference over the spectrum of E of any F with
@@ -68,3 +68,20 @@ def avg_tsallis(spectra, alpha: float) -> float:
         alpha = mpmath.mpf(alpha)
         total = sum(_moment(lam, 1 / alpha) for lam in spectra)
         return float((total - 1) / (alpha - 1))
+
+
+def _sqrt_psd(m: mpmath.matrix) -> mpmath.matrix:
+    """The principal square root of a Hermitian PSD matrix, from its eigenpairs."""
+    w, q = mpmath.eighe(m)
+    return q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * q.H
+
+
+def l1_coherence(rho, elements) -> float:
+    """C_l1 = sum_{j != k} ||sqrt(E_j) rho sqrt(E_k)||_tr from its definition, at 50
+    digits, for a float density matrix and float elements taken as exact."""
+    with mpmath.workdps(50):
+        state = mpmath.matrix(rho.tolist())
+        roots = [_sqrt_psd(mpmath.matrix(e.tolist())) for e in elements]
+        return float(sum(sum(mpmath.svd_c(rj * state * rk, compute_uv=False))
+                         for j, rj in enumerate(roots)
+                         for k, rk in enumerate(roots) if j != k))

@@ -119,8 +119,9 @@ def test_overlap_constants_match_per_outcome_norms(povm_kind):
         assert abs(refined_overlap_constant(e, f) - dense_overlap_c_prime(e, f)) < TOL
 
 
-# one outcome per block, or four of C_l1's six rows (D x D cores), the last block short
-@pytest.mark.parametrize("entries", [1, 4 * 6 * D * D])
+# one outcome or pair per block; four of C_l1's 15 pairs (D x D cores) per block, the
+# last block short; or all 15 pairs in one block
+@pytest.mark.parametrize("entries", [1, 4 * D * D, 4 * 6 * D * D])
 def test_blocked_products_give_the_unblocked_values(monkeypatch, entries):
     rng = np.random.default_rng(970)
     e, f = random_povm(D, 6, rng), mixed_rank_povm(rng, D)

@@ -7,11 +7,13 @@ check agreement on low-rank, full-rank, wide-spread and mixed-rank inputs.
 """
 
 import gc
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
+import mp_oracle
 from helpers import (
     dense_holder,
     dense_holder_22,
@@ -24,9 +26,12 @@ from helpers import (
     random_density,
     random_rank_density,
     random_unitary,
+    record_thread_starts,
     spread_density,
 )
 from povmcoh import (
+    ConvergenceFailureError,
+    DensityMatrix,
     Povm,
     holder_bound,
     holder_bound_22,
@@ -217,3 +222,80 @@ def test_root_factors_are_cached_read_only_and_give_the_roots():
     for e, root, cj in zip(povm.elements, povm.sqrt_elements, c):
         assert np.max(np.abs(root - linalg.sqrt_psd(e))) < 1e-14
         assert np.max(np.abs(cj.conj().T @ cj - e)) < 1e-14
+
+
+# --------------------------------------------------------------------------
+# C_l1 over blocks of pairs on two threads (linalg.map_blocks)
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(linalg.os, "cpu_count", lambda: 1)
+
+
+def test_two_thread_l1_equals_the_one_cpu_value(monkeypatch):
+    rng = np.random.default_rng(85)
+    d = 16
+    povm = random_povm(d, d, rng)
+    rho = random_density(rng, d)
+    assert len(list(linalg.blocks(d * (d - 1) // 2, d * d))) >= 2
+    starts = record_thread_starts(monkeypatch)
+    two = l1_coherence(rho, povm).value
+    assert len(starts) == (1 if linalg._cpus() >= 2 else 0)
+    _one_cpu(monkeypatch)
+    starts.clear()
+    one = l1_coherence(DensityMatrix(rho.mat), povm).value
+    assert starts == []
+    assert two == one
+    assert abs(two - dense_l1(rho, povm)) < ATOL
+
+
+def test_a_failure_on_the_helper_thread_reaches_the_caller(monkeypatch):
+    rng = np.random.default_rng(86)
+    povm = random_povm(D, 4, rng)
+    rho = random_density(rng, D)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 1)  # one pair per block
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    failed = []
+
+    def failing_off_the_main_thread(m):
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(m.shape)
+            raise ConvergenceFailureError("SVD did not converge")
+        return stacked_singular_values(m)
+
+    monkeypatch.setattr(linalg, "stacked_singular_values", failing_off_the_main_thread)
+    with pytest.raises(ConvergenceFailureError):
+        l1_coherence(rho, povm)
+    assert failed
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    rng = np.random.default_rng(87)
+    povm = random_povm(D, 5, rng)
+    rho = random_density(rng, D)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a single block of pairs needs no thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert abs(l1_coherence(rho, povm).value - dense_l1(rho, povm)) < ATOL
+
+
+def _near_degenerate(rng):
+    v = random_unitary(rng, D)[:, :2]
+    return DensityMatrix((v * np.array([0.5 + 1e-9, 0.5 - 1e-9])) @ v.conj().T)
+
+
+@pytest.mark.parametrize("state", [
+    _near_degenerate,
+    lambda rng: random_rank_density(rng, D, 2),
+    lambda rng: random_density(rng, D),
+], ids=["near_degenerate", "rank2", "full"])
+def test_l1_matches_the_50_digit_definition(monkeypatch, state):
+    rng = np.random.default_rng(88)
+    povm = random_povm(D, 4, rng)
+    rho = state(rng)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 1)  # one pair per block, on two threads
+    got = l1_coherence(rho, povm).value
+    assert abs(got - mp_oracle.l1_coherence(rho.mat, povm.elements)) < 1e-14

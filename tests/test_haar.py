@@ -14,6 +14,7 @@ from helpers import (
     block_projective_povm,
     perturbed_avg_relative_entropy,
     perturbed_avg_tsallis,
+    record_thread_starts,
     richardson,
     trine_povm,
     z_basis_povm,
@@ -366,35 +367,24 @@ def test_pointwise_l1_never_exceeds_universal_bound():
 def test_mc_deterministic_across_worker_counts():
     povm = random_povm(3, 3, np.random.default_rng(57))
     a = monte_carlo_average(povm, "relative_entropy", 30000, np.random.default_rng(99))
-    b = monte_carlo_average(
-        povm, "relative_entropy", 30000, np.random.default_rng(99), workers=4
-    )
-    assert a.mean == b.mean
-    assert a.std_error == b.std_error
+    for workers in (2, 4):
+        b = monte_carlo_average(
+            povm, "relative_entropy", 30000, np.random.default_rng(99), workers=workers
+        )
+        assert a.mean == b.mean
+        assert a.std_error == b.std_error
 
 
 def test_mc_builds_no_pool_for_one_chunk(monkeypatch):
-    import concurrent.futures
-
     povm = random_povm(3, 3, np.random.default_rng(57))
     want = monte_carlo_average(povm, "l1", MC_CHUNK, np.random.default_rng(98))
-    pools = []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    # two chunks take at most one worker each
+    starts = record_thread_starts(monkeypatch)
+    # two chunks take at most one helper thread, however many workers are asked for
     monte_carlo_average(povm, "l1", MC_CHUNK + 100, np.random.default_rng(98), workers=4)
-    assert pools == [2]
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("one chunk needs no thread pool")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert len(starts) <= 1
+    starts.clear()
     got = monte_carlo_average(povm, "l1", MC_CHUNK, np.random.default_rng(98), workers=4)
+    assert starts == []
     assert (got.mean, got.std_error) == (want.mean, want.std_error)
 
 

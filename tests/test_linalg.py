@@ -1,5 +1,8 @@
 """Hermitian/spectral kernel: decompositions, matrix functions, norms, entropy."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,14 @@ from povmcoh import (
     NotHermitianError,
     ValidationError,
 )
+from povmcoh import linalg
 from povmcoh.linalg import (
     clamp_psd_eigenvalues,
     eig_hermitian,
     entropy_psd,
     hermitian_part,
     hermiticity_defect,
+    map_blocks,
     mat_func_hermitian,
     operator_norm,
     power_psd,
@@ -214,3 +219,37 @@ def test_entropy_unitary_invariance():
 def test_entropy_rejects_negative():
     with pytest.raises(NegativeEigenvalueError):
         entropy_psd(np.diag([1.0, -1e-6]))
+
+
+# --------------------------------------------------------------------------
+# map_blocks: items on up to `threads` threads, results in item order
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(linalg.os, "cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("threads", [2, 3, 8])
+def test_map_blocks_keeps_item_order_under_fast_switching(two_cpus, threads):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = map_blocks(lambda i: (i, threading.current_thread().name), range(300), threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [i for i, _ in got] == list(range(300))
+    assert len({name for _, name in got}) == threads
+    assert threading.active_count() == 1  # every helper has ended
+
+
+def test_map_blocks_raises_what_a_loop_over_the_items_would(two_cpus):
+    def fail_at_three_and_six(i):
+        if i in (3, 6):
+            raise ValueError(f"item {i}")
+        return i
+
+    # item 3 runs on the helper thread, item 6 on the calling thread
+    with pytest.raises(ValueError, match="item 3"):
+        map_blocks(fail_at_three_and_six, range(8))

@@ -17,6 +17,7 @@ from povmcoh import (
     ensemble_from_measurement,
     haar_moment,
     haar_random_pure,
+    is_povm_incoherent,
     projective_povm,
     random_povm,
     validate,
@@ -299,6 +300,14 @@ def test_projective_povm_rejects_nonunitary():
     (lambda: projective_povm("x"), NotUnitaryError),
     (lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), "x"), NotUnitaryError),
     (lambda: haar_moment("x", 1), NotSquareError),
+    (lambda: Ensemble([np.eye(2) / 2.0], None), ValidationError),
+    (lambda: Ensemble([np.eye(2) / 2.0], "x"), ValidationError),
+    (lambda: validate_density("x"), ValidationError),
+    (lambda: validate_pure("x"), ValidationError),
+    (lambda: random_povm(2, 2, np.random.default_rng(1), max_attempts=None), ValidationError),
+    (lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol="x"), ValidationError),
+    (lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol="x"),
+     ValidationError),
 ])
 def test_non_numeric_and_non_iterable_inputs_raise_the_entry_point_error(call, error):
     with pytest.raises(error) as info:
