@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import InvalidExponentsError, NumericError, XOutOfRangeError, ZOutOfRangeError, as_float
-from .objects import DensityMatrix, Povm, require_same_dim, require_unitary
+from .objects import DensityMatrix, Povm, require_same_dim, require_type, require_unitary
 
 EXPONENT_TOL = 1e-12
 BOUND_SLACK = 1e-8
@@ -93,8 +93,8 @@ def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundRepor
     sorted:  2 sum_j (n - j) t_(j)  with t_(1) <= ... <= t_(n)
     uniform: (n - 1) sum_j t_j
     """
-    n = povm.outcomes
     (t,) = _element_trace_norms(rho, povm, 0.5)
+    n = t.size
     t_sorted = np.sort(t)
     coeff = n - 1.0 - np.arange(n)
     ordered_value = float(2.0 * np.dot(coeff, t_sorted))
@@ -113,7 +113,7 @@ def _basis_frame(rho: DensityMatrix, basis: np.ndarray) -> tuple[np.ndarray, np.
     so the l1 value of the basis measurement is sum_{j!=k} |r_jk|.
     """
     basis = require_unitary(basis)
-    require_same_dim(rho.dim, basis.shape[0])
+    require_same_dim(require_type(rho, DensityMatrix, "rho").dim, basis.shape[0])
     r = basis.conj().T @ rho.mat @ basis
     off = np.abs(r)
     np.fill_diagonal(off, 0.0)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import BetaNonPositiveError, InvalidExponentsError, ValidationError, as_count, as_float
-from .objects import Povm
+from .objects import Povm, require_type
 
 # Samples per Monte Carlo chunk; fixed so results don't depend on worker count.
 MC_CHUNK = 8192
@@ -109,7 +109,7 @@ def haar_moment(element: np.ndarray, beta: float) -> float:
 def haar_average_relative_entropy(povm: Povm) -> float:
     """Exact Haar average of the relative-entropy coherence measure,
     -sum_j E Y_j log2 Y_j."""
-    lam, d = povm.root_factors[0], povm.dim
+    lam, d = require_type(povm, Povm, "povm").root_factors[0], povm.dim
     top, integral = _laplace_integral(lam, 2, lambda s: -EULER_GAMMA - np.log(s))
     # X = top X' gives E X ln X = top E X' ln X' + ln(top) sum(lam)
     harmonic = sum(1.0 / m for m in range(1, d + 1))
@@ -121,6 +121,7 @@ def haar_average_relative_entropy(povm: Povm) -> float:
 def haar_average_tsallis(povm: Povm, alpha: float) -> float:
     """Exact Haar average of the Tsallis coherence measure of order alpha."""
     alpha = measures.check_alpha(alpha)
+    require_type(povm, Povm, "povm")
     total = float(_spectra_moments(povm.root_factors[0], povm.dim, 1.0 / alpha).sum())
     return measures._clamp_value((total - 1.0) / (alpha - 1.0), measures.TSALLIS)
 
@@ -128,7 +129,7 @@ def haar_average_tsallis(povm: Povm, alpha: float) -> float:
 def tsallis_half_trace_formula(povm: Povm) -> float:
     """Trace-only closed form of the alpha = 1/2 Haar average:
     2 [ 1 - sum_j ( (tr E_j)^2 + tr E_j^2 ) / (d (d+1)) ]."""
-    d, e = povm.dim, povm.elements
+    d, e = require_type(povm, Povm, "povm").dim, povm.elements
     tr = np.real(np.trace(e, axis1=1, axis2=2))
     tr_sq = np.real(np.einsum("jab,jba->j", e, e))
     return 2.0 * (1.0 - float(np.sum(tr * tr + tr_sq)) / (d * (d + 1.0)))
@@ -143,7 +144,7 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
     """
     from .bounds import check_exponents  # local import; bounds pulls measures
 
-    n = povm.outcomes
+    n = require_type(povm, Povm, "povm").outcomes
     moments: dict[float, np.ndarray] = {}
 
     def moment(j: int, beta: float) -> float:
@@ -217,6 +218,8 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
         raise ValidationError(f"at most {MAX_MC_SAMPLES} samples, got {samples}")
     if workers < 1:
         raise ValidationError(f"need at least 1 worker, got {workers}")
+    require_type(povm, Povm, "povm")
+    require_type(rng, np.random.Generator, "rng")
     if measure_id == measures.RELATIVE_ENTROPY:
         value_of = measures.pure_relative_entropy_coherence
     elif measure_id == measures.L1:

@@ -29,7 +29,8 @@ SUPPORT_RTOL = 1e-13
 # Batched products over many pairs of matrices run in blocks of at most this many
 # entries per product stack (or one pair's worth), so their transients stay bounded.
 # numpy's batched SVD and eigvalsh overlap on two threads only from about 8192
-# complex entries per call, so a block this size is also worth a thread.
+# complex entries per call, so a block this size is also worth a thread: the
+# stacked kernels run any larger stack in blocks of this size on two threads.
 BLOCK_ENTRIES = 1 << 14
 
 
@@ -195,7 +196,7 @@ def singular_values(m: np.ndarray) -> np.ndarray:
 
 def stacked_singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of each matrix in a stack (..., rows, cols), descending
-    along the last axis.  One batched LAPACK call instead of a Python loop; a
+    along the last axis.  Batched LAPACK calls instead of a Python loop; a
     stack of row or column vectors has one singular value each, its norm, and
     needs no LAPACK call."""
     m = np.asarray(m, dtype=complex)
@@ -203,10 +204,7 @@ def stacked_singular_values(m: np.ndarray) -> np.ndarray:
         raise NotSquareError(f"expected a stack of matrices, got shape {m.shape}")
     if min(m.shape[-2:]) == 1:
         return np.sqrt(np.square(np.abs(m)).sum(axis=(-2, -1)))[..., None]
-    try:
-        return npl.svd(m, compute_uv=False)
-    except npl.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailureError(str(exc)) from exc
+    return _by_blocks(lambda piece: npl.svd(piece, compute_uv=False), m)
 
 
 def stacked_psd_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -217,23 +215,38 @@ def stacked_psd_eigenvalues(m: np.ndarray) -> np.ndarray:
         raise NotSquareError(f"expected a stack of square matrices, got shape {m.shape}")
     if m.shape[-1] == 1:  # each 1 x 1 matrix is its own eigenvalue
         return clamp_psd_eigenvalues(m[..., 0].real)
-    try:
-        w = npl.eigvalsh(m)
-    except npl.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailureError(str(exc)) from exc
-    return clamp_psd_eigenvalues(w)
+    return clamp_psd_eigenvalues(_by_blocks(npl.eigvalsh, m))
 
 
 def stacked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, v) of the Hermitian part of each matrix in a stack (..., d, d),
-    w ascending along the last axis and unclamped.  One batched LAPACK call."""
+    w ascending along the last axis and unclamped."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquareError(f"expected a stack of square matrices, got shape {m.shape}")
+    return _by_blocks(lambda piece: tuple(npl.eigh(hermitian_part(piece))), m)
+
+
+def _by_blocks(func, m: np.ndarray):
+    """func(m) for a batched LAPACK call func on a stack (..., rows, cols), returning
+    an array or a tuple of arrays per matrix.  A stack of more than BLOCK_ENTRIES
+    entries is cut into blocks of matrices (linalg.blocks) that run on two threads
+    (map_blocks) and are joined in order: LAPACK treats each matrix alone, so the
+    result is bit-identical to one call.  A smaller stack is one call, with no
+    thread."""
     try:
-        return npl.eigh(hermitian_part(m))
+        if m.size <= BLOCK_ENTRIES:
+            return func(m)
+        rows, cols = m.shape[-2:]
+        flat = m.reshape(-1, rows, cols)
+        parts = map_blocks(lambda piece: func(flat[piece]), blocks(len(flat), rows * cols))
     except npl.LinAlgError as exc:  # pragma: no cover - LAPACK essentially never fails here
         raise ConvergenceFailureError(str(exc)) from exc
+
+    def join(outputs):
+        return np.concatenate(outputs).reshape(m.shape[:-2] + outputs[0].shape[1:])
+
+    return tuple(map(join, zip(*parts))) if isinstance(parts[0], tuple) else join(parts)
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import DegenerateEnsembleError
-from .objects import DensityMatrix, Ensemble, Povm, require_same_dim
+from .objects import DensityMatrix, Ensemble, Povm, require_type
 
 # Members steered with weight at or below this are dropped.
 WEIGHT_DROP_TOL = 1e-14
@@ -77,7 +77,7 @@ def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:
     Outcomes with weight <= WEIGHT_DROP_TOL never occur and are dropped; the
     remaining weights are renormalized (total dropped mass <= n * 1e-14).
     """
-    require_same_dim(rho.dim, povm.dim)
+    measures._check_pair(rho, povm)
     w, v = rho.support
     root = (v * np.sqrt(w)) @ v.conj().T
     blocks = linalg.hermitian_part(root @ povm.elements @ root)
@@ -103,7 +103,7 @@ def _sandwiches(weights: np.ndarray, stack: np.ndarray, inv_root: np.ndarray) ->
 def build_lsm(ensemble: Ensemble) -> LsmInstance:
     """LSM operators M_j = eta_j W rho_j W, W the inverse square root of the
     average state on its support, and the discrimination error probability."""
-    eta, stack = ensemble.weights, ensemble.stack
+    eta, stack = require_type(ensemble, Ensemble, "ensemble").weights, ensemble.stack
     w, v = _mixture_support(ensemble.average_state())
     rank = w.size
     projector = v @ v.conj().T
@@ -132,7 +132,7 @@ def measurement_from_ensemble(ensemble: Ensemble) -> StatePovmResult:
     pair on the original space; otherwise all operators are restricted to the
     support of the mixture and the result is flagged.
     """
-    rho_out = ensemble.average_state()
+    rho_out = require_type(ensemble, Ensemble, "ensemble").average_state()
     w, v = _mixture_support(rho_out)
     stack = ensemble.stack
     if w.size == ensemble.dim and float(w[-1]) > FULL_RANK_TOL:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AlphaOutOfRangeError, NumericError, ValidationError, as_float
-from .objects import DensityMatrix, Povm, require_same_dim
+from .objects import DensityMatrix, Povm, require_same_dim, require_type
 
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
 # anything lower means a kernel bug.
@@ -62,8 +62,15 @@ def _clamp_value(value: float, measure_id: str) -> float:
 _MEMO = weakref.WeakKeyDictionary()
 
 
+def _check_pair(rho: DensityMatrix, povm: Povm) -> None:
+    require_type(rho, DensityMatrix, "rho")
+    require_type(povm, Povm, "povm")
+    require_same_dim(rho.dim, povm.dim)
+
+
 def _memoised(rho: DensityMatrix, povm: Povm, key: tuple, evaluate) -> float:
     """The clamped value of evaluate(), computed once per (rho, povm, key)."""
+    _check_pair(rho, povm)
     by_povm = _MEMO.get(rho)
     if by_povm is None:
         by_povm = _MEMO[rho] = weakref.WeakKeyDictionary()
@@ -78,7 +85,7 @@ def _factor(rho: DensityMatrix, povm: Povm, a: float) -> np.ndarray:
     factors C_j = sqrt(s_j) u_j^dag of Povm.root_factors.  The orthonormal columns of v
     and u_j drop out of the norms and spectra taken from it: with Y = _factor(rho, povm,
     1/2), sqrt(E_j) rho sqrt(E_k) = u_j Y_j Y_k^dag u_k^dag."""
-    require_same_dim(rho.dim, povm.dim)
+    _check_pair(rho, povm)
     w, v = rho.support
     return povm.root_factors[1] @ (v * w**a)
 
@@ -154,6 +161,7 @@ def tsallis_coherence(rho: DensityMatrix, povm: Povm, alpha: float) -> Coherence
     M_j^dagger M_j, so its 1/alpha power has trace sum_i sigma_i(M_j)^(2/alpha).
     Working on M_j instead of the formed block keeps eigenvalue roundoff from
     being amplified by the fractional outer power on rank-deficient states.
+    At alpha = 1/2 the sum of sigma^4 is taken from Gram matrices, with no spectrum.
     """
     alpha = check_alpha(alpha)
     return CoherenceResult(_memoised(rho, povm, (TSALLIS, alpha),
@@ -161,9 +169,21 @@ def tsallis_coherence(rho: DensityMatrix, povm: Povm, alpha: float) -> Coherence
 
 
 def _tsallis_value(rho: DensityMatrix, povm: Povm, alpha: float) -> float:
-    # sigma(M_j) = sigma(C_j v w^(alpha/2)), k x r each: rho^(alpha/2) = v w^(alpha/2) v^dag
+    """sum_j sum_i sigma_i(M_j)^(2/alpha), with sigma(M_j) = sigma(C_j v w^(alpha/2)),
+    k x r each: rho^(alpha/2) = v w^(alpha/2) v^dag.
+
+    At alpha = 1/2 the sum is sum_j ||G_j||_F^2 of the smaller Gram matrix G_j of M_j,
+    k x k C_j sqrt(rho) C_j^dag or r x r: the LSM success sum sum_j tr(sqrt(rho) E_j
+    sqrt(rho) E_j), from one batched product and one dot of non-negative terms, with
+    no spectrum.  Every other alpha takes the singular values.
+    """
     m = _factor(rho, povm, alpha / 2.0)
-    total = float(np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha)))
+    if alpha == 0.5:
+        mh = m.conj().swapaxes(-1, -2)
+        gram = (m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m).reshape(-1).view(float)
+        total = float(gram @ gram)
+    else:
+        total = float(np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha)))
     return (total - 1.0) / (alpha - 1.0)
 
 
@@ -183,7 +203,7 @@ def compute(rho: DensityMatrix, povm: Povm, measure_id: str, alpha: float | None
 def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> IncoherenceReport:
     """Check E_j rho E_k = 0 for all j != k; defect is the largest entry magnitude."""
     tol = as_float(tol, ValidationError, "tol")
-    require_same_dim(rho.dim, povm.dim)
+    _check_pair(rho, povm)
     w, v = rho.support
     # E_j rho E_k = Y_j Y_k^dag with Y_j = E_j v sqrt(w), d x r
     y = povm.elements @ (v * np.sqrt(w))

@@ -409,6 +409,14 @@ def validate(obj) -> list[Violation]:
     raise ValidationError(f"cannot validate object of type {type(obj).__name__}")
 
 
+def require_type(value, kind: type, name: str):
+    """value, or ValidationError naming the argument when it is not a `kind`.  A
+    state argument takes a DensityMatrix, not a raw matrix."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be of type {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def require_same_dim(*dims):
     if len(set(dims)) > 1:
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
@@ -423,6 +431,7 @@ def haar_random_pure(d: int, rng: np.random.Generator) -> PureState:
     d = as_count(d, ValidationError, "dimension")
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
+    require_type(rng, np.random.Generator, "rng")
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(v / np.linalg.norm(v))
 
@@ -437,6 +446,7 @@ def random_povm(d: int, n: int, rng: np.random.Generator, max_attempts: int = 10
     max_attempts = as_count(max_attempts, ValidationError, "max_attempts")
     if d < 1 or n < 1:
         raise ValidationError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    require_type(rng, np.random.Generator, "rng")
     for _ in range(max_attempts):
         blocks = []
         for _ in range(n):

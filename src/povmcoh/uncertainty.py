@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, measures
-from .objects import DensityMatrix, Povm, require_same_dim
+from .objects import DensityMatrix, Povm, require_same_dim, require_type
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,12 @@ class UncertaintyReport:
     entropy_rho: float
 
 
+def _check_povms(e: Povm, f: Povm) -> None:
+    require_type(e, Povm, "e")
+    require_type(f, Povm, "f")
+    require_same_dim(e.dim, f.dim)
+
+
 def overlap_constant(e: Povm, f: Povm) -> float:
     """c = max_{jk} ||sqrt(E_j) sqrt(F_k)||.
 
@@ -41,7 +47,7 @@ def overlap_constant(e: Povm, f: Povm) -> float:
     n_e n_f Gram matrices take one batched eigenvalue call per block of E's outcomes
     (linalg.blocks).
     """
-    require_same_dim(e.dim, f.dim)
+    _check_povms(e, f)
     c, d_h = e.root_factors[1], f.root_factors[1].conj().swapaxes(-1, -2)
     n_f, _, k_f = d_h.shape
     largest = 0.0
@@ -55,7 +61,7 @@ def overlap_constant(e: Povm, f: Povm) -> float:
 
 def refined_overlap_constant(e: Povm, f: Povm) -> float:
     """c' = min over the two sandwich directions of the largest sum norm."""
-    require_same_dim(e.dim, f.dim)
+    _check_povms(e, f)
     return min(_largest_sandwich_norm(e.elements, f.elements),
                _largest_sandwich_norm(f.elements, e.elements))
 
@@ -79,6 +85,9 @@ def _largest_sandwich_norm(outer: np.ndarray, inner: np.ndarray) -> float:
 
 def uncertainty_report(rho: DensityMatrix, e: Povm, f: Povm) -> UncertaintyReport:
     """Evaluate both sides of the uncertainty relation for (rho, E, F)."""
+    require_type(rho, DensityMatrix, "rho")
+    require_type(e, Povm, "e")
+    require_type(f, Povm, "f")
     require_same_dim(rho.dim, e.dim, f.dim)
     lhs = (
         measures.relative_entropy_coherence(rho, e).value

@@ -70,10 +70,17 @@ def avg_tsallis(spectra, alpha: float) -> float:
         return float((total - 1) / (alpha - 1))
 
 
-def _sqrt_psd(m: mpmath.matrix) -> mpmath.matrix:
-    """The principal square root of a Hermitian PSD matrix, from its eigenpairs."""
+def _power_psd(m: mpmath.matrix, a, floor: float = 0.0) -> mpmath.matrix:
+    """M^a of a Hermitian PSD matrix from its eigenpairs; eigenvalues at or below
+    floor times the largest count as zero."""
     w, q = mpmath.eighe(m)
-    return q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * q.H
+    cut = floor * max(w)
+    return q * mpmath.diag([x**a if x > max(cut, 0) else 0 for x in w]) * q.H
+
+
+def _sqrt_psd(m: mpmath.matrix) -> mpmath.matrix:
+    """The principal square root of a Hermitian PSD matrix."""
+    return _power_psd(m, mpmath.mpf(1) / 2)
 
 
 def l1_coherence(rho, elements) -> float:
@@ -85,3 +92,20 @@ def l1_coherence(rho, elements) -> float:
         return float(sum(sum(mpmath.svd_c(rj * state * rk, compute_uv=False))
                          for j, rj in enumerate(roots)
                          for k, rk in enumerate(roots) if j != k))
+
+
+def tsallis_coherence(rho, elements, alpha: float) -> float:
+    """C_{T,alpha} = [sum_j tr (sqrt(E_j) rho^alpha sqrt(E_j))^(1/alpha) - 1] / (alpha - 1)
+    from its definition, at 50 digits, for a float density matrix and float elements
+    taken as exact.  The eigenvalues of rho at or below 1e-13 of the largest count
+    as zero: in a float matrix of rank r < d they are the roundoff of exact zeros,
+    which rho^alpha would lift to about (1e-16)^alpha."""
+    with mpmath.workdps(50):
+        alpha = mpmath.mpf(alpha)
+        state = _power_psd(mpmath.matrix(rho.tolist()), alpha, floor=1e-13)
+        total = 0
+        for e in elements:
+            root = _sqrt_psd(mpmath.matrix(e.tolist()))
+            w, _ = mpmath.eighe(root * state * root)
+            total += sum(max(x, 0) ** (1 / alpha) for x in w)
+        return float((total - 1) / (alpha - 1))

@@ -287,11 +287,14 @@ def _near_degenerate(rng):
     return DensityMatrix((v * np.array([0.5 + 1e-9, 0.5 - 1e-9])) @ v.conj().T)
 
 
-@pytest.mark.parametrize("state", [
+FIFTY_DIGIT_STATES = pytest.mark.parametrize("state", [
     _near_degenerate,
     lambda rng: random_rank_density(rng, D, 2),
     lambda rng: random_density(rng, D),
 ], ids=["near_degenerate", "rank2", "full"])
+
+
+@FIFTY_DIGIT_STATES
 def test_l1_matches_the_50_digit_definition(monkeypatch, state):
     rng = np.random.default_rng(88)
     povm = random_povm(D, 4, rng)
@@ -299,3 +302,14 @@ def test_l1_matches_the_50_digit_definition(monkeypatch, state):
     monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 1)  # one pair per block, on two threads
     got = l1_coherence(rho, povm).value
     assert abs(got - mp_oracle.l1_coherence(rho.mat, povm.elements)) < 1e-14
+
+
+@FIFTY_DIGIT_STATES
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 2.0])  # the Gram sum at 1/2, singular values else
+def test_tsallis_matches_the_50_digit_definition(state, alpha):
+    rng = np.random.default_rng(88)
+    povm = random_povm(D, 4, rng)
+    rho = state(rng)
+    got = tsallis_coherence(rho, povm, alpha).value
+    want = mp_oracle.tsallis_coherence(rho.mat, povm.elements, alpha)
+    assert abs(got - want) <= 1e-14 * abs(want)

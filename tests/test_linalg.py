@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import random_density, random_unitary
+from helpers import random_density, random_unitary, record_thread_starts
 from povmcoh import (
     DomainError,
     NegativeEigenvalueError,
@@ -27,6 +27,8 @@ from povmcoh.linalg import (
     singular_values,
     sqrt_psd,
     stacked_eigh,
+    stacked_psd_eigenvalues,
+    stacked_singular_values,
     support_eigenpairs,
     trace_norm,
 )
@@ -253,3 +255,51 @@ def test_map_blocks_raises_what_a_loop_over_the_items_would(two_cpus):
     # item 3 runs on the helper thread, item 6 on the calling thread
     with pytest.raises(ValueError, match="item 3"):
         map_blocks(fail_at_three_and_six, range(8))
+
+
+# --------------------------------------------------------------------------
+# the stacked kernels: a stack of more than BLOCK_ENTRIES entries runs in blocks on
+# two threads, joined in order
+
+
+STACKED_KERNELS = pytest.mark.parametrize("kernel", [
+    stacked_eigh, stacked_psd_eigenvalues, stacked_singular_values,
+], ids=["eigh", "psd_eigenvalues", "singular_values"])
+
+
+def _psd_stack(shape):
+    a = np.random.default_rng(12).standard_normal(shape + (2,)).view(complex)[..., 0]
+    return a @ a.conj().swapaxes(-1, -2)
+
+
+def _outputs(result) -> tuple:
+    return result if isinstance(result, tuple) else (result,)
+
+
+@STACKED_KERNELS
+@pytest.mark.parametrize("shape", [(32, 32, 32), (4, 8, 32, 32)])
+def test_a_large_stack_on_two_threads_equals_the_one_cpu_result(monkeypatch, kernel, shape):
+    m = _psd_stack(shape)
+    assert m.size > linalg.BLOCK_ENTRIES
+    starts = record_thread_starts(monkeypatch)
+    two = _outputs(kernel(m))
+    assert len(starts) == (1 if linalg._cpus() >= 2 else 0)
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(linalg.os, "cpu_count", lambda: 1)
+    starts.clear()
+    one = _outputs(kernel(m))
+    assert starts == []
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", m.size)
+    whole = _outputs(kernel(m))  # one batched LAPACK call
+    for result in (two, one):
+        assert [a.shape for a in result] == [b.shape for b in whole]
+        assert all(np.array_equal(a, b) for a, b in zip(result, whole))
+
+
+@STACKED_KERNELS
+def test_a_stack_of_one_block_starts_no_thread(monkeypatch, two_cpus, kernel):
+    m = _psd_stack((linalg.BLOCK_ENTRIES // (32 * 32), 32, 32))
+    assert m.size == linalg.BLOCK_ENTRIES
+    starts = record_thread_starts(monkeypatch)
+    kernel(m)
+    assert starts == []

@@ -14,12 +14,18 @@ from povmcoh import (
     PureState,
     ValidationError,
     bound_b1,
+    build_lsm,
     ensemble_from_measurement,
     haar_moment,
     haar_random_pure,
     is_povm_incoherent,
+    l1_coherence,
+    measurement_from_ensemble,
+    monte_carlo_average,
+    overlap_constant,
     projective_povm,
     random_povm,
+    uncertainty_report,
     validate,
 )
 from povmcoh import objects
@@ -308,6 +314,17 @@ def test_projective_povm_rejects_nonunitary():
     (lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol="x"), ValidationError),
     (lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol="x"),
      ValidationError),
+    # an argument of the wrong object type; a state argument takes no raw matrix
+    (lambda: l1_coherence(None, x_basis_povm()), ValidationError),
+    (lambda: l1_coherence(DensityMatrix(np.eye(2) / 2.0), None), ValidationError),
+    (lambda: uncertainty_report(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), None), ValidationError),
+    (lambda: overlap_constant(x_basis_povm(), None), ValidationError),
+    (lambda: ensemble_from_measurement(None, x_basis_povm()), ValidationError),
+    (lambda: build_lsm(None), ValidationError),
+    (lambda: measurement_from_ensemble(None), ValidationError),
+    (lambda: monte_carlo_average(x_basis_povm(), "l1", 300, None), ValidationError),
+    (lambda: random_povm(2, 2, None), ValidationError),
+    (lambda: haar_random_pure(2, None), ValidationError),
 ])
 def test_non_numeric_and_non_iterable_inputs_raise_the_entry_point_error(call, error):
     with pytest.raises(error) as info:
