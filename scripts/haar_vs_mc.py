@@ -28,7 +28,7 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=200000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--alphas", type=float, nargs="*", default=[0.5, 1.5, 2.0])
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)

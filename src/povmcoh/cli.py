@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--mc", type=int, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, help="MC seed (fallback: COH_SEED, then 0)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=2)
     p.set_defaults(func=cmd_haar)
 
     return parser

@@ -29,6 +29,9 @@ TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
 NORM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-10
+# Largest number of complex Gaussian entries haar_random_pure (d) or random_povm
+# (n d^2) may draw, 64 MiB of them; checked before any draw.
+MAX_DRAWN_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -426,11 +429,18 @@ def require_same_dim(*dims):
 # sampling
 
 
+def _check_drawn_entries(entries: int) -> None:
+    if entries > MAX_DRAWN_ENTRIES:
+        raise ValidationError(
+            f"at most {MAX_DRAWN_ENTRIES} random entries per draw, got {entries}")
+
+
 def haar_random_pure(d: int, rng: np.random.Generator) -> PureState:
     """Haar-distributed pure state: normalized vector of iid complex Gaussians."""
     d = as_count(d, ValidationError, "dimension")
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
+    _check_drawn_entries(d)
     require_type(rng, np.random.Generator, "rng")
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(v / np.linalg.norm(v))
@@ -446,6 +456,7 @@ def random_povm(d: int, n: int, rng: np.random.Generator, max_attempts: int = 10
     max_attempts = as_count(max_attempts, ValidationError, "max_attempts")
     if d < 1 or n < 1:
         raise ValidationError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    _check_drawn_entries(n * d * d)
     require_type(rng, np.random.Generator, "rng")
     for _ in range(max_attempts):
         blocks = []

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, measures
-from .objects import DensityMatrix, Povm, require_same_dim, require_type
+from .errors import ValidationError, as_float
+from .objects import COMPLETENESS_TOL, DensityMatrix, Povm, require_same_dim, require_type
 
 
 @dataclass(frozen=True)
@@ -102,5 +103,10 @@ def uncertainty_report(rho: DensityMatrix, e: Povm, f: Povm) -> UncertaintyRepor
 
 
 def pure_state_bound(c: float) -> float:
-    """State-independent floor log2(1/c) valid whenever rho is pure."""
-    return math.log2(1.0 / c)
+    """State-independent floor log2(1/c) valid whenever rho is pure, for an overlap
+    constant 0 < c <= 1.  The c of two POVMs can exceed 1 by their completeness
+    roundoff (up to COMPLETENESS_TOL), which counts as c = 1."""
+    c = as_float(c, ValidationError, "c")
+    if not 0.0 < c <= 1.0 + COMPLETENESS_TOL:
+        raise ValidationError(f"overlap constant c must lie in (0, 1], got {c}")
+    return math.log2(1.0 / min(c, 1.0))

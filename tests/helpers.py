@@ -257,3 +257,17 @@ def record_thread_starts(monkeypatch) -> list:
 
     monkeypatch.setattr(threading, "Thread", RecordingThread)
     return starts
+
+
+def record_hand_offs(monkeypatch) -> list:
+    """The ident of the helper thread each map_blocks call hands items to from now
+    on, as a list that fills as the calls run."""
+    hand_offs = []
+    run = linalg._Helper.run
+
+    def recording_run(helper, job, own):
+        hand_offs.append(helper.thread.ident)
+        return run(helper, job, own)
+
+    monkeypatch.setattr(linalg._Helper, "run", recording_run)
+    return hand_offs

@@ -26,6 +26,7 @@ from helpers import (
     random_density,
     random_rank_density,
     random_unitary,
+    record_hand_offs,
     record_thread_starts,
     spread_density,
 )
@@ -239,13 +240,14 @@ def test_two_thread_l1_equals_the_one_cpu_value(monkeypatch):
     povm = random_povm(d, d, rng)
     rho = random_density(rng, d)
     assert len(list(linalg.blocks(d * (d - 1) // 2, d * d))) >= 2
-    starts = record_thread_starts(monkeypatch)
+    hand_offs = record_hand_offs(monkeypatch)
     two = l1_coherence(rho, povm).value
-    assert len(starts) == (1 if linalg._cpus() >= 2 else 0)
+    assert len(hand_offs) == (1 if linalg._cpus() >= 2 else 0)
     _one_cpu(monkeypatch)
-    starts.clear()
+    hand_offs.clear()
+    starts = record_thread_starts(monkeypatch)
     one = l1_coherence(DensityMatrix(rho.mat), povm).value
-    assert starts == []
+    assert starts == [] and hand_offs == []
     assert two == one
     assert abs(two - dense_l1(rho, povm)) < ATOL
 

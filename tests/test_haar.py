@@ -14,6 +14,7 @@ from helpers import (
     block_projective_povm,
     perturbed_avg_relative_entropy,
     perturbed_avg_tsallis,
+    record_hand_offs,
     record_thread_starts,
     richardson,
     trine_povm,
@@ -36,8 +37,10 @@ from povmcoh import (
     random_povm,
     tsallis_half_trace_formula,
 )
+from povmcoh import linalg
 from povmcoh.haar import MAX_BETA, MAX_MC_SAMPLES, MC_CHUNK
 from povmcoh.measures import pure_l1_coherence
+from povmcoh.objects import MAX_DRAWN_ENTRIES
 
 
 # --------------------------------------------------------------------------
@@ -319,10 +322,14 @@ def test_l1_bound_custom_exponents():
     assert abs(val - want) < 1e-12
 
 
-def test_l1_bound_rejects_bad_exponents():
-    povm = z_basis_povm()
-    with pytest.raises(ValidationError):
-        haar_average_l1_bound(povm, exponents={(0, 1): (3.0, 2.0), (1, 0): (2.0, 2.0)})
+@pytest.mark.parametrize("exponents", [
+    {(0, 1): (3.0, 2.0), (1, 0): (2.0, 2.0)},
+    np.array(3.0),  # not a mapping of pairs
+    [(2.0, 2.0), (2.0, 2.0)],
+])
+def test_l1_bound_rejects_bad_exponents(exponents):
+    with pytest.raises(InvalidExponentsError):
+        haar_average_l1_bound(z_basis_povm(), exponents=exponents)
 
 
 @pytest.mark.parametrize("exponents", [
@@ -366,7 +373,7 @@ def test_pointwise_l1_never_exceeds_universal_bound():
 
 def test_mc_deterministic_across_worker_counts():
     povm = random_povm(3, 3, np.random.default_rng(57))
-    a = monte_carlo_average(povm, "relative_entropy", 30000, np.random.default_rng(99))
+    a = monte_carlo_average(povm, "relative_entropy", 30000, np.random.default_rng(99), workers=1)
     for workers in (2, 4):
         b = monte_carlo_average(
             povm, "relative_entropy", 30000, np.random.default_rng(99), workers=workers
@@ -378,13 +385,15 @@ def test_mc_deterministic_across_worker_counts():
 def test_mc_builds_no_pool_for_one_chunk(monkeypatch):
     povm = random_povm(3, 3, np.random.default_rng(57))
     want = monte_carlo_average(povm, "l1", MC_CHUNK, np.random.default_rng(98))
-    starts = record_thread_starts(monkeypatch)
-    # two chunks take at most one helper thread, however many workers are asked for
+    hand_offs = record_hand_offs(monkeypatch)
+    # two chunks take the one helper thread, however many workers are asked for
     monte_carlo_average(povm, "l1", MC_CHUNK + 100, np.random.default_rng(98), workers=4)
-    assert len(starts) <= 1
-    starts.clear()
+    assert len(hand_offs) == (1 if linalg._cpus() >= 2 else 0)
+    hand_offs.clear()
+    starts = record_thread_starts(monkeypatch)
     got = monte_carlo_average(povm, "l1", MC_CHUNK, np.random.default_rng(98), workers=4)
-    assert starts == []
+    monte_carlo_average(povm, "l1", MC_CHUNK + 100, np.random.default_rng(98), workers=1)
+    assert starts == [] and hand_offs == []
     assert (got.mean, got.std_error) == (want.mean, want.std_error)
 
 
@@ -480,6 +489,23 @@ def test_mc_rejects_sample_counts_above_the_limit():
 
     with pytest.raises(ValidationError, match="at most"):
         monte_carlo_average(z_basis_povm(), "l1", MAX_MC_SAMPLES + 1, Unsampled())
+
+
+class _Undrawn(np.random.Generator):
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("the size is checked before any draw")
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: haar_random_pure(10**30, rng),
+    lambda rng: haar_random_pure(MAX_DRAWN_ENTRIES + 1, rng),
+    lambda rng: random_povm(10**30, 2, rng),
+    lambda rng: random_povm(2, 10**30, rng),
+    lambda rng: random_povm(2, MAX_DRAWN_ENTRIES // 4 + 1, rng),
+])
+def test_random_sizes_are_capped_before_any_draw(call):
+    with pytest.raises(ValidationError, match="at most"):
+        call(_Undrawn(np.random.PCG64(0)))
 
 
 def test_mc_agrees_with_exact_relative_entropy():

@@ -1,12 +1,16 @@
 """Hermitian/spectral kernel: decompositions, matrix functions, norms, entropy."""
 
+import gc
+import os
+import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import random_density, random_unitary, record_thread_starts
+from helpers import random_density, random_unitary, record_hand_offs, record_thread_starts
 from povmcoh import (
     DomainError,
     NegativeEigenvalueError,
@@ -224,7 +228,7 @@ def test_entropy_rejects_negative():
 
 
 # --------------------------------------------------------------------------
-# map_blocks: items on up to `threads` threads, results in item order
+# map_blocks: items on the calling thread and one parked helper, results in item order
 
 
 @pytest.fixture
@@ -233,17 +237,127 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(linalg.os, "cpu_count", lambda: 2)
 
 
-@pytest.mark.parametrize("threads", [2, 3, 8])
-def test_map_blocks_keeps_item_order_under_fast_switching(two_cpus, threads):
+def _helper_threads() -> list:
+    return [t for t in threading.enumerate() if t.name == "povmcoh-map_blocks"]
+
+
+def _within(seconds, call):
+    """call() on a daemon thread, so that a call that never returns fails the test;
+    what it raises is raised here."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = call()
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            out["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"no result within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def test_map_blocks_keeps_item_order_under_fast_switching(two_cpus):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = map_blocks(lambda i: (i, threading.current_thread().name), range(300), threads)
+        got = map_blocks(lambda i: (i, threading.get_ident()), range(300))
+        again = map_blocks(lambda i: (i, threading.get_ident()), range(300))
     finally:
         sys.setswitchinterval(interval)
     assert [i for i, _ in got] == list(range(300))
-    assert len({name for _, name in got}) == threads
-    assert threading.active_count() == 1  # every helper has ended
+    assert {ident for _, ident in got} == {threading.get_ident(), linalg._helper.thread.ident}
+    assert again == got  # the same helper thread, parked between the calls
+    assert _helper_threads() == [linalg._helper.thread]
+
+
+def test_the_parked_helper_keeps_no_item_alive(two_cpus):
+    class Item:
+        pass
+
+    items = [Item(), Item()]
+    refs = [weakref.ref(item) for item in items]
+    map_blocks(lambda item: None, items)
+    del items
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_no_helper_on_one_cpu_or_for_one_item(monkeypatch, two_cpus):
+    monkeypatch.setattr(linalg, "_helper", None)  # as in a process that has not started one
+    starts = record_thread_starts(monkeypatch)
+    assert map_blocks(abs, [-1]) == [1]
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert map_blocks(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2]
+    assert starts == [] and linalg._helper is None
+
+
+def test_a_failure_on_the_helper_leaves_it_working(two_cpus):
+    def fail_at_one(i):
+        if i == 1:
+            raise ValueError("item 1")
+        return i
+
+    with pytest.raises(ValueError, match="item 1"):
+        _within(10, lambda: map_blocks(fail_at_one, range(4)))
+    assert _within(10, lambda: map_blocks(lambda i: i * i, range(5))) == [0, 1, 4, 9, 16]
+
+
+def test_a_nested_call_completes(two_cpus):
+    # even items nest on the calling thread, which waits for the helper's share of
+    # the outer call; odd ones nest on the helper, which runs them in a loop
+    got = _within(10, lambda: map_blocks(lambda i: map_blocks(lambda j: (i, j), range(3)),
+                                         range(4)))
+    assert got == [[(i, j) for j in range(3)] for i in range(4)]
+
+
+def test_callers_on_several_threads_each_get_their_results(two_cpus):
+    results = {}
+
+    def call(k):
+        results[k] = [map_blocks(lambda i: (k, i), range(50)) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == {k: [[(k, i) for i in range(50)]] * 20 for k in range(4)}
+    assert len(_helper_threads()) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_gets_a_working_helper():
+    child = """
+import os, signal, sys
+from povmcoh import linalg
+linalg._cpus = lambda: 2
+want = [3, 2, 1, 0, 1, 2]
+assert linalg.map_blocks(abs, range(-3, 3)) == want
+parent = linalg._helper
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)  # a child waiting on its parent's helper ends here
+    ok = linalg.map_blocks(abs, range(-3, 3)) == want and linalg._helper is not parent
+    os._exit(0 if ok else 1)
+_, status = os.waitpid(pid, 0)
+assert linalg.map_blocks(abs, range(-3, 3)) == want and linalg._helper is parent
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", child],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_map_blocks_raises_what_a_loop_over_the_items_would(two_cpus):
@@ -281,14 +395,15 @@ def _outputs(result) -> tuple:
 def test_a_large_stack_on_two_threads_equals_the_one_cpu_result(monkeypatch, kernel, shape):
     m = _psd_stack(shape)
     assert m.size > linalg.BLOCK_ENTRIES
-    starts = record_thread_starts(monkeypatch)
+    hand_offs = record_hand_offs(monkeypatch)
     two = _outputs(kernel(m))
-    assert len(starts) == (1 if linalg._cpus() >= 2 else 0)
+    assert len(hand_offs) == (1 if linalg._cpus() >= 2 else 0)
     monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(linalg.os, "cpu_count", lambda: 1)
-    starts.clear()
+    hand_offs.clear()
+    starts = record_thread_starts(monkeypatch)
     one = _outputs(kernel(m))
-    assert starts == []
+    assert starts == [] and hand_offs == []
     monkeypatch.setattr(linalg, "BLOCK_ENTRIES", m.size)
     whole = _outputs(kernel(m))  # one batched LAPACK call
     for result in (two, one):

@@ -1,6 +1,8 @@
 """Uncertainty relation over two measurements: overlap constants and the
 entropy-corrected lower bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from helpers import (
 from povmcoh import (
     DensityMatrix,
     Povm,
+    ValidationError,
     overlap_constant,
     projective_povm,
     pure_state_bound,
@@ -144,3 +147,16 @@ def test_entropy_decomposition_identity():
         direct = relative_entropy_coherence(rho, povm).value
         combined = shannon + total - linalg.entropy_psd(rho.mat)
         assert abs(direct - combined) < 1e-9
+
+
+@pytest.mark.parametrize("c", [0, -1, math.inf, math.nan, 2.0, "x", None, 1j])
+def test_pure_state_bound_rejects_c_outside_zero_to_one(c):
+    with pytest.raises(ValidationError):
+        pure_state_bound(c)
+
+
+def test_pure_state_bound_takes_c_one_with_roundoff():
+    e = projective_povm(random_unitary(np.random.default_rng(5), 4))
+    assert pure_state_bound(overlap_constant(e, e)) == 0.0
+    assert pure_state_bound(1.0 + 2e-15) == 0.0
+    assert pure_state_bound(np.float64(0.5)) == 1.0
