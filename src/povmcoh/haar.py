@@ -285,7 +285,7 @@ def haar_average(povm: Povm, measure_id: str, alpha: float | None = None,
                  mc_samples: int | None = None,
                  rng: np.random.Generator | None = None,
                  workers: int = 2) -> HaarAverageResult:
-    """Analytic Haar average by measure id, with an optional MC cross-check."""
+    """Analytic Haar average by measure id; a Monte Carlo cross-check unless mc_samples is 0."""
     if measure_id == measures.RELATIVE_ENTROPY:
         analytic = haar_average_relative_entropy(povm)
     elif measure_id == measures.TSALLIS:
@@ -295,7 +295,7 @@ def haar_average(povm: Povm, measure_id: str, alpha: float | None = None,
             f"no exact Haar average for measure {measure_id!r}; "
             "use haar_average_l1_bound for the l1 bound"
         )
-    if not mc_samples:
+    if mc_samples is None or as_count(mc_samples, ValidationError, "mc_samples") == 0:
         return HaarAverageResult(analytic, measure_id, alpha)
     if rng is None:
         raise ValidationError("mc_samples given without an rng")

@@ -1,5 +1,6 @@
-"""Dense Hermitian linear algebra kernel: eigendecompositions, matrix functions,
-norms and entropy. Everything downstream funnels through these few routines."""
+"""Hermitian linear algebra kernel: stacked eigendecompositions and singular values,
+the one support rule for PSD spectra, and entropy.  Everything downstream funnels
+through these few routines."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import numpy.linalg as npl
 
 from .errors import (
     ConvergenceFailureError,
-    DomainError,
     NegativeEigenvalueError,
     NotHermitianError,
     NotSquareError,
@@ -23,8 +23,8 @@ HERMITICITY_TOL = 1e-9
 # Eigenvalues of nominally-PSD operators in [-PSD_CLAMP_TOL, 0) clamp to 0;
 # anything more negative is a real bug upstream.
 PSD_CLAMP_TOL = 1e-10
-# Default relative floor for square roots and a state's support: eigenvalues at or
-# below this fraction of the largest count as kernel (see sqrt_psd).
+# Relative floor of a state's and an element's support, and the default of sqrt_psd:
+# eigenvalues at or below this fraction of the largest count as kernel (psd_support).
 SUPPORT_RTOL = 1e-13
 # Batched products over many pairs of matrices run in blocks of at most this many
 # entries per product stack (or one pair's worth), so their transients stay bounded.
@@ -154,29 +154,20 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max|M - M^dag|."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def _require_square(m: np.ndarray) -> np.ndarray:
-    m = as_array(m, NotSquareError, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NotSquareError("matrix has non-finite entries")
-    return m
-
-
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w real and sorted descending, columns of v
     the matching orthonormal eigenvectors.  Inputs are symmetrized first; a
-    Hermiticity defect above HERMITICITY_TOL is rejected.
+    non-square or non-finite matrix, or a Hermiticity defect max|M - M^dag| above
+    HERMITICITY_TOL, is rejected.
     """
-    m = _require_square(m)
-    defect = hermiticity_defect(m)
+    m = as_array(m, NotSquareError, "matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NotSquareError("matrix has non-finite entries")
+    defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     w, v = stacked_eigh(m)
@@ -192,71 +183,30 @@ def clamp_psd_eigenvalues(w: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarr
     return np.where(w < 0.0, 0.0, w)
 
 
-def mat_func_hermitian(m: np.ndarray, f, clamp_psd: bool = False) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its eigenvalues.
-
-    With clamp_psd=True, negative eigenvalues within roundoff of zero are
-    clamped to 0 before applying f (for functions defined on [0, inf) only).
-    """
-    w, v = eig_hermitian(m)
-    if clamp_psd:
-        w = clamp_psd_eigenvalues(w)
-    with np.errstate(all="ignore"):  # out-of-domain spectra are caught just below
-        fw = np.asarray(f(w), dtype=float)
-    if not np.all(np.isfinite(fw)):
-        raise DomainError("matrix function produced non-finite values on the spectrum")
-    return (v * fw) @ v.conj().T
-
-
-def sqrt_psd(m: np.ndarray, kernel_rtol: float = SUPPORT_RTOL) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
-
-    Eigenvalues at or below kernel_rtol * max(eigenvalue) are treated as exact
-    zeros: the square root doubles the relative size of eigenvalue roundoff
-    (eps becomes sqrt(eps) = 1e-8), so rank-deficient inputs such as projectors
-    would otherwise sprout junk directions large enough to pollute trace norms.
-    """
-    return power_psd(m, 0.5, kernel_rtol=kernel_rtol)
-
-
-def power_psd(m: np.ndarray, a: float, kernel_rtol: float = 0.0) -> np.ndarray:
-    """M**a for PSD Hermitian M, a > 0, with 0**a = 0.
-
-    Eigenvalues at or below kernel_rtol * max(eigenvalue) are zeroed first.
-    Fractional powers amplify eigenvalue roundoff near zero (eps**a can be
-    many orders above eps), so callers powering rank-deficient matrices
-    should pass a small relative floor.
-    """
-
-    def f(w):
-        floor = max(kernel_rtol * float(np.max(w, initial=0.0)), 0.0)
-        return np.where(w > floor, w, 0.0) ** a
-
-    return mat_func_hermitian(m, f, clamp_psd=True)
+def psd_support(w: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one support rule, for the descending eigenvalues w of a PSD matrix, or of
+    each matrix in a stack along the last axis: w after the PSD roundoff clamp, and
+    the rank of each support, the count of eigenvalues above rtol times the largest
+    (a prefix of w)."""
+    w = clamp_psd_eigenvalues(w)
+    return w, np.count_nonzero(w > rtol * w[..., :1], axis=-1)
 
 
 def support_eigenpairs(m: np.ndarray, kernel_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, v) of a PSD Hermitian M on its support, w descending.
-
-    Eigenvalues pass the PSD roundoff clamp; those at or below
-    kernel_rtol * max(eigenvalue) count as kernel and are dropped, so
-    (v / sqrt(w)) @ v^dag is the pseudo-inverse square root of M.
-    """
+    """Eigenpairs (w, v) of a PSD Hermitian M on its support (psd_support), w
+    descending, so (v / sqrt(w)) @ v^dag is the pseudo-inverse square root of M."""
     w, v = eig_hermitian(m)
-    w = clamp_psd_eigenvalues(w)
-    keep = w > kernel_rtol * (float(w[0]) if w.size else 0.0)
-    return w[keep], v[:, keep]
+    w, rank = psd_support(w, kernel_rtol)
+    return w[:rank], v[:, :rank]
 
 
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values, descending. Rectangular inputs allowed."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise NotSquareError(f"expected a matrix, got shape {m.shape}")
-    try:
-        return npl.svd(m, compute_uv=False)
-    except npl.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailureError(str(exc)) from exc
+def sqrt_psd(m: np.ndarray, kernel_rtol: float = SUPPORT_RTOL) -> np.ndarray:
+    """Principal square root of a PSD Hermitian matrix on its support: the floor keeps
+    eigenvalue roundoff (eps, whose root is 1e-8) from sprouting junk directions in
+    rank-deficient inputs such as projectors.  No package code calls it; the tests'
+    kernel accuracy criterion checks support_eigenpairs through it."""
+    w, v = support_eigenpairs(m, kernel_rtol)
+    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def stacked_singular_values(m: np.ndarray) -> np.ndarray:
@@ -315,14 +265,8 @@ def _by_blocks(func, m: np.ndarray):
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.sum(singular_values(m)))
-
-
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value."""
-    s = singular_values(m)
-    return float(s[0]) if s.size else 0.0
+    """Sum of the singular values of a matrix; kept for the tests' kernel criterion."""
+    return float(stacked_singular_values(m).sum())
 
 
 def spectrum_entropy(w: np.ndarray) -> np.ndarray:
@@ -331,13 +275,3 @@ def spectrum_entropy(w: np.ndarray) -> np.ndarray:
     The last axis is short (a spectrum or the outcomes of a POVM): a product with
     a ones vector reduces it in a fraction of the time np.sum takes."""
     return -((w * np.log2(w, out=np.zeros(w.shape), where=w > 0.0)) @ np.ones(w.shape[-1]))
-
-
-def entropy_psd(m: np.ndarray) -> float:
-    """von Neumann entropy -tr(M log2 M) of a PSD matrix, with 0 log 0 = 0.
-
-    The input need not be normalized; eigenvalues are used as-is after the
-    PSD roundoff clamp.
-    """
-    w, _ = support_eigenpairs(m)
-    return float(spectrum_entropy(w))

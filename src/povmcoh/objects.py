@@ -80,7 +80,7 @@ def _check_density_stack(stack: np.ndarray) -> tuple[dict, np.ndarray, np.ndarra
 def _check_stack(stack: np.ndarray, psd_name: str, *extra) -> tuple[dict, np.ndarray, np.ndarray]:
     """Checks of every member of a finite (m, d, d) stack from one batched
     eigendecomposition: {member: violations} for the members that fail, and the
-    eigenpairs (w, v) of each member, w ascending.
+    eigenpairs (w, v) of each member, w descending.
 
     A non-Hermitian member is reported as "hermitian" alone; the others are checked
     for a least eigenvalue below -PSD_TOL (reported as psd_name) and then for each
@@ -88,7 +88,8 @@ def _check_stack(stack: np.ndarray, psd_name: str, *extra) -> tuple[dict, np.nda
     """
     herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
     w, v = linalg.stacked_eigh(stack)
-    checks = [("hermitian", herm, HERMITICITY_TOL), (psd_name, -w[:, 0], PSD_TOL), *extra]
+    w, v = w[:, ::-1], v[:, :, ::-1]  # descending, the order linalg.psd_support takes
+    checks = [("hermitian", herm, HERMITICITY_TOL), (psd_name, -w[:, -1], PSD_TOL), *extra]
     failing = herm > HERMITICITY_TOL
     for _, defects, tol in checks[1:]:
         failing |= defects > tol
@@ -101,11 +102,10 @@ def _check_stack(stack: np.ndarray, psd_name: str, *extra) -> tuple[dict, np.nda
 
 def _supports(w: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """DensityMatrix.support of each member of a valid stack, from its eigenpairs
-    (w ascending): read-only views of one descending copy of the stack's pairs."""
-    w, v = linalg.clamp_psd_eigenvalues(w[:, ::-1]), v[:, :, ::-1].copy()
+    (w descending): read-only views of one copy of the stack's pairs."""
+    (w, ranks), v = linalg.psd_support(w, linalg.SUPPORT_RTOL), v.copy()
     w.flags.writeable = False
     v.flags.writeable = False
-    ranks = np.count_nonzero(w > linalg.SUPPORT_RTOL * w[:, :1], axis=1)  # a prefix of each row
     return [(w[i, :r], v[i, :, :r]) for i, r in enumerate(ranks.tolist())]
 
 
@@ -128,7 +128,7 @@ def validate_povm(elements) -> list[Violation]:
 
 def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
     """validate_povm's list and, when it is empty, the element stack with its
-    eigenpairs (w, u), w ascending: one batched eigendecomposition."""
+    eigenpairs (w, u), w descending: one batched eigendecomposition."""
     mats = [as_array(e, ValidationError, "POVM element") for e in _members(elements, "POVM elements")]
     if not mats:
         return [Violation("nonempty", 0.0)], None
@@ -388,11 +388,10 @@ class Ensemble:
 
 
 def _root_factors(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Povm.root_factors from the ascending eigenpairs of a valid element stack."""
-    s, u = linalg.clamp_psd_eigenvalues(w[:, ::-1]), u[:, :, ::-1]
-    keep = s > linalg.SUPPORT_RTOL * s[:, :1]  # s descending: a prefix of each row
-    k = int(keep.sum(axis=1).max())
-    s = np.where(keep, s, 0.0)[:, :k]
+    """Povm.root_factors from the descending eigenpairs of a valid element stack."""
+    s, ranks = linalg.psd_support(w, linalg.SUPPORT_RTOL)
+    k = int(ranks.max())
+    s = np.where(np.arange(k) < ranks[:, None], s[:, :k], 0.0)
     c = np.sqrt(s)[:, :, None] * u[:, :, :k].conj().swapaxes(-1, -2)
     s.flags.writeable = False
     c.flags.writeable = False

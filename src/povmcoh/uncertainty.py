@@ -46,7 +46,7 @@ def overlap_constant(e: Povm, f: Povm) -> float:
     E and F, so each norm is that of the small core M = C_j D_k^dag: the square root
     of the largest eigenvalue of the smaller Gram matrix, M M^dag or M^dag M.  All
     n_e n_f Gram matrices take one batched eigenvalue call per block of E's outcomes
-    (linalg.blocks).
+    (linalg.blocks).  c <= 1 for any POVMs, so roundoff above 1 reports as 1.
     """
     _check_povms(e, f)
     c, d_h = e.root_factors[1], f.root_factors[1].conj().swapaxes(-1, -2)
@@ -57,14 +57,14 @@ def overlap_constant(e: Povm, f: Povm) -> float:
         cores_h = cores.conj().swapaxes(-1, -2)
         gram = cores @ cores_h if c.shape[1] <= k_f else cores_h @ cores
         largest = max(largest, float(np.max(linalg.stacked_psd_eigenvalues(gram)[..., -1])))
-    return math.sqrt(largest)
+    return min(math.sqrt(largest), 1.0)
 
 
 def refined_overlap_constant(e: Povm, f: Povm) -> float:
-    """c' = min over the two sandwich directions of the largest sum norm."""
+    """c' = min over the two sandwich directions of the largest sum norm, and 1."""
     _check_povms(e, f)
     return min(_largest_sandwich_norm(e.elements, f.elements),
-               _largest_sandwich_norm(f.elements, e.elements))
+               _largest_sandwich_norm(f.elements, e.elements), 1.0)
 
 
 def _largest_sandwich_norm(outer: np.ndarray, inner: np.ndarray) -> float:
@@ -96,7 +96,8 @@ def uncertainty_report(rho: DensityMatrix, e: Povm, f: Povm) -> UncertaintyRepor
     )
     c = overlap_constant(e, f)
     c_prime = refined_overlap_constant(e, f)
-    entropy = float(linalg.spectrum_entropy(rho.support[0]))
+    # a pure state's S(rho) can read -6e-16 or -0.0 in roundoff: both report as +0.0
+    entropy = max(0.0, float(linalg.spectrum_entropy(rho.support[0])))
     bound_c = 2.0 * (math.log2(1.0 / c) - entropy)
     bound_c_prime = math.log2(1.0 / c_prime) - 2.0 * entropy
     return UncertaintyReport(lhs, c, c_prime, bound_c, bound_c_prime, entropy)
@@ -104,8 +105,8 @@ def uncertainty_report(rho: DensityMatrix, e: Povm, f: Povm) -> UncertaintyRepor
 
 def pure_state_bound(c: float) -> float:
     """State-independent floor log2(1/c) valid whenever rho is pure, for an overlap
-    constant 0 < c <= 1.  The c of two POVMs can exceed 1 by their completeness
-    roundoff (up to COMPLETENESS_TOL), which counts as c = 1."""
+    constant 0 < c <= 1.  A c computed elsewhere can exceed 1 by completeness
+    roundoff: up to 1 + COMPLETENESS_TOL it counts as c = 1."""
     c = as_float(c, ValidationError, "c")
     if not 0.0 < c <= 1.0 + COMPLETENESS_TOL:
         raise ValidationError(f"overlap constant c must lie in (0, 1], got {c}")

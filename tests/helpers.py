@@ -157,44 +157,66 @@ def spread_density(rng, d, low=-16.0):
     return DensityMatrix((u * (w / w.sum())) @ u.conj().T)
 
 
+def dense_power(m, a, rtol=0.0):
+    """M^a of a PSD matrix by np.linalg.eigh; eigenvalues at or below rtol times the
+    largest, and negative roundoff, count as zero.  The pairs are summed largest
+    first: tests that hold values of mixed_rank_povm's instances to a few ulps
+    (test_measures.py's pure forms) were written against the bits this order gives."""
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w, v = w[::-1], v[:, ::-1]
+    w = np.where(w > max(rtol * w.max(), 0.0), w, 0.0)
+    return (v * w**a) @ v.conj().T
+
+
+def dense_entropy(m):
+    """-tr(M log2 M) of a PSD matrix over its positive eigenvalues (np.linalg.eigvalsh)."""
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    w = w[w > 0.0]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def dense_trace_norm(m):
+    return float(np.linalg.norm(m, "nuc"))
+
+
 def dense_roots(povm):
-    return [linalg.sqrt_psd(e) for e in povm.elements]
+    return [dense_power(e, 0.5, rtol=1e-13) for e in povm.elements]
 
 
 def dense_l1(rho, povm):
     roots = dense_roots(povm)
-    return sum(linalg.trace_norm(roots[j] @ rho.mat @ roots[k])
+    return sum(dense_trace_norm(roots[j] @ rho.mat @ roots[k])
                for j in range(len(roots)) for k in range(len(roots)) if j != k)
 
 
 def dense_relative_entropy(rho, povm):
-    total = sum(linalg.entropy_psd(root @ rho.mat @ root) for root in dense_roots(povm))
-    return total - linalg.entropy_psd(rho.mat)
+    total = sum(dense_entropy(root @ rho.mat @ root) for root in dense_roots(povm))
+    return total - dense_entropy(rho.mat)
 
 
 def dense_tsallis(rho, povm, alpha):
-    rho_half_a = linalg.power_psd(rho.mat, alpha / 2.0, kernel_rtol=1e-13)
-    total = sum(np.sum(linalg.singular_values(rho_half_a @ root) ** (2.0 / alpha))
+    rho_half_a = dense_power(rho.mat, alpha / 2.0, rtol=1e-13)
+    total = sum(np.sum(np.linalg.svd(rho_half_a @ root, compute_uv=False) ** (2.0 / alpha))
                 for root in dense_roots(povm))
     return (total - 1.0) / (alpha - 1.0)
 
 
 def dense_pair_bounds(rho, povm):
-    t = np.array([linalg.trace_norm(root @ rho.mat) for root in dense_roots(povm)])
+    t = np.array([dense_trace_norm(root @ rho.mat) for root in dense_roots(povm)])
     n = t.size
     return 2.0 * np.dot(n - 1.0 - np.arange(n), np.sort(t)), (n - 1.0) * t.sum()
 
 
 def dense_holder(rho, povm, p, q):
-    a = np.array([linalg.trace_norm(linalg.power_psd(e, p / 2.0) @ rho.mat) ** (1.0 / p)
+    a = np.array([dense_trace_norm(dense_power(e, p / 2.0) @ rho.mat) ** (1.0 / p)
                   for e in povm.elements])
-    b = np.array([linalg.trace_norm(linalg.power_psd(e, q / 2.0) @ rho.mat) ** (1.0 / q)
+    b = np.array([dense_trace_norm(dense_power(e, q / 2.0) @ rho.mat) ** (1.0 / q)
                   for e in povm.elements])
     return a.sum() * b.sum() - np.dot(a, b)
 
 
 def dense_holder_22(rho, povm):
-    t = np.array([linalg.trace_norm(e @ rho.mat) for e in povm.elements])
+    t = np.array([dense_trace_norm(e @ rho.mat) for e in povm.elements])
     return np.sum(np.sqrt(t)) ** 2 - np.sum(t)
 
 
@@ -210,10 +232,10 @@ def mixed_rank_povm(rng, d):
     u = random_unitary(rng, d)
     e1 = 0.5 * np.outer(u[:, 0], u[:, 0].conj())
     e2 = 0.5 * u[:, 1:3] @ u[:, 1:3].conj().T
-    root = linalg.sqrt_psd(np.eye(d) - e1 - e2)
+    root = dense_power(np.eye(d) - e1 - e2, 0.5, rtol=1e-13)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     g = a @ a.conj().T
-    w = g / (linalg.operator_norm(g) + 1.0)
+    w = g / (np.linalg.norm(g, 2) + 1.0)
     return Povm([e1, e2, root @ w @ root, root @ (np.eye(d) - w) @ root])
 
 
@@ -233,15 +255,15 @@ def dense_lsm_error(ensemble, kernel_rtol=1e-12):
 
 
 def dense_overlap_c(e, f):
-    """c = max_jk ||sqrt(E_j) sqrt(F_k)||, one 2-D SVD per pair of dense roots."""
-    return max(linalg.operator_norm(a @ b) for a in dense_roots(e) for b in dense_roots(f))
+    """c = max_jk ||sqrt(E_j) sqrt(F_k)||, one 2-norm per pair of dense roots."""
+    return max(np.linalg.norm(a @ b, 2) for a in dense_roots(e) for b in dense_roots(f))
 
 
 def dense_overlap_c_prime(e, f):
     """c' = min(max_k ||sum_j E_j F_k E_j||, max_j ||sum_k F_k E_j F_k||), one
     operator norm per outcome."""
     def largest(outer, inner):
-        return max(linalg.operator_norm(sum(a @ b @ a for a in outer)) for b in inner)
+        return max(np.linalg.norm(sum(a @ b @ a for a in outer), 2) for b in inner)
 
     return min(largest(e.elements, f.elements), largest(f.elements, e.elements))
 

@@ -1,4 +1,4 @@
-"""High-precision oracles for the exact Haar averages and for C_l1.
+"""High-precision oracles for the exact Haar averages and for C_r, C_l1 and C_T.
 
 Over a Haar-random pure state, E f(<psi|E|psi>) = (d-1)! F[lam_1, ..., lam_d]
 (Hermite-Genocchi), a divided difference over the spectrum of E of any F with
@@ -109,3 +109,17 @@ def tsallis_coherence(rho, elements, alpha: float) -> float:
             w, _ = mpmath.eighe(root * state * root)
             total += sum(max(x, 0) ** (1 / alpha) for x in w)
         return float((total - 1) / (alpha - 1))
+
+
+def _entropy(m: mpmath.matrix) -> mpmath.mpf:
+    """-tr(M log2 M) over the positive eigenvalues of a Hermitian PSD matrix."""
+    return -sum(x * mpmath.log(x, 2) for x in mpmath.eighe(m, eigvals_only=True) if x > 0)
+
+
+def relative_entropy_coherence(rho, elements) -> float:
+    """C_r = sum_j S(sqrt(E_j) rho sqrt(E_j)) - S(rho) from its definition, at 50 digits,
+    for a float density matrix and float elements taken as exact."""
+    with mpmath.workdps(50):
+        state = mpmath.matrix(rho.tolist())
+        roots = [_sqrt_psd(mpmath.matrix(e.tolist())) for e in elements]
+        return float(sum(_entropy(root * state * root) for root in roots) - _entropy(state))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import plus_density, x_basis_povm, z_basis_povm
+from helpers import plus_density, random_unitary, x_basis_povm, z_basis_povm
 from povmcoh import DensityMatrix, Ensemble, NumericError, Povm, PureState, ValidationError, fileio
+from povmcoh import projective_povm, random_povm
 from povmcoh import cli, haar, lsm
 
 
@@ -320,6 +322,24 @@ def test_uncertainty_same_measurement(capsys, plus_path, z_path):
     doc = json.loads(out)
     assert abs(doc["c"] - 1.0) < 1e-12
     assert doc["satisfied_c"] is True
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_uncertainty_json_keeps_c_and_the_entropy_in_range(capsys, tmp_path, d):
+    # a pure state against (E, E), E a projective basis, and against (F, I): c and c'
+    # are 1 up to roundoff, and S(rho) is 0
+    rng = np.random.default_rng(180 + d)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    objs = {"rho": PureState(v / np.linalg.norm(v)), "i": Povm([np.eye(d)]),
+            "e": projective_povm(random_unitary(rng, d)), "f": random_povm(d, 3, rng)}
+    path = {name: write_obj(tmp_path, f"{name}.json", obj) for name, obj in objs.items()}
+    for povm, povm2 in (("e", "e"), ("f", "i")):
+        code, out, err = run(capsys, ["uncertainty", "--state", path["rho"], "--povm", path[povm],
+                                      "--povm2", path[povm2]])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["c"] <= 1.0 and doc["c_prime"] <= 1.0
+        assert 0.0 <= doc["entropy_rho"] <= 1e-15 and math.copysign(1.0, doc["entropy_rho"]) == 1.0
 
 
 # --------------------------------------------------------------------------

@@ -307,6 +307,16 @@ def test_l1_matches_the_50_digit_definition(monkeypatch, state):
 
 
 @FIFTY_DIGIT_STATES
+def test_relative_entropy_matches_the_50_digit_definition(state):
+    rng = np.random.default_rng(88)
+    povm = random_povm(D, 4, rng)
+    rho = state(rng)
+    got = relative_entropy_coherence(rho, povm).value
+    want = mp_oracle.relative_entropy_coherence(rho.mat, povm.elements)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@FIFTY_DIGIT_STATES
 @pytest.mark.parametrize("alpha", [0.5, 0.3, 2.0])  # the Gram sum at 1/2, singular values else
 def test_tsallis_matches_the_50_digit_definition(state, alpha):
     rng = np.random.default_rng(88)

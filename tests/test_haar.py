@@ -576,3 +576,19 @@ def test_haar_entry_points_reject_non_numeric_alpha(entry, alpha):
 def test_haar_average_mc_requires_rng():
     with pytest.raises(ValidationError):
         haar_average(z_basis_povm(), "relative_entropy", mc_samples=1000)
+
+
+@pytest.mark.parametrize("mc_samples", [np.zeros((2, 2)), "", 0.0, 150.7],
+                         ids=["ndarray", "empty_string", "zero_float", "fraction"])
+def test_haar_average_rejects_a_non_integral_sample_count(mc_samples):
+    with pytest.raises(ValidationError, match="mc_samples"):
+        haar_average(z_basis_povm(), "relative_entropy", mc_samples=mc_samples,
+                     rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("mc_samples", [None, 0, np.int64(0)], ids=["none", "zero", "numpy_zero"])
+def test_haar_average_without_samples_is_analytic_only(mc_samples):
+    res = haar_average(z_basis_povm(), "relative_entropy", mc_samples=mc_samples,
+                       rng=np.random.default_rng(0))
+    assert res.analytic == haar_average_relative_entropy(z_basis_povm())
+    assert res.mc_estimate is None and res.sample_count is None

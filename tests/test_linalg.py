@@ -1,4 +1,5 @@
-"""Hermitian/spectral kernel: decompositions, matrix functions, norms, entropy."""
+"""Hermitian/spectral kernel: decompositions, the support rule, norms, and the
+two-thread map over blocks."""
 
 import gc
 import os
@@ -12,23 +13,19 @@ import pytest
 
 from helpers import random_density, random_unitary, record_hand_offs, record_thread_starts
 from povmcoh import (
-    DomainError,
+    DensityMatrix,
     NegativeEigenvalueError,
     NotHermitianError,
+    Povm,
     ValidationError,
 )
 from povmcoh import linalg
 from povmcoh.linalg import (
     clamp_psd_eigenvalues,
     eig_hermitian,
-    entropy_psd,
     hermitian_part,
-    hermiticity_defect,
     map_blocks,
-    mat_func_hermitian,
-    operator_norm,
-    power_psd,
-    singular_values,
+    psd_support,
     sqrt_psd,
     stacked_eigh,
     stacked_psd_eigenvalues,
@@ -43,13 +40,12 @@ def random_hermitian(rng, d):
     return (a + a.conj().T) / 2.0
 
 
-def test_hermitian_part_and_defect():
+def test_hermitian_part():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = hermitian_part(a)
     assert np.allclose(h, h.conj().T)
-    assert hermiticity_defect(h) < 1e-15
-    assert hermiticity_defect(a) > 0.1
+    assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
 
 def test_eig_hermitian_reconstruction_and_order():
@@ -106,20 +102,6 @@ def test_clamp_psd_eigenvalues():
         clamp_psd_eigenvalues(np.array([1.0, -1e-9]))
 
 
-def test_mat_func_hermitian_exp():
-    rng = np.random.default_rng(3)
-    m = random_hermitian(rng, 4)
-    w, v = np.linalg.eigh(m)
-    expected = (v * np.exp(w)) @ v.conj().T
-    assert np.max(np.abs(mat_func_hermitian(m, np.exp) - expected)) < 1e-10
-
-
-def test_mat_func_hermitian_domain_error():
-    m = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(DomainError):
-        mat_func_hermitian(m, np.log, clamp_psd=True)
-
-
 def test_sqrt_psd_squares_back():
     rng = np.random.default_rng(4)
     for d in (2, 3, 6):
@@ -132,18 +114,6 @@ def test_sqrt_psd_squares_back():
 def test_sqrt_psd_rejects_truly_negative():
     with pytest.raises(NegativeEigenvalueError):
         sqrt_psd(np.diag([1.0, -1e-6]).astype(complex))
-
-
-def test_power_psd_spectral():
-    m = np.diag([4.0, 0.0, 0.25]).astype(complex)
-    out = power_psd(m, 0.5)
-    assert np.allclose(np.diagonal(out), [2.0, 0.0, 0.5])
-    rng = np.random.default_rng(5)
-    rho = random_density(rng, 3).mat
-    assert np.max(np.abs(power_psd(rho, 1.0) - rho)) < 1e-12
-    # a^(2/3) cubed equals a squared
-    cube = np.linalg.matrix_power(power_psd(rho, 2.0 / 3.0), 3)
-    assert np.max(np.abs(cube - rho @ rho)) < 1e-9
 
 
 def test_support_eigenpairs_inverse_root_full_rank():
@@ -164,37 +134,37 @@ def test_support_eigenpairs_pseudo_inverse_on_support():
     assert np.max(np.abs(s - p)) < 1e-12
 
 
-def test_singular_values_and_trace_norm_examples():
+def test_psd_support_cuts_each_member_of_a_stack_as_it_cuts_one_matrix():
+    w = np.array([[3.0, 1e-14, -1e-12], [1.0, 0.5, 0.0]])
+    clamped, ranks = psd_support(w, 1e-13)
+    assert ranks.tolist() == [1, 2] and clamped[0, 2] == 0.0
+    for row, rank in zip(w, ranks):
+        assert psd_support(row, 1e-13)[1] == rank
+    assert psd_support(w, 0.0)[1].tolist() == [2, 2]
+
+
+def test_states_elements_and_support_eigenpairs_share_the_support_rule():
+    # a rank-2 matrix whose kernel holds only roundoff, as a state and as an element
+    u = random_unitary(np.random.default_rng(11), 5)
+    m = (u[:, :2] * np.array([0.75, 0.25])) @ u[:, :2].conj().T
+    w, _ = support_eigenpairs(m, linalg.SUPPORT_RTOL)
+    assert w.size == 2
+    assert np.max(np.abs(DensityMatrix(m).support[0] - w)) < 1e-15
+    s = Povm([m, np.eye(5) - m]).root_factors[0]
+    assert np.count_nonzero(s[0]) == 2 and np.max(np.abs(s[0, :2] - w)) < 1e-15
+
+
+def test_trace_norm_examples():
     assert abs(trace_norm(np.diag([3.0, -4.0])) - 7.0) < 1e-12
     assert trace_norm(np.zeros((3, 3))) == 0.0
     block = np.array([[0.0, 0.25], [0.0, 0.0]])  # 0.25 |0><1|
     assert abs(trace_norm(block) - 0.25) < 1e-14
-    sv = singular_values(np.diag([3.0, -4.0]))
-    assert np.allclose(sv, [4.0, 3.0])
 
 
-def test_operator_norm_examples():
-    assert abs(operator_norm(np.eye(3)) - 1.0) < 1e-14
-    assert abs(operator_norm(np.diag([0.2, 0.9])) - 0.9) < 1e-14
-    # product of square roots of Z-basis and X-basis projectors
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    assert abs(operator_norm(p0 @ plus) - 1.0 / np.sqrt(2.0)) < 1e-12
-
-
-def test_norms_on_rectangular_input():
+def test_trace_norm_on_rectangular_input():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    sv = singular_values(m)
-    assert abs(trace_norm(m) - sv.sum()) < 1e-10
-    assert abs(operator_norm(m) - sv.max()) < 1e-12
-
-
-def test_operator_norm_below_trace_norm():
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert operator_norm(m) <= trace_norm(m) + 1e-12
+    assert abs(trace_norm(m) - np.linalg.svd(m, compute_uv=False).sum()) < 1e-10
 
 
 def test_trace_norm_unitary_invariance():
@@ -204,27 +174,6 @@ def test_trace_norm_unitary_invariance():
         u = random_unitary(rng, 4)
         w = random_unitary(rng, 4)
         assert abs(trace_norm(u @ m @ w) - trace_norm(m)) < 1e-9
-
-
-def test_entropy_examples():
-    assert abs(entropy_psd(np.eye(2) / 2.0) - 1.0) < 1e-12
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    assert abs(entropy_psd(plus)) < 1e-12
-    # subnormalized block: -(1/2) log2 (1/2) = 1/2
-    assert abs(entropy_psd(np.diag([0.5, 0.0])) - 0.5) < 1e-12
-
-
-def test_entropy_unitary_invariance():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        rho = random_density(rng, 4).mat
-        u = random_unitary(rng, 4)
-        assert abs(entropy_psd(u @ rho @ u.conj().T) - entropy_psd(rho)) < 1e-9
-
-
-def test_entropy_rejects_negative():
-    with pytest.raises(NegativeEigenvalueError):
-        entropy_psd(np.diag([1.0, -1e-6]))
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dense_entropy,
     plus_density,
     random_density,
     random_pure_density,
@@ -26,7 +27,6 @@ from povmcoh import (
     relative_entropy_coherence,
     uncertainty_report,
 )
-from povmcoh import linalg
 
 
 def test_overlap_same_projective_basis_is_one():
@@ -141,11 +141,11 @@ def test_entropy_decomposition_identity():
             p = float(np.trace(block).real)
             probs.append(p)
             if p > 1e-14:
-                total += p * linalg.entropy_psd(block / p)
+                total += p * dense_entropy(block / p)
         probs = np.asarray(probs)
         shannon = float(-np.sum(probs[probs > 1e-14] * np.log2(probs[probs > 1e-14])))
         direct = relative_entropy_coherence(rho, povm).value
-        combined = shannon + total - linalg.entropy_psd(rho.mat)
+        combined = shannon + total - dense_entropy(rho.mat)
         assert abs(direct - combined) < 1e-9
 
 
@@ -160,3 +160,19 @@ def test_pure_state_bound_takes_c_one_with_roundoff():
     assert pure_state_bound(overlap_constant(e, e)) == 0.0
     assert pure_state_bound(1.0 + 2e-15) == 0.0
     assert pure_state_bound(np.float64(0.5)) == 1.0
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_overlap_constants_and_pure_state_entropy_stay_in_range(d):
+    # E a projective basis, F a random POVM: c and c' of (E, E), (F, I) and (I, F) are 1
+    # up to roundoff, and a pure state's S(rho) is 0
+    rng = np.random.default_rng(170 + d)
+    trivial = Povm([np.eye(d)])
+    for _ in range(10):
+        e = projective_povm(random_unitary(rng, d))
+        f = random_povm(d, int(rng.integers(2, 6)), rng)
+        for a, b in ((e, e), (f, trivial), (trivial, f)):
+            assert overlap_constant(a, b) <= 1.0
+            assert refined_overlap_constant(a, b) <= 1.0
+        entropy = uncertainty_report(random_pure_density(rng, d), e, f).entropy_rho
+        assert 0.0 <= entropy <= 1e-15 and math.copysign(1.0, entropy) == 1.0, entropy
