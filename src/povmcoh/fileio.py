@@ -110,7 +110,7 @@ def dumps(obj) -> str:
                "payload": [_encode_matrix(e) for e in obj.elements]}
     elif isinstance(obj, Ensemble):
         doc = {"kind": "ensemble", "dim": obj.dim,
-               "payload": [_encode_matrix(s.mat) for s in obj.states],
+               "payload": [_encode_matrix(m) for m in obj.stack],
                "weights": [float(w) for w in obj.weights]}
     else:
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")

@@ -230,15 +230,14 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
         raise ValidationError(f"need at least 1 worker, got {workers}")
     require_type(povm, Povm, "povm")
     require_type(rng, np.random.Generator, "rng")
+    measures.check_measure_id(measure_id)
     if measure_id == measures.RELATIVE_ENTROPY:
         value_of = measures.pure_relative_entropy_coherence
     elif measure_id == measures.L1:
         value_of = measures.pure_l1_coherence
-    elif measure_id == measures.TSALLIS:
+    else:
         alpha = measures.check_alpha(alpha)
         value_of = partial(measures.pure_tsallis_coherence, alpha=alpha)
-    else:
-        raise ValidationError(f"unknown measure id: {measure_id!r}")
     counts = [MC_CHUNK] * (samples // MC_CHUNK)
     if samples % MC_CHUNK:
         counts.append(samples % MC_CHUNK)
@@ -286,6 +285,7 @@ def haar_average(povm: Povm, measure_id: str, alpha: float | None = None,
                  rng: np.random.Generator | None = None,
                  workers: int = 2) -> HaarAverageResult:
     """Analytic Haar average by measure id; a Monte Carlo cross-check unless mc_samples is 0."""
+    measures.check_measure_id(measure_id)
     if measure_id == measures.RELATIVE_ENTROPY:
         analytic = haar_average_relative_entropy(povm)
     elif measure_id == measures.TSALLIS:

@@ -29,6 +29,7 @@ NEGATIVE_VALUE_TOL = 1e-9
 RELATIVE_ENTROPY = "relative_entropy"
 L1 = "l1"
 TSALLIS = "tsallis"
+MEASURE_IDS = (RELATIVE_ENTROPY, L1, TSALLIS)
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,12 @@ def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
     return 2.0 * sum(linalg.map_blocks(trace_norms, batches))
 
 
+def check_measure_id(measure_id: str) -> None:
+    """ValidationError unless measure_id is a str among MEASURE_IDS."""
+    if not isinstance(measure_id, str) or measure_id not in MEASURE_IDS:
+        raise ValidationError(f"unknown measure id: {measure_id!r}")
+
+
 def check_alpha(alpha: float) -> float:
     alpha = as_float(alpha, AlphaOutOfRangeError, "alpha")
     if not (0.0 < alpha <= 2.0) or alpha == 1.0:
@@ -189,15 +196,14 @@ def _tsallis_value(rho: DensityMatrix, povm: Povm, alpha: float) -> float:
 
 def compute(rho: DensityMatrix, povm: Povm, measure_id: str, alpha: float | None = None) -> CoherenceResult:
     """Dispatch by measure id ('relative_entropy' | 'l1' | 'tsallis')."""
+    check_measure_id(measure_id)
     if measure_id == RELATIVE_ENTROPY:
         return relative_entropy_coherence(rho, povm)
     if measure_id == L1:
         return l1_coherence(rho, povm)
-    if measure_id == TSALLIS:
-        if alpha is None:
-            raise AlphaOutOfRangeError("tsallis measure requires alpha")
-        return tsallis_coherence(rho, povm, alpha)
-    raise ValidationError(f"unknown measure id: {measure_id!r}")
+    if alpha is None:
+        raise AlphaOutOfRangeError("tsallis measure requires alpha")
+    return tsallis_coherence(rho, povm, alpha)
 
 
 def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> IncoherenceReport:

@@ -61,14 +61,20 @@ def validate_density(mat: np.ndarray) -> list[Violation]:
 
 
 def _check_density(mat) -> tuple[list[Violation], tuple | None]:
-    """validate_density's list and the state's eigenpairs as a one-member stack."""
+    """validate_density's list and, when it is empty, DensityMatrix.support: read-only
+    views of one copy of the eigenpairs that validated the state."""
     mat = as_array(mat, ValidationError, "density matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         return [Violation("square", float(mat.ndim))], None
     if not _finite(mat):
         return [Violation("finite", np.inf)], None
     violations, w, v = _check_density_stack(mat[None])
-    return violations.get(0, []), (w, v)
+    if violations:
+        return violations[0], None
+    (w, (rank,)), v = linalg.psd_support(w, linalg.SUPPORT_RTOL), v.copy()
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return [], (w[0, :rank], v[0, :, :rank])
 
 
 def _check_density_stack(stack: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -98,15 +104,6 @@ def _check_stack(stack: np.ndarray, psd_name: str, *extra) -> tuple[dict, np.nda
         found = [Violation(name, float(defects[i])) for name, defects, tol in checks if defects[i] > tol]
         violations[i] = found[:1] if herm[i] > HERMITICITY_TOL else found
     return violations, w, v
-
-
-def _supports(w: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """DensityMatrix.support of each member of a valid stack, from its eigenpairs
-    (w descending): read-only views of one copy of the stack's pairs."""
-    (w, ranks), v = linalg.psd_support(w, linalg.SUPPORT_RTOL), v.copy()
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return [(w[i, :r], v[i, :, :r]) for i, r in enumerate(ranks.tolist())]
 
 
 def validate_pure(vec: np.ndarray) -> list[Violation]:
@@ -156,67 +153,54 @@ def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
 def validate_ensemble(states, weights) -> list[Violation]:
     """Violations of: nonempty, matching lengths/dims, valid members, finite weights
     >= 0 summing to 1."""
-    if len(states) == 0:
-        return [Violation("nonempty", 0.0)]
+    return _check_ensemble(states, weights)[0]
+
+
+def _check_ensemble(states, weights) -> tuple[list[Violation], tuple | None]:
+    """validate_ensemble's list and, when it is empty, the (m, d, d) member stack and
+    the weights.  The first square member sets the dimension; a member of another
+    dimension ends the check.  Matrix members are checked in one batched pass."""
+    states = _members(states, "ensemble states")
+    if not states:
+        return [Violation("nonempty", 0.0)], None
     weights = as_array(weights, ValidationError, "ensemble weights", float)
     if weights.ndim != 1:
-        return [Violation("weights_shape", float(weights.ndim))]
+        return [Violation("weights_shape", float(weights.ndim))], None
     if len(states) != len(weights):
-        return [Violation("weights_length", float(len(states) - len(weights)))]
-    out = []
-    d = None
-    for i, s in enumerate(states):
-        mat = s.mat if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
+        return [Violation("weights_length", float(len(states) - len(weights)))], None
+    mats = [s.mat if isinstance(s, DensityMatrix) else as_array(s, ValidationError, "ensemble member")
+            for s in states]
+    found, d, end = {}, None, len(mats)  # {member: violations}
+    for i, mat in enumerate(mats):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            # a non-square member has no dimension to compare: the first square
-            # member sets the reference
-            out.append(Violation(f"member_{i}_square", float(mat.ndim)))
+            found[i] = [Violation("square", float(mat.ndim))]
             continue
-        if d is None:
-            d = mat.shape[0]
-        elif mat.shape[0] != d:
-            out.append(Violation(f"member_{i}_dimension", float(mat.shape[0] - d)))
-            return out
-        if isinstance(s, DensityMatrix):
-            continue  # validated when built, and immutable
-        for v in validate_density(mat):
-            out.append(Violation(f"member_{i}_{v.invariant}", v.defect))
+        d = mat.shape[0] if d is None else d
+        if mat.shape[0] != d:
+            found[i], end = [Violation("dimension", float(mat.shape[0] - d))], i
+            break
+        if d == 0:
+            found[i] = [Violation("square", float(mat.ndim))]  # 0x0, as validate_density reports it
+    shaped = [i for i in range(end) if i not in found]
+    if shaped:
+        stack = np.array([mats[i] for i in shaped], dtype=complex)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        found.update((shaped[k], [Violation("finite", np.inf)]) for k in np.flatnonzero(~finite).tolist())
+        raw = [k for k, i in enumerate(shaped) if finite[k] and not isinstance(states[i], DensityMatrix)]
+        if raw:
+            checked = _check_density_stack(stack if len(raw) == len(shaped) else stack[raw])[0]
+            found.update((shaped[raw[k]], violations) for k, violations in checked.items())
+    out = [Violation(f"member_{i}_{v.invariant}", v.defect) for i in sorted(found) for v in found[i]]
+    if end < len(mats):
+        return out, None
     if not _finite(weights):  # NaN slips through every comparison below
-        out.append(Violation("weights_finite", np.inf))
-        return out
+        return [*out, Violation("weights_finite", np.inf)], None
     if weights.min() < -WEIGHT_SUM_TOL:
         out.append(Violation("weights_nonnegative", float(-weights.min())))
     sum_defect = abs(float(weights.sum()) - 1.0)
     if sum_defect > WEIGHT_SUM_TOL:
         out.append(Violation("weights_sum", sum_defect))
-    return out
-
-
-def _density_stack(states) -> tuple[np.ndarray | None, tuple[DensityMatrix, ...]]:
-    """Ensemble members as states, and their matrices as one read-only (m, d, d) stack.
-
-    When the matrices stack to a finite (m, d, d) array, the members given as
-    matrices are validated in one batched pass.  Each gets every check of
-    DensityMatrix, and the first failing one raises the error its own DensityMatrix
-    would.  Otherwise the stack is None, each matrix member is built on its own, and
-    the members are invalid or of different sizes.
-    """
-    try:
-        stack = np.array([s.mat if isinstance(s, DensityMatrix) else s for s in states], dtype=complex)
-    except ValueError:  # ragged
-        stack = None
-    if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape or not _finite(stack):
-        return None, tuple(s if isinstance(s, DensityMatrix) else DensityMatrix(s) for s in states)
-    stack.flags.writeable = False
-    members = list(states)
-    raw = [i for i, s in enumerate(states) if not isinstance(s, DensityMatrix)]
-    if raw:  # DensityMatrix members were validated when built
-        violations, w, v = _check_density_stack(stack[raw])
-        if violations:
-            _raise_if(violations[min(violations)], "density matrix")
-        for i, support in zip(raw, _supports(w, v)):
-            members[i] = DensityMatrix._checked(stack[i], support)
-    return stack, tuple(members)
+    return out, None if out else (stack, weights)
 
 
 def _members(items, what: str) -> tuple:
@@ -241,17 +225,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _frozen(self.mat, "density matrix"))
-        violations, eigenpairs = _check_density(self.mat)
+        violations, support = _check_density(self.mat)
         _raise_if(violations, "density matrix")
-        object.__setattr__(self, "_support", _supports(*eigenpairs)[0])
-
-    @classmethod
-    def _checked(cls, mat: np.ndarray, support: tuple) -> DensityMatrix:
-        """A state from a read-only matrix already validated, with its support."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "mat", mat)
-        object.__setattr__(state, "_support", support)
-        return state
+        object.__setattr__(self, "_support", support)
 
     @property
     def dim(self) -> int:
@@ -353,32 +329,37 @@ class Povm:
 class Ensemble:
     """States with prior weights; weights sum to one.
 
-    Members given as matrices (a sequence or an (m, d, d) array) are validated in one
-    batched pass; DensityMatrix members were validated when built.  `stack` holds
-    the member matrices as one read-only (m, d, d) array.
+    The members, given as DensityMatrix objects, matrices or an (m, d, d) array, are
+    held as one read-only (m, d, d) array `stack`; the constructor raises the
+    violations validate_ensemble reports.
     """
 
-    states: tuple
+    stack: np.ndarray
     weights: np.ndarray
 
     def __init__(self, states, weights):
-        stack, states = _density_stack(_members(states, "ensemble states"))
-        weights = as_array(weights, ValidationError, "ensemble weights", float).copy()
+        violations, checked = _check_ensemble(states, weights)
+        if violations[:1] == [Violation("nonempty", 0.0)]:
+            raise EmptyEnsembleError("ensemble has no members", violations)
+        _raise_if(violations, "ensemble")
+        stack, weights = checked[0], checked[1].copy()  # the stack is a new array, owned here
+        stack.flags.writeable = False
         weights.flags.writeable = False
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "weights", weights)
-        if len(states) == 0:
-            raise EmptyEnsembleError("ensemble has no members")
-        _raise_if(validate_ensemble(self.states, self.weights), "ensemble")
-        object.__setattr__(self, "stack", stack)  # members that pass always stack
+
+    @cached_property
+    def states(self) -> tuple[DensityMatrix, ...]:
+        """The members as DensityMatrix objects, built from `stack` on first use."""
+        return tuple(DensityMatrix(m) for m in self.stack)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.stack.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.stack.shape[0]
 
     def average_state(self) -> np.ndarray:
         """Weighted mixture (raw matrix; may be rank-deficient): one product of the
@@ -407,7 +388,7 @@ def validate(obj) -> list[Violation]:
     if isinstance(obj, Povm):
         return validate_povm(obj.elements)
     if isinstance(obj, Ensemble):
-        return validate_ensemble(obj.states, obj.weights)
+        return validate_ensemble(obj.stack, obj.weights)
     raise ValidationError(f"cannot validate object of type {type(obj).__name__}")
 
 

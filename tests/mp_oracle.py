@@ -123,3 +123,20 @@ def relative_entropy_coherence(rho, elements) -> float:
         state = mpmath.matrix(rho.tolist())
         roots = [_sqrt_psd(mpmath.matrix(e.tolist())) for e in elements]
         return float(sum(_entropy(root * state * root) for root in roots) - _entropy(state))
+
+
+def lsm_error(members, weights) -> float:
+    """P_err = 1 - sum_j eta_j tr(eta_j W rho_j W rho_j) of the least-square measurement
+    from its definition, at 50 digits, for float members and weights taken as exact.
+    W is the mixture's inverse square root on its support: the mixture's eigenvalues
+    at or below 1e-12 of the largest count as zero."""
+    with mpmath.workdps(50):
+        etas = [mpmath.mpf(float(eta)) for eta in weights]
+        states = [mpmath.matrix(m.tolist()) for m in members]
+        mixture = sum((eta * s for eta, s in zip(etas, states)), mpmath.zeros(states[0].rows))
+        root = _power_psd(mixture, -mpmath.mpf(1) / 2, floor=1e-12)
+        success = 0
+        for eta, s in zip(etas, states):
+            block = root * s * root * s
+            success += eta * eta * sum(block[i, i] for i in range(block.rows))
+        return float(mpmath.re(1 - success))

@@ -41,7 +41,7 @@ from povmcoh import (
     tsallis_coherence,
 )
 from povmcoh import linalg, measures
-from povmcoh.objects import Violation, validate_density
+from povmcoh.objects import Violation, validate_density, validate_ensemble
 
 D = 5
 TOL = 1e-12
@@ -214,15 +214,13 @@ def test_empty_matrix_is_not_a_state():
         DensityMatrix(np.zeros((0, 0)))
 
 
-def test_batched_members_raise_what_the_first_failing_member_would():
+def test_batched_members_raise_what_validate_ensemble_reports():
     good, bad_trace, bad_psd = np.eye(2) / 2.0, np.eye(2), np.diag([1.5, -0.5])
-    for members, invariant in (([good, bad_trace, bad_psd], "unit_trace"),
-                               ([good, bad_psd, bad_trace], "positive_semidefinite")):
-        with pytest.raises(ValidationError, match=invariant) as raised:
-            Ensemble(members, [0.3, 0.3, 0.4])
-        with pytest.raises(ValidationError) as alone:
-            DensityMatrix(members[1])
-        assert raised.value.violations == alone.value.violations
-    # members of two sizes are built one at a time and reported by the ensemble check
-    with pytest.raises(ValidationError, match="member_1_dimension"):
-        Ensemble([good, np.eye(3) / 3.0], [0.5, 0.5])
+    # members checked in one pass report every failing member; members of two sizes
+    # are never built one at a time
+    for members, weights in (([good, bad_trace, bad_psd], [0.3, 0.3, 0.4]),
+                             ([good, bad_psd, bad_trace], [0.3, 0.3, 0.4]),
+                             ([good, np.eye(3) / 3.0], [0.5, 0.5])):
+        with pytest.raises(ValidationError, match="invalid ensemble") as raised:
+            Ensemble(members, weights)
+        assert raised.value.violations == validate_ensemble(members, weights) != []

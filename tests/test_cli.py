@@ -287,6 +287,19 @@ def test_lsm_rejects_non_finite_ensemble_weights(capsys, tmp_path, bad):
     assert [v["invariant"] for v in error["violations"]] == ["weights_finite"]
 
 
+def test_lsm_names_the_ensemble_member_that_fails(capsys, tmp_path):
+    doc = json.loads(fileio.dumps(Ensemble([np.eye(2, dtype=complex) / 2.0] * 2, [0.5, 0.5])))
+    doc["payload"][1] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # trace 2
+    path = tmp_path / "bad_member.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["lsm", "--ensemble", str(path)])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["message"].startswith("invalid ensemble: ")
+    assert error["violations"][0]["invariant"] == "member_1_unit_trace"
+
+
 def test_lsm_rejects_ensemble_plus_state(capsys, tmp_path, plus_path):
     ens = Ensemble([np.eye(2, dtype=complex) / 2.0], [1.0])
     path = write_obj(tmp_path, "ens1.json", ens)

@@ -4,10 +4,12 @@ state/measurement <-> ensemble correspondence."""
 import numpy as np
 import pytest
 
+import mp_oracle
 from helpers import (
     plus_density,
     random_density,
     random_ensemble,
+    random_rank_density,
     random_unitary,
     z_basis_povm,
 )
@@ -212,3 +214,24 @@ def test_reverse_identity_random_ensembles():
         error = build_lsm(ens).error_probability
         lhs = tsallis_coherence(result.state, result.povm, 0.5).value
         assert abs(lhs - 2.0 * error) <= 1e-9
+
+
+@pytest.mark.parametrize("d, m", [(6, 4), (3, 5), (4, 2)])
+def test_lsm_error_matches_the_50_digit_oracle(d, m):
+    ensemble = random_ensemble(np.random.default_rng(100 * d + m), d, m)
+    want = mp_oracle.lsm_error(ensemble.stack, ensemble.weights)
+    assert abs(build_lsm(ensemble).error_probability - want) <= 1e-14
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_lsm_error_on_a_rank_deficient_mixture_matches_the_oracle(rank):
+    # members on one 3-dim subspace of d = 5: W is the inverse root on that support
+    rng = np.random.default_rng(510 + rank)
+    basis = random_unitary(rng, 5)[:, :3]
+    members = [basis @ random_rank_density(rng, 3, rank).mat @ basis.conj().T for _ in range(4)]
+    weights = 1.0 + rng.random(4)
+    ensemble = Ensemble(members, weights / weights.sum())
+    instance = build_lsm(ensemble)
+    assert instance.support_rank == 3
+    want = mp_oracle.lsm_error(ensemble.stack, ensemble.weights)
+    assert abs(instance.error_probability - want) <= 1e-14

@@ -30,7 +30,7 @@ from povmcoh import (
     relative_entropy_coherence,
     tsallis_coherence,
 )
-from povmcoh import linalg, measures
+from povmcoh import haar, linalg, measures
 from povmcoh.bounds import figure1_state
 from povmcoh.measures import (
     compute,
@@ -103,6 +103,19 @@ def test_compute_rejects_unknown_measure_id():
     with pytest.raises(ValidationError, match="unknown measure id") as info:
         compute(plus_density(), z_basis_povm(), "bogus")
     assert not isinstance(info.value, AlphaOutOfRangeError)
+
+
+@pytest.mark.parametrize("entry", ["compute", "haar_average", "monte_carlo_average"])
+@pytest.mark.parametrize("measure_id", [np.zeros(2), np.array(["l1", "l1"]), np.array("l1"),
+                                        np.array("relative_entropy"), None, 1, b"l1"])
+def test_measure_ids_are_checked_alike_at_every_entry_point(entry, measure_id):
+    # an id is a str: an array, even a 0-d one, is refused by name, not compared
+    call = {"compute": lambda: compute(plus_density(), z_basis_povm(), measure_id, 0.5),
+            "haar_average": lambda: haar.haar_average(z_basis_povm(), measure_id, alpha=0.5),
+            "monte_carlo_average": lambda: haar.monte_carlo_average(
+                z_basis_povm(), measure_id, 300, np.random.default_rng(1), alpha=0.5)}[entry]
+    with pytest.raises(ValidationError, match="unknown measure id"):
+        call()
 
 
 def test_roundoff_clamp_is_logged_and_larger_negatives_raise(caplog):

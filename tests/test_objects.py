@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_density, random_unitary, x_basis_povm
 from povmcoh import (
@@ -157,6 +159,52 @@ def test_validate_ensemble_dimension_mismatch_keeps_earlier_violations():
         Violation("member_0_unit_trace", 1.0),
         Violation("member_1_dimension", 1.0),
     ]
+
+
+# members and elements: valid states (as matrices and as DensityMatrix objects) and
+# projectors, then each way a matrix can fail
+VALID_MEMBERS = [np.array([[0.7, 0.2j], [-0.2j, 0.3]]), np.eye(2) / 2.0, np.diag([1.0, 0.0]),
+                 np.diag([0.0, 1.0]), DensityMatrix(np.diag([0.25, 0.75]))]
+BAD_MEMBERS = [np.eye(2), np.diag([1.5, -0.5]), np.array([[0.5, 1.0], [0.0, 0.5]]),
+               np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((0, 0)), np.ones((2, 3)),
+               np.ones(2) / 2.0, np.eye(3) / 3.0, DensityMatrix(np.eye(3) / 3.0), "x"]
+MEMBER_LISTS = st.one_of(st.lists(st.sampled_from(VALID_MEMBERS), max_size=4),
+                         st.lists(st.sampled_from(VALID_MEMBERS + BAD_MEMBERS), max_size=4))
+
+
+def _weights(kind, m):
+    return {"uniform": np.full(m, 1.0 / max(m, 1)), "nan": [np.nan] * m,
+            "length": np.full(m + 1, 1.0 / (m + 1)), "none": None}[kind]
+
+
+def _raises_what_is_reported(construct, check, *args):
+    """The constructor raises the validator's error, or its list of violations, or
+    builds an object that validates."""
+    try:
+        found = check(*args)
+    except ValidationError as error:
+        with pytest.raises(type(error)) as raised:
+            construct(*args)
+        assert str(raised.value) == str(error)
+        return
+    if not found:
+        assert validate(construct(*args)) == []
+        return
+    with pytest.raises(ValidationError) as raised:
+        construct(*args)
+    assert raised.value.violations == found
+
+
+@settings(max_examples=250, deadline=None)
+@given(members=MEMBER_LISTS, weights=st.sampled_from(["uniform", "nan", "length", "none"]))
+def test_constructors_raise_what_validators_report(members, weights):
+    _raises_what_is_reported(Ensemble, validate_ensemble, members, _weights(weights, len(members)))
+    elements = [m.mat if isinstance(m, DensityMatrix) else m for m in members]
+    _raises_what_is_reported(Povm, validate_povm, elements)
+    square = [e for e in elements if np.shape(e) == (2, 2)]
+    _raises_what_is_reported(Povm, validate_povm, [*elements, np.eye(2) - sum(square)])  # completed
+    for member in members:
+        _raises_what_is_reported(DensityMatrix, validate_density, member)
 
 
 def test_constructors_reject_invalid():
