@@ -39,9 +39,10 @@ class BoundReport:
     parameters: tuple | None = None
 
     def __post_init__(self):
-        if self.bound_value < self.c_l1_value - BOUND_SLACK:
+        finite = math.isfinite(self.c_l1_value) and math.isfinite(self.bound_value)
+        if not (finite and self.bound_value >= self.c_l1_value - BOUND_SLACK):
             raise NumericError(
-                f"{self.bound_id} bound {self.bound_value:.12e} fell below "
+                f"{self.bound_id} bound {self.bound_value:.12e} is not finite or fell below "
                 f"the l1 value {self.c_l1_value:.12e}"
             )
 

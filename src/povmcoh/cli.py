@@ -70,8 +70,8 @@ def cmd_compute(args) -> int:
     rho = _load(args.state, "state")
     povm = _load(args.povm, "povm")
     measure_id = MEASURE_BY_FLAG[args.measure]
-    if measure_id == measures.TSALLIS and args.alpha is None:
-        raise ValidationError("--alpha is required for the tsallis measure")
+    if (args.alpha is None) == (measure_id == measures.TSALLIS):
+        raise ValidationError("--alpha is required for the tsallis measure, and only for it")
     result = measures.compute(rho, povm, measure_id, args.alpha)
     report = measures.is_povm_incoherent(rho, povm)
     _emit({
@@ -149,6 +149,8 @@ def cmd_bounds(args) -> int:
         else:
             grid = _parse_range(args.range, (0.0, 0.24, 0.0025))
             family, reference, dim = bounds.figure2_state, bounds.figure2_reference_bounds, 3
+        for value in (grid[0], grid[-1]):  # each family takes an interval: fail before any row
+            family(float(value))
         basis = np.eye(dim)
         povm = projective_povm(basis)
         writer.writerow(header + ["b1_ref", "b2_ref", "b3_ref"])
@@ -167,8 +169,7 @@ def cmd_bounds(args) -> int:
         # each element is a rank-one projector; the top row of its factor, sqrt(s) u^dag
         # with s = 1, is the conjugated basis column
         basis = povm.root_factors[1][:, 0, :].conj().T
-    writer.writerow(header)
-    writer.writerow([""] + _bound_row(rho, povm, pq_list, basis))
+    writer.writerows([header, [""] + _bound_row(rho, povm, pq_list, basis)])  # no header on error
     return 0
 
 
@@ -221,6 +222,8 @@ def cmd_uncertainty(args) -> int:
 
 def cmd_haar(args) -> int:
     povm = _load(args.povm, "povm")
+    if (args.alpha is None) == (args.measure == "tsallis"):
+        raise ValidationError("--alpha is required for the tsallis measure, and only for it")
     if args.measure == "l1bound":
         value = haar.haar_average_l1_bound(povm)
         _emit({
@@ -231,8 +234,6 @@ def cmd_haar(args) -> int:
         })
         return 0
     measure_id = MEASURE_BY_FLAG[args.measure]
-    if measure_id == measures.TSALLIS and args.alpha is None:
-        raise ValidationError("--alpha is required for the tsallis measure")
     seed = _resolve_seed(args)
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")

@@ -230,7 +230,7 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
         raise ValidationError(f"need at least 1 worker, got {workers}")
     require_type(povm, Povm, "povm")
     require_type(rng, np.random.Generator, "rng")
-    measures.check_measure_id(measure_id)
+    measures.check_measure_id(measure_id, alpha)
     if measure_id == measures.RELATIVE_ENTROPY:
         value_of = measures.pure_relative_entropy_coherence
     elif measure_id == measures.L1:
@@ -285,7 +285,7 @@ def haar_average(povm: Povm, measure_id: str, alpha: float | None = None,
                  rng: np.random.Generator | None = None,
                  workers: int = 2) -> HaarAverageResult:
     """Analytic Haar average by measure id; a Monte Carlo cross-check unless mc_samples is 0."""
-    measures.check_measure_id(measure_id)
+    measures.check_measure_id(measure_id, alpha)
     if measure_id == measures.RELATIVE_ENTROPY:
         analytic = haar_average_relative_entropy(povm)
     elif measure_id == measures.TSALLIS:

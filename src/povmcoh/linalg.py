@@ -150,8 +150,11 @@ def map_blocks(func, items) -> list:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2, of one matrix or of each matrix in a stack (..., d, d)."""
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    """(M + M^dag)/2, of one matrix or of each matrix in a stack (..., d, d), halved
+    before the sum so that no finite input overflows."""
+    half = 0.5 * m
+    half += half.conj().swapaxes(-1, -2)
+    return half
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -127,30 +127,24 @@ def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
     # the pairs j < k are taken, in blocks of pairs (linalg.blocks) of one batched
     # SVD each.  numpy's SVD overlaps on two threads only from about 8192 complex
     # entries per call, so the blocks are as large as BLOCK_ENTRIES allows and run
-    # on two threads (linalg.map_blocks)
+    # on two threads (linalg.map_blocks); a single block starts no thread
     outcome = np.arange(n)
     j, k = np.nonzero(outcome[:, None] < outcome)
-    batches = list(linalg.blocks(len(j), a * a))
-    if len(batches) == 1:
-        # a single block (every small input) starts no thread and takes its products
-        # from one product of the stacked cores: no slower at these sizes, and its
-        # rounding is the one the figures and CLI values print (per-pair products
-        # round some last bits apart)
-        flat = cores.reshape(n * a, b)
-        products = (flat.conj() @ flat.T).reshape(n, a, n, a)[j, :, k]
-        return 2.0 * float(linalg.stacked_singular_values(products).sum())
 
     def trace_norms(pairs: slice) -> float:
         products = cores[j[pairs]].conj() @ cores[k[pairs]].swapaxes(-1, -2)
         return float(linalg.stacked_singular_values(products).sum())
 
-    return 2.0 * sum(linalg.map_blocks(trace_norms, batches))
+    return 2.0 * sum(linalg.map_blocks(trace_norms, linalg.blocks(len(j), a * a)))
 
 
-def check_measure_id(measure_id: str) -> None:
-    """ValidationError unless measure_id is a str among MEASURE_IDS."""
+def check_measure_id(measure_id: str, alpha=None) -> None:
+    """ValidationError unless measure_id is a str among MEASURE_IDS, and when an alpha
+    is given to a measure other than tsallis, which alone takes one."""
     if not isinstance(measure_id, str) or measure_id not in MEASURE_IDS:
         raise ValidationError(f"unknown measure id: {measure_id!r}")
+    if alpha is not None and measure_id != TSALLIS:
+        raise ValidationError(f"the {measure_id} measure takes no alpha, got {alpha!r}")
 
 
 def check_alpha(alpha: float) -> float:
@@ -195,8 +189,8 @@ def _tsallis_value(rho: DensityMatrix, povm: Povm, alpha: float) -> float:
 
 
 def compute(rho: DensityMatrix, povm: Povm, measure_id: str, alpha: float | None = None) -> CoherenceResult:
-    """Dispatch by measure id ('relative_entropy' | 'l1' | 'tsallis')."""
-    check_measure_id(measure_id)
+    """Dispatch by measure id ('relative_entropy' | 'l1' | 'tsallis'); only tsallis takes alpha."""
+    check_measure_id(measure_id, alpha)
     if measure_id == RELATIVE_ENTROPY:
         return relative_entropy_coherence(rho, povm)
     if measure_id == L1:

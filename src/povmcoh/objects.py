@@ -63,113 +63,28 @@ def validate_density(mat: np.ndarray) -> list[Violation]:
 def _check_density(mat) -> tuple[list[Violation], tuple | None]:
     """validate_density's list and, when it is empty, DensityMatrix.support: read-only
     views of one copy of the eigenpairs that validated the state."""
-    mat = as_array(mat, ValidationError, "density matrix")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-        return [Violation("square", float(mat.ndim))], None
-    if not _finite(mat):
-        return [Violation("finite", np.inf)], None
-    violations, w, v = _check_density_stack(mat[None])
+    violations, _, checked = _check_members([as_array(mat, ValidationError, "density matrix")], "", True)
     if violations:
-        return violations[0], None
-    (w, (rank,)), v = linalg.psd_support(w, linalg.SUPPORT_RTOL), v.copy()
+        return violations, None
+    (w, (rank,)), v = linalg.psd_support(checked[1], linalg.SUPPORT_RTOL), checked[2].copy()
     w.flags.writeable = False
     v.flags.writeable = False
     return [], (w[0, :rank], v[0, :, :rank])
 
 
-def _check_density_stack(stack: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Hermitian, PSD and unit-trace checks of every member of a finite (m, d, d) stack."""
-    trace = np.abs(stack.trace(axis1=1, axis2=2).real - 1.0)
-    return _check_stack(stack, "positive_semidefinite", ("unit_trace", trace, TRACE_TOL))
+def _check_members(mats: list, prefix: str, states: bool) -> tuple[list[Violation], bool, tuple | None]:
+    """The one member rule of a lone state (prefix "", names bare), POVM elements
+    ("element_") and ensemble members ("member_"): the violations, named
+    {prefix}{i}_{invariant}; whether a member of another dimension ended the check;
+    and, with no violation, the member stack and its eigenpairs (w, v), w descending.
 
-
-def _check_stack(stack: np.ndarray, psd_name: str, *extra) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Checks of every member of a finite (m, d, d) stack from one batched
-    eigendecomposition: {member: violations} for the members that fail, and the
-    eigenpairs (w, v) of each member, w descending.
-
-    A non-Hermitian member is reported as "hermitian" alone; the others are checked
-    for a least eigenvalue below -PSD_TOL (reported as psd_name) and then for each
-    extra (name, defects, tol).
+    The first square member sets d.  A member that is not a nonempty square matrix is
+    "square" (defect: ndim), one of another size "dimension" (defect: size - d), which
+    ends the check, and a non-finite one "finite".  The rest are checked from one
+    batched eigendecomposition: "hermitian" alone for a non-Hermitian member, else a
+    least eigenvalue below -PSD_TOL ("positive_semidefinite" for states, "positive"
+    for elements) and, for states, the trace.
     """
-    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
-    w, v = linalg.stacked_eigh(stack)
-    w, v = w[:, ::-1], v[:, :, ::-1]  # descending, the order linalg.psd_support takes
-    checks = [("hermitian", herm, HERMITICITY_TOL), (psd_name, -w[:, -1], PSD_TOL), *extra]
-    failing = herm > HERMITICITY_TOL
-    for _, defects, tol in checks[1:]:
-        failing |= defects > tol
-    violations = {}
-    for i in np.flatnonzero(failing).tolist() if failing.any() else ():
-        found = [Violation(name, float(defects[i])) for name, defects, tol in checks if defects[i] > tol]
-        violations[i] = found[:1] if herm[i] > HERMITICITY_TOL else found
-    return violations, w, v
-
-
-def validate_pure(vec: np.ndarray) -> list[Violation]:
-    """Violations of: 1-D, finite, unit norm."""
-    vec = as_array(vec, ValidationError, "pure state")
-    if vec.ndim != 1 or vec.size == 0:
-        return [Violation("vector", float(vec.ndim))]
-    if not _finite(vec):
-        return [Violation("finite", np.inf)]
-    defect = abs(float(np.real(np.vdot(vec, vec))) - 1.0)
-    return [Violation("unit_norm", defect)] if defect > NORM_TOL else []
-
-
-def validate_povm(elements) -> list[Violation]:
-    """Violations of: per-element Hermitian PSD, common dimension, completeness.
-    Any sequence of matrices and an (n, d, d) array give the same list."""
-    return _check_povm(elements)[0]
-
-
-def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
-    """validate_povm's list and, when it is empty, the element stack with its
-    eigenpairs (w, u), w descending: one batched eigendecomposition."""
-    mats = [as_array(e, ValidationError, "POVM element") for e in _members(elements, "POVM elements")]
-    if not mats:
-        return [Violation("nonempty", 0.0)], None
-    d = mats[0].shape[0] if mats[0].ndim == 2 else -1
-    # a ragged input cannot be stacked: the elements before the first misshapen one
-    # are, and the first element that is misshapen or non-finite is reported
-    shaped = next((i for i, e in enumerate(mats) if e.ndim != 2 or e.shape != (d, d) or d == 0), len(mats))
-    stack = np.array(mats[:shaped]) if shaped else np.empty((0, 0, 0), dtype=complex)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        return [Violation(f"element_{int(np.argmin(finite))}_finite", np.inf)], None
-    if shaped < len(mats):
-        return [Violation(f"element_{shaped}_shape", float(mats[shaped].ndim))], None
-    violations, w, u = _check_stack(stack, "positive")
-    out = [Violation(f"element_{i}_{v.invariant}", v.defect) for i, found in violations.items() for v in found]
-    if not out:
-        total = stack.sum(axis=0)
-        total.flat[:: d + 1] -= 1.0  # sum_j E_j - I
-        comp = float(np.abs(total).max())
-        if comp > COMPLETENESS_TOL:
-            out.append(Violation("completeness", comp))
-    return out, None if out else (stack, w, u)
-
-
-def validate_ensemble(states, weights) -> list[Violation]:
-    """Violations of: nonempty, matching lengths/dims, valid members, finite weights
-    >= 0 summing to 1."""
-    return _check_ensemble(states, weights)[0]
-
-
-def _check_ensemble(states, weights) -> tuple[list[Violation], tuple | None]:
-    """validate_ensemble's list and, when it is empty, the (m, d, d) member stack and
-    the weights.  The first square member sets the dimension; a member of another
-    dimension ends the check.  Matrix members are checked in one batched pass."""
-    states = _members(states, "ensemble states")
-    if not states:
-        return [Violation("nonempty", 0.0)], None
-    weights = as_array(weights, ValidationError, "ensemble weights", float)
-    if weights.ndim != 1:
-        return [Violation("weights_shape", float(weights.ndim))], None
-    if len(states) != len(weights):
-        return [Violation("weights_length", float(len(states) - len(weights)))], None
-    mats = [s.mat if isinstance(s, DensityMatrix) else as_array(s, ValidationError, "ensemble member")
-            for s in states]
     found, d, end = {}, None, len(mats)  # {member: violations}
     for i, mat in enumerate(mats):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -180,27 +95,100 @@ def _check_ensemble(states, weights) -> tuple[list[Violation], tuple | None]:
             found[i], end = [Violation("dimension", float(mat.shape[0] - d))], i
             break
         if d == 0:
-            found[i] = [Violation("square", float(mat.ndim))]  # 0x0, as validate_density reports it
+            found[i] = [Violation("square", float(mat.ndim))]  # 0x0
     shaped = [i for i in range(end) if i not in found]
+    stack = w = v = None
     if shaped:
-        stack = np.array([mats[i] for i in shaped], dtype=complex)
+        stack = np.array([mats[i] for i in shaped])
         finite = np.isfinite(stack).all(axis=(1, 2))
-        found.update((shaped[k], [Violation("finite", np.inf)]) for k in np.flatnonzero(~finite).tolist())
-        raw = [k for k, i in enumerate(shaped) if finite[k] and not isinstance(states[i], DensityMatrix)]
-        if raw:
-            checked = _check_density_stack(stack if len(raw) == len(shaped) else stack[raw])[0]
-            found.update((shaped[raw[k]], violations) for k, violations in checked.items())
-    out = [Violation(f"member_{i}_{v.invariant}", v.defect) for i in sorted(found) for v in found[i]]
-    if end < len(mats):
+        if not finite.all():
+            found.update((shaped[k], [Violation("finite", np.inf)]) for k in np.flatnonzero(~finite).tolist())
+            shaped, stack = [i for i, ok in zip(shaped, finite.tolist()) if ok], stack[finite]
+    if shaped:
+        w, v = linalg.stacked_eigh(stack)
+        w, v = w[:, ::-1], v[:, :, ::-1]  # descending, the order linalg.psd_support takes
+        with np.errstate(over="ignore"):  # entries near 1e308: inf or NaN defects, which fail
+            herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+            checks = [("hermitian", herm, HERMITICITY_TOL),
+                      ("positive_semidefinite" if states else "positive", -w[:, -1], PSD_TOL)]
+            if states:
+                checks.append(("unit_trace", np.abs(stack.trace(axis1=1, axis2=2).real - 1.0), TRACE_TOL))
+        failing = herm > HERMITICITY_TOL
+        for _, defects, tol in checks[1:]:
+            failing |= ~(defects <= tol)
+        for k in np.flatnonzero(failing).tolist() if failing.any() else ():
+            bad = [Violation(name, float(defects[k])) for name, defects, tol in checks if not defects[k] <= tol]
+            found[shaped[k]] = bad[:1] if herm[k] > HERMITICITY_TOL else bad
+    out = [Violation(f"{prefix}{i}_{viol.invariant}" if prefix else viol.invariant, viol.defect)
+           for i in sorted(found) for viol in found[i]]
+    return out, end < len(mats), None if out else (stack, w, v)
+
+
+def validate_pure(vec: np.ndarray) -> list[Violation]:
+    """Violations of: 1-D, finite, unit norm."""
+    vec = as_array(vec, ValidationError, "pure state")
+    if vec.ndim != 1 or vec.size == 0:
+        return [Violation("vector", float(vec.ndim))]
+    if not _finite(vec):
+        return [Violation("finite", np.inf)]
+    defect = abs(float(np.real(np.vdot(vec, vec))) - 1.0)
+    return [] if defect <= NORM_TOL else [Violation("unit_norm", defect)]  # NaN (overflow) fails
+
+
+def validate_povm(elements) -> list[Violation]:
+    """Violations of: per-element Hermitian PSD, common dimension, completeness.
+    Any sequence of matrices and an (n, d, d) array give the same list."""
+    return _check_povm(elements)[0]
+
+
+def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
+    """validate_povm's list and, when it is empty, the element stack with its
+    eigenpairs (w, u), w descending: one batched eigendecomposition.  Completeness
+    is checked only when every element is valid."""
+    mats = [as_array(e, ValidationError, "POVM element") for e in _members(elements, "POVM elements")]
+    if not mats:
+        return [Violation("nonempty", 0.0)], None
+    out, _, checked = _check_members(mats, "element_", False)
+    if out:
+        return out, None
+    with np.errstate(over="ignore"):  # a sum past the largest double is inf, and incomplete
+        total = checked[0].sum(axis=0)
+    total.flat[:: len(total) + 1] -= 1.0  # sum_j E_j - I
+    comp = float(np.abs(total).max())
+    return ([Violation("completeness", comp)], None) if comp > COMPLETENESS_TOL else ([], checked)
+
+
+def validate_ensemble(states, weights) -> list[Violation]:
+    """Violations of: nonempty, matching lengths/dims, valid members, finite weights
+    >= 0 summing to 1."""
+    return _check_ensemble(states, weights)[0]
+
+
+def _check_ensemble(states, weights) -> tuple[list[Violation], tuple | None]:
+    """validate_ensemble's list and, when it is empty, the (m, d, d) member stack and
+    the weights.  A member of another dimension ends the check before the weights."""
+    states = _members(states, "ensemble states")
+    if not states:
+        return [Violation("nonempty", 0.0)], None
+    weights = as_array(weights, ValidationError, "ensemble weights", float)
+    if weights.ndim != 1:
+        return [Violation("weights_shape", float(weights.ndim))], None
+    if len(states) != len(weights):
+        return [Violation("weights_length", float(len(states) - len(weights)))], None
+    mats = [s.mat if isinstance(s, DensityMatrix) else as_array(s, ValidationError, "ensemble member")
+            for s in states]
+    out, ended, checked = _check_members(mats, "member_", True)
+    if ended:
         return out, None
     if not _finite(weights):  # NaN slips through every comparison below
         return [*out, Violation("weights_finite", np.inf)], None
     if weights.min() < -WEIGHT_SUM_TOL:
         out.append(Violation("weights_nonnegative", float(-weights.min())))
-    sum_defect = abs(float(weights.sum()) - 1.0)
+    with np.errstate(over="ignore"):  # a sum past the largest double is inf, and fails
+        sum_defect = abs(float(weights.sum()) - 1.0)
     if sum_defect > WEIGHT_SUM_TOL:
         out.append(Violation("weights_sum", sum_defect))
-    return out, None if out else (stack, weights)
+    return out, None if out else (checked[0], weights)
 
 
 def _members(items, what: str) -> tuple:
@@ -458,6 +446,8 @@ def require_unitary(basis: np.ndarray) -> np.ndarray:
     basis = as_array(basis, NotUnitaryError, "basis")
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise NotUnitaryError(f"basis must be a square matrix, got shape {basis.shape}")
+    if not _finite(basis):  # its unitarity defect would be NaN, which passes the check below
+        raise NotUnitaryError("basis has non-finite entries")
     d = basis.shape[0]
     defect = float(np.max(np.abs(basis.conj().T @ basis - np.eye(d))))
     if defect > HERMITICITY_TOL:

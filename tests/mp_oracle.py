@@ -1,4 +1,5 @@
-"""High-precision oracles for the exact Haar averages and for C_r, C_l1 and C_T.
+"""High-precision oracles for the exact Haar averages, for C_r, C_l1 and C_T, for the
+pair and Hölder bounds and for the least-square measurement's error.
 
 Over a Haar-random pure state, E f(<psi|E|psi>) = (d-1)! F[lam_1, ..., lam_d]
 (Hermite-Genocchi), a divided difference over the spectrum of E of any F with
@@ -92,6 +93,23 @@ def l1_coherence(rho, elements) -> float:
         return float(sum(sum(mpmath.svd_c(rj * state * rk, compute_uv=False))
                          for j, rj in enumerate(roots)
                          for k, rk in enumerate(roots) if j != k))
+
+
+def element_trace_norms(rho, elements, exponents) -> dict:
+    """{a: [||E_j^a rho||_tr for every element j]} for each exponent a, at 50 digits, for
+    a float density matrix and float elements taken as exact: the 50-digit values (mpf)
+    from which the pair and Hölder bounds are composed.  With E_j = Q diag(w) Q^dag,
+    ||E_j^a rho||_tr = ||diag(w^a) Q^dag rho||_tr: one eigendecomposition per element."""
+    with mpmath.workdps(50):
+        state = mpmath.matrix(rho.tolist())
+        norms = {a: [] for a in exponents}
+        for e in elements:
+            w, q = mpmath.eighe(mpmath.matrix(e.tolist()))
+            frame = q.H * state
+            for a in exponents:
+                power = mpmath.diag([x ** mpmath.mpf(a) if x > 0 else 0 for x in w])
+                norms[a].append(sum(mpmath.svd_c(power * frame, compute_uv=False)))
+        return norms
 
 
 def tsallis_coherence(rho, elements, alpha: float) -> float:

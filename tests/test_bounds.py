@@ -7,6 +7,7 @@ import pytest
 
 from helpers import random_density, random_pure_density, random_unitary, trine_povm, z_basis_povm
 from povmcoh import (
+    DensityMatrix,
     DimensionMismatchError,
     InvalidExponentsError,
     NotUnitaryError,
@@ -60,6 +61,24 @@ def test_non_numeric_parameters_raise_typed_errors(call, error, bad):
 def test_bound_report_rejects_unsound_values():
     with pytest.raises(NumericError):
         BoundReport(c_l1_value=1.0, bound_value=0.5, bound_id="thm1")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bound_report_rejects_non_finite_values(bad):
+    for c_l1, bound in ((bad, 1.0), (0.5, bad), (bad, bad)):
+        with pytest.raises(NumericError, match="is not finite"):
+            BoundReport(c_l1_value=c_l1, bound_value=bound, bound_id="b1")
+
+
+@pytest.mark.parametrize("bound", [bound_b1, bound_b2, bound_b3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_basis_bounds_reject_a_non_finite_basis(bound, bad):
+    rho = DensityMatrix(np.eye(2) / 2.0)
+    one_entry = np.eye(2, dtype=complex)
+    one_entry[1, 0] = bad
+    for basis in (np.full((2, 2), bad), one_entry):
+        with pytest.raises(NotUnitaryError):
+            bound(rho, basis)
 
 
 def test_holder_bound_matches_22_closed_form():

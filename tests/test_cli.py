@@ -1,5 +1,6 @@
 """End-to-end command-line checks driven through main(argv)."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,12 +8,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import plus_density, random_unitary, x_basis_povm, z_basis_povm
+from helpers import plus_density, random_unitary, trine_povm, x_basis_povm, z_basis_povm
 from povmcoh import DensityMatrix, Ensemble, NumericError, Povm, PureState, ValidationError, fileio
 from povmcoh import projective_povm, random_povm
 from povmcoh import cli, haar, lsm
@@ -69,6 +73,17 @@ def test_compute_tsallis_requires_alpha(capsys, plus_path, z_path):
     code, out, err = run(capsys, ["compute", "--state", plus_path, "--povm", z_path,
                                   "--measure", "tsallis"])
     assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("command, measure", [("compute", "r"), ("compute", "l1"),
+                                              ("haar", "r"), ("haar", "l1bound")])
+def test_alpha_is_only_for_tsallis(capsys, plus_path, z_path, command, measure):
+    state = ["--state", plus_path] if command == "compute" else []
+    code, out, err = run(capsys, [command, *state, "--povm", z_path, "--measure", measure,
+                                  "--alpha", "0.5"])
+    assert code == 2
+    assert out == ""
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
@@ -190,6 +205,22 @@ def test_bounds_rejects_bad_pq(capsys, plus_path, z_path):
     code, out, err = run(capsys, ["bounds", "--state", plus_path, "--povm", z_path,
                                   "--pq", "3,2"])
     assert code == 2
+
+
+def test_bounds_pair_mode_error_prints_no_header(capsys, tmp_path, z_path):
+    state3 = write_obj(tmp_path, "rho3.json", DensityMatrix(np.eye(3) / 3.0))
+    code, out, err = run(capsys, ["bounds", "--state", state3, "--povm", z_path])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "DimensionMismatchError"
+
+
+@pytest.mark.parametrize("figure, grid", [("1", "0.7:1:0.1"), ("2", "0.2:0.3:0.05")])
+def test_bounds_figure_outside_the_family_prints_no_row(capsys, figure, grid):
+    code, out, err = run(capsys, ["bounds", "--figure", figure, "--range", grid])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] in ("ZOutOfRangeError", "XOutOfRangeError")
 
 
 def test_bounds_rejects_bad_range(capsys):
@@ -497,6 +528,102 @@ def test_numeric_error_exit_code(capsys, plus_path, z_path, monkeypatch):
                                   "--measure", "r"])
     assert code == 4
     assert json.loads(err)["error"]["type"] == "NumericError"
+
+
+# --------------------------------------------------------------------------
+# any argv over any file
+
+
+def _entries(mat):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
+
+
+HUGE = np.array([[0.5, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 0.5]])  # Hermitian, trace 1
+FILE_TEXTS = {
+    "state": fileio.dumps(plus_density()),
+    "pure_state": fileio.dumps(PureState(np.array([0.6, 0.8j]))),
+    "state_3": fileio.dumps(DensityMatrix(np.eye(3) / 3.0)),
+    "povm_z": fileio.dumps(z_basis_povm()),
+    "povm_x": fileio.dumps(x_basis_povm()),
+    "povm_trine": fileio.dumps(trine_povm()),
+    "ensemble": fileio.dumps(Ensemble([np.diag([1.0, 0.0]), np.eye(2) / 2.0], [0.25, 0.75])),
+    "ragged_povm": '{"kind": "povm", "dim": 2, "payload": [[[[1, 0], [0, 0]], [[0, 0]]]]}',
+    "ragged_ensemble": json.dumps({"kind": "ensemble", "dim": 2, "payload": [_entries(np.eye(2) / 2)],
+                                   "weights": [0.5, 0.5]}),
+    "nan_state": '{"kind": "state", "dim": 2, "payload": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+    "infinity_povm": '{"kind": "povm", "dim": 2, "payload": [[[[Infinity, 0], [0, 0]], [[0, 0], [0, 0]]]]}',
+    "huge_state": json.dumps({"kind": "state", "dim": 2, "payload": _entries(HUGE)}),
+    "huge_diagonal": json.dumps({"kind": "state", "dim": 2, "payload": _entries(np.diag([1e308, -1e308]))}),
+    "huge_povm": json.dumps({"kind": "povm", "dim": 2, "payload": [_entries(HUGE), _entries(np.eye(2) - HUGE)]}),
+    "huge_pure_state": json.dumps({"kind": "pure_state", "dim": 2, "payload": [[1e308, 1e308], [1e308, 0]]}),
+    "huge_weights": json.dumps({"kind": "ensemble", "dim": 2, "payload": [_entries(np.eye(2) / 2)] * 2,
+                                "weights": [1e308, 1e308]}),
+    "wrong_kind": '{"kind": "operator", "dim": 2, "payload": []}',
+    "not_json": '{"kind": "state", "dim": 2, "payload": [[',
+}
+VALID_FILES = {"state": ["state", "pure_state", "state_3"], "povm": ["povm_z", "povm_x", "povm_trine"],
+               "ensemble": ["ensemble"]}
+NUMBERS = ["nan", "inf", "1e308", "-1", "x", "0.5", "2"]
+FLAGS = {
+    "compute": {"--state": "state", "--povm": "povm", "--measure": ["r", "l1", "tsallis", "q"],
+                "--alpha": NUMBERS},
+    "bounds": {"--state": "state", "--povm": "povm", "--figure": ["1", "2", "3", "x"],
+               "--range": ["0:0.1:0.05", "0.2:0.24:0.02", "0.7:1:0.1", "nan:1:0.1", "0:inf:1", "1:0:0.1",
+                           "0:0.1:0", "0:0.1:-1", "x"],
+               "--pq": ["3,1.5", "2,2", "nan,nan", "inf,1", "1e308,1", "-1,2", "x", "1,1,1"]},
+    "lsm": {"--ensemble": "ensemble", "--state": "state", "--povm": "povm"},
+    "uncertainty": {"--state": "state", "--povm": "povm", "--povm2": "povm"},
+    "haar": {"--povm": "povm", "--measure": ["r", "tsallis", "l1bound", "l1"], "--alpha": NUMBERS,
+             "--mc": ["100", "300", *NUMBERS], "--seed": ["0", "7", *NUMBERS],
+             "--workers": ["1", "2", *NUMBERS]},
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_files")
+    for name, text in FILE_TEXTS.items():
+        (root / f"{name}.json").write_text(text)
+    return lambda name: str(root / f"{name}.json")
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with any of its flags, each with a valid or any value; a file flag
+    names a valid file of its kind, any file, or a missing one."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag, values in FLAGS[command].items():
+        if draw(st.integers(0, 3)) == 3:  # each flag in three draws of four
+            continue
+        if isinstance(values, str):
+            pool = st.sampled_from([*FILE_TEXTS, "missing"])
+            values = st.one_of(st.sampled_from(VALID_FILES[values]), pool)
+        else:
+            values = st.sampled_from(values)
+        argv += [flag, draw(values)]
+    return argv + draw(st.sampled_from([[], [], [], ["--bogus"], ["extra"]]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=cli_argv())
+def test_every_argv_exits_with_a_contract_code(cli_files, argv):
+    # files are named by key in the drawn argv, and by path in the one run
+    argv = [cli_files(a) if a in FILE_TEXTS or a == "missing" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would print to stderr
+        code = cli.main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == ""
+        return
+    assert out.getvalue() == ""
+    text = err.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert set(json.loads(text)) == {"error"}
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import gc
 import threading
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -325,3 +326,23 @@ def test_tsallis_matches_the_50_digit_definition(state, alpha):
     got = tsallis_coherence(rho, povm, alpha).value
     want = mp_oracle.tsallis_coherence(rho.mat, povm.elements, alpha)
     assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@FIFTY_DIGIT_STATES
+def test_trace_norm_bounds_match_the_50_digit_definition(state):
+    rng = np.random.default_rng(88)
+    povm = random_povm(D, 4, rng)
+    rho = state(rng)
+    with mpmath.workdps(50):
+        norms = mp_oracle.element_trace_norms(rho.mat, povm.elements, (1.5, 0.75, 1.0, 0.5))
+        a = [t ** (mpmath.mpf(1) / 3) for t in norms[1.5]]  # p = 3: ||E_j^(3/2) rho||^(1/3)
+        b = [t ** (mpmath.mpf(2) / 3) for t in norms[0.75]]  # q = 3/2: ||E_k^(3/4) rho||^(2/3)
+        t, n = sorted(norms[0.5]), len(norms[0.5])
+        want = [sum(a) * sum(b) - sum(x * y for x, y in zip(a, b)),
+                sum(mpmath.sqrt(x) for x in norms[1.0]) ** 2 - sum(norms[1.0]),
+                2 * sum((n - 1 - j) * x for j, x in enumerate(t)), (n - 1) * sum(t)]
+    ordered, uniform = pair_bounds(rho, povm)
+    got = [holder_bound(rho, povm, 3.0, 1.5).bound_value, holder_bound_22(rho, povm).bound_value,
+           ordered.bound_value, uniform.bound_value]
+    for value, exact in zip(got, want):
+        assert abs(value - float(exact)) <= 1e-14 * abs(float(exact))

@@ -48,6 +48,18 @@ def test_hermitian_part():
     assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
 
+def test_hermitian_part_is_halved_before_the_sum():
+    # bit-identical to halving the sum wherever that is finite, and finite where it is not
+    rng = np.random.default_rng(4)
+    for scale in 10.0 ** np.arange(-300, 301, 25):
+        m = scale * (rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5)))
+        assert np.array_equal(hermitian_part(m), 0.5 * (m + m.conj().swapaxes(-1, -2)))
+    huge = np.array([[1e308, 1.7e308], [1.7e308, -1e308]])
+    assert np.array_equal(hermitian_part(huge), huge)
+    real = rng.standard_normal((3, 4, 4))  # conj() of a real array is the array itself
+    assert np.array_equal(hermitian_part(real), 0.5 * (real + real.swapaxes(-1, -2)))
+
+
 def test_eig_hermitian_reconstruction_and_order():
     rng = np.random.default_rng(2)
     for d in (1, 2, 3, 5, 8, 16):

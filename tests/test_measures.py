@@ -118,6 +118,20 @@ def test_measure_ids_are_checked_alike_at_every_entry_point(entry, measure_id):
         call()
 
 
+@pytest.mark.parametrize("entry", ["compute", "haar_average", "monte_carlo_average"])
+@pytest.mark.parametrize("measure_id", ["relative_entropy", "l1"])
+@pytest.mark.parametrize("alpha", [0.5, 7.0, "junk"])
+def test_an_alpha_given_to_a_measure_without_one_is_refused(entry, measure_id, alpha):
+    # only tsallis has an order; an alpha given to another measure is an input error
+    call = {"compute": lambda: compute(plus_density(), z_basis_povm(), measure_id, alpha),
+            "haar_average": lambda: haar.haar_average(z_basis_povm(), measure_id, alpha=alpha),
+            "monte_carlo_average": lambda: haar.monte_carlo_average(
+                z_basis_povm(), measure_id, 300, np.random.default_rng(1), alpha=alpha)}[entry]
+    with pytest.raises(ValidationError, match="takes no alpha") as info:
+        call()
+    assert type(info.value) is ValidationError
+
+
 def test_roundoff_clamp_is_logged_and_larger_negatives_raise(caplog):
     with caplog.at_level(logging.DEBUG, logger="povmcoh.measures"):
         assert measures._clamp_value(-1e-12, "x") == 0.0

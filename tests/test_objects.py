@@ -63,6 +63,23 @@ def test_validate_pure_norm():
     assert validate_pure(np.array([1.0, 1.0], dtype=complex)) != []
 
 
+def test_entries_near_the_largest_double_are_reported():
+    # hermitian_part must not overflow before eigh, and an overflowing norm, trace or
+    # spectrum (inf or NaN) is a violation, never a pass
+    assert [v.invariant for v in validate_density(np.diag([1e308, -1e308]))] == [
+        "positive_semidefinite", "unit_trace"]
+    big = 1.7e308 * (1 + 1j)  # Hermitian with unit trace: its eigenvalues overflow to NaN
+    huge = np.array([[0.5, big], [np.conj(big), 0.5]])
+    assert [v.invariant for v in validate_density(huge)] == ["positive_semidefinite"]
+    assert [v.invariant for v in validate_povm([huge, np.eye(2) - huge])] == [
+        "element_0_positive", "element_1_positive"]
+    assert validate_povm([1e308 * np.eye(2)] * 2) == [Violation("completeness", np.inf)]
+    anti = np.array([[0.5, 1e308], [-1e308, 0.5]])
+    assert validate_density(anti) == [Violation("hermitian", np.inf)]
+    assert validate_ensemble([np.eye(2) / 2.0] * 2, [1e308, 1e308]) == [Violation("weights_sum", np.inf)]
+    assert [v.invariant for v in validate_pure(np.array([big, big]))] == ["unit_norm"]
+
+
 def test_validate_povm_completeness():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     violations = validate_povm([p0])  # missing the other projector
@@ -73,8 +90,13 @@ def test_validate_povm_completeness():
     ([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 1.0]]), np.diag([0.5, -0.2]),
       np.diag([-0.5, 1.2])],
      [("element_1_hermitian", 1.0), ("element_2_positive", 0.2), ("element_3_positive", 0.5)]),
-    ([np.eye(2), np.eye(3)], [("element_1_shape", 2.0)]),
+    ([np.eye(2), np.eye(3)], [("element_1_dimension", 1.0)]),
     ([np.eye(2), np.full((2, 2), np.nan)], [("element_1_finite", np.inf)]),
+    # the member rule validate_ensemble applies: a non-finite element does not end the check,
+    # a non-square one is reported and the elements after it are still checked
+    ([np.full((2, 2), np.nan), np.eye(3)], [("element_0_finite", np.inf), ("element_1_dimension", 1.0)]),
+    ([0.5 * np.eye(2), np.ones((2, 3)), -0.5 * np.eye(2)],
+     [("element_1_square", 2.0), ("element_2_positive", 0.5)]),
     ([0.5 * np.eye(2), 0.4 * np.eye(2)], [("completeness", 0.1)]),
 ])
 def test_validate_povm_violation_list(elements, expected):
@@ -90,30 +112,27 @@ def test_validate_povm_accepts_an_array_stack():
     bad = np.array([np.diag([1.0, 0.0]), np.diag([0.5, -0.2]), np.diag([-0.5, 1.2])])
     assert validate_povm(bad) == validate_povm(list(bad)) != []
     assert validate_povm(np.zeros((0, 2, 2))) == [Violation("nonempty", 0.0)]
-    assert validate_povm([np.zeros((0, 0))]) == [Violation("element_0_shape", 2.0)]
+    assert validate_povm([np.zeros((0, 0))]) == [Violation("element_0_square", 2.0)]
     for form in (tuple(stack), np.array(stack)):
         assert np.array_equal(Povm(form).elements, stack)
 
 
 def test_ensemble_validates_each_member_once(monkeypatch):
-    # every state check runs on a stack of members; count the members it sees
-    checked = objects._check_density_stack
+    # every member check runs on one list of members; count the members it sees
+    checked = objects._check_members
     calls = []
 
-    def counting(stack):
-        calls.append(len(stack))
-        return checked(stack)
+    def counting(mats, prefix, states):
+        calls.append(len(mats))
+        return checked(mats, prefix, states)
 
-    monkeypatch.setattr(objects, "_check_density_stack", counting)
+    monkeypatch.setattr(objects, "_check_members", counting)
     members = [np.diag([1.0, 0.0]), np.eye(2) / 2.0, np.diag([0.0, 1.0])]
     Ensemble(members, [0.2, 0.3, 0.5])
     assert calls == [len(members)]  # all members in one pass
+    povm = projective_povm(np.eye(3))
     calls.clear()
-    states = [DensityMatrix(m) for m in members]
-    Ensemble(states, [0.2, 0.3, 0.5])  # built states are not checked again
-    assert calls == [1] * len(members)
-    calls.clear()
-    steered = ensemble_from_measurement(DensityMatrix(np.eye(3) / 3.0), projective_povm(np.eye(3)))
+    steered = ensemble_from_measurement(DensityMatrix(np.eye(3) / 3.0), povm)
     assert calls == [1, steered.size]  # the state, then all members in one pass
     # raw-array members are still checked and reported by index
     violations = validate_ensemble([members[0], np.eye(2)], [0.5, 0.5])
