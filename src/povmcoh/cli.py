@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -162,6 +163,8 @@ def cmd_bounds(args) -> int:
 
     if not (args.state and args.povm):
         raise ValidationError("need --state and --povm (or --figure)")
+    if args.range is not None:
+        raise ValidationError("--range applies only with --figure")
     rho = _load(args.state, "state")
     povm = _load(args.povm, "povm")
     basis = None
@@ -221,9 +224,13 @@ def cmd_uncertainty(args) -> int:
 
 
 def cmd_haar(args) -> int:
-    povm = _load(args.povm, "povm")
     if (args.alpha is None) == (args.measure == "tsallis"):
         raise ValidationError("--alpha is required for the tsallis measure, and only for it")
+    if args.measure == "l1bound" and args.mc is not None:
+        raise ValidationError("--mc does not apply to the l1bound measure")
+    if not args.mc and (args.seed is not None or args.workers is not None):
+        raise ValidationError("--seed and --workers apply only with a nonzero --mc")
+    povm = _load(args.povm, "povm")
     if args.measure == "l1bound":
         value = haar.haar_average_l1_bound(povm)
         _emit({
@@ -234,12 +241,15 @@ def cmd_haar(args) -> int:
         })
         return 0
     measure_id = MEASURE_BY_FLAG[args.measure]
-    seed = _resolve_seed(args)
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed) if args.mc else None
+    rng = None
+    if args.mc:
+        seed = _resolve_seed(args)
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
+        rng = np.random.default_rng(seed)
+    workers = 2 if args.workers is None else args.workers
     result = haar.haar_average(povm, measure_id, alpha=args.alpha,
-                               mc_samples=args.mc, rng=rng, workers=args.workers)
+                               mc_samples=args.mc, rng=rng, workers=workers)
     doc = {
         "measure": result.measure_id,
         "alpha": result.alpha,
@@ -305,18 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--mc", type=int, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, help="MC seed (fallback: COH_SEED, then 0)")
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=int, help="MC threads (default: 2)")
     p.set_defaults(func=cmd_haar)
 
     return parser
+
+
+def _json_number(x: float):
+    """x, or its name "inf", "-inf" or "nan" where RFC 8259 JSON has no number."""
+    return x if math.isfinite(x) else str(x)
 
 
 def _fail(exc: PovmcohError, code: int) -> int:
     detail = {"type": type(exc).__name__, "message": str(exc)}
     violations = getattr(exc, "violations", None)
     if violations:
-        detail["violations"] = [{"invariant": v.invariant, "defect": v.defect} for v in violations]
-    json.dump({"error": detail}, sys.stderr)
+        detail["violations"] = [{"invariant": v.invariant, "defect": _json_number(v.defect)}
+                                for v in violations]
+    json.dump({"error": detail}, sys.stderr, allow_nan=False)
     sys.stderr.write("\n")
     return code
 
@@ -335,5 +351,18 @@ def main(argv=None) -> int:
         return _fail(exc, 4)
 
 
+def run() -> int:
+    """The process entry point of `python -m povmcoh`, `python -m povmcoh.cli` and the
+    `povmcoh` script: main(), then gc.freeze() before the interpreter exits.
+
+    Shutdown runs several full garbage collections over every tracked object, some
+    22 000 after `import povmcoh.cli`; the frozen ones sit in the permanent generation,
+    which those collections skip.  main() itself leaves the collector alone, for the
+    tests and library callers that run it in process."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

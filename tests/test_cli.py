@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -32,6 +34,10 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not RFC 8259 JSON")
 
 
 def parse_csv(out):
@@ -451,6 +457,31 @@ def test_haar_rejects_fewer_than_one_worker(capsys, z_path, workers):
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--state", "{plus}", "--povm", "{z}", "--range", "0:1:0.5"],
+    ["haar", "--povm", "{z}", "--measure", "l1bound", "--mc", "100"],
+    ["haar", "--povm", "{z}", "--measure", "l1bound", "--mc", "100", "--seed", "-1", "--workers", "0"],
+    ["haar", "--povm", "{z}", "--measure", "l1bound", "--seed", "1"],
+    ["haar", "--povm", "{z}", "--measure", "r", "--seed", "1"],
+    ["haar", "--povm", "{z}", "--measure", "r", "--workers", "2"],
+    ["haar", "--povm", "{z}", "--measure", "r", "--mc", "0", "--seed", "1"],
+], ids=["range-without-figure", "l1bound-mc", "l1bound-mc-seed-workers", "l1bound-seed", "seed-without-mc",
+        "workers-without-mc", "seed-with-mc-0"])
+def test_flags_the_mode_does_not_read_are_invalid(capsys, plus_path, z_path, argv):
+    code, out, err = run(capsys, [a.format(plus=plus_path, z=z_path) for a in argv])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("--")  # names the flag, not a file problem
+
+
+def test_haar_without_mc_reads_no_seed_from_the_environment(capsys, z_path, monkeypatch):
+    monkeypatch.setenv("COH_SEED", "not-a-number")
+    code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "r"])
+    assert code == 0 and err == ""
+
+
 def test_haar_rejects_mc_above_the_limit(capsys, z_path):
     code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "r",
                                   "--mc", str(haar.MAX_MC_SAMPLES + 1)])
@@ -528,6 +559,20 @@ def test_numeric_error_exit_code(capsys, plus_path, z_path, monkeypatch):
                                   "--measure", "r"])
     assert code == 4
     assert json.loads(err)["error"]["type"] == "NumericError"
+
+
+def test_non_finite_defects_print_as_strings(capsys, tmp_path, z_path):
+    path = tmp_path / "nan_state.json"
+    path.write_text(FILE_TEXTS["nan_state"])
+    code, out, err = run(capsys, ["compute", "--state", str(path), "--povm", z_path, "--measure", "r"])
+    assert code == 2
+    doc = json.loads(err, parse_constant=_reject_constant)
+    assert doc["error"]["violations"] == [{"invariant": "finite", "defect": "inf"}]
+
+
+def test_json_number_names_the_non_finite_values():
+    assert [cli._json_number(x) for x in (1.5, math.inf, -math.inf, math.nan)] == [1.5, "inf", "-inf", "nan"]
+    assert cli._json_number(np.float64(-np.inf)) == "-inf"
 
 
 # --------------------------------------------------------------------------
@@ -623,7 +668,82 @@ def test_every_argv_exits_with_a_contract_code(cli_files, argv):
     assert out.getvalue() == ""
     text = err.getvalue()
     assert text.endswith("\n") and text.count("\n") == 1
-    assert set(json.loads(text)) == {"error"}
+    assert set(json.loads(text, parse_constant=_reject_constant)) == {"error"}
+
+
+# --------------------------------------------------------------------------
+# entry points
+
+
+def test_main_leaves_the_collector_alone(capsys, plus_path, z_path):
+    before = gc.get_freeze_count()
+    for argv in (["haar", "--povm", z_path, "--measure", "l1bound"],
+                 ["compute", "--state", plus_path, "--povm", "/no/such/file.json", "--measure", "r"]):
+        run(capsys, argv)
+    assert gc.get_freeze_count() == before and gc.isenabled()
+
+
+def test_run_freezes_the_heap_after_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.run() == 3
+    assert calls == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("module", ["povmcoh", "povmcoh.cli"])
+def test_python_m_runs_through_the_entry_point(capsys, monkeypatch, z_path, module):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(True))
+    monkeypatch.setattr(sys, "argv", [module, "haar", "--povm", z_path, "--measure", "l1bound"])
+    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+        # povmcoh.cli is imported already, and runs again as __main__
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0 and freezes == [True]
+    assert json.loads(capsys.readouterr().out)["measure"] == "l1_bound"
+
+
+ENTRY_POINTS = {"package": ["-m", "povmcoh"], "cli": ["-m", "povmcoh.cli"]}
+LONG_SWEEP = ["bounds", "--figure", "1", "--range", "0:0.8:0.001"]  # 801 rows, over twice a 64 KiB pipe
+
+
+@pytest.fixture(scope="module")
+def entry_runs(tmp_path_factory):
+    """(exit code, stdout, stderr) of a passing and a failing command under both
+    `python -m` entry points, and of a long sweep under one; the processes run at once."""
+    root = tmp_path_factory.mktemp("entry")
+    (root / "huge_state.json").write_text(FILE_TEXTS["huge_diagonal"])
+    (root / "z.json").write_text(FILE_TEXTS["povm_z"])
+    commands = {"pass": ["bounds", "--figure", "2"],
+                "fail": ["compute", "--state", "huge_state.json", "--povm", "z.json", "--measure", "r"]}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    jobs = {"sweep": ENTRY_POINTS["package"] + LONG_SWEEP}
+    jobs.update({(entry, case): flags + argv for entry, flags in ENTRY_POINTS.items()
+                 for case, argv in commands.items()})
+    procs = {key: subprocess.Popen([sys.executable, *argv], cwd=root, env=env,
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for key, argv in jobs.items()}
+    runs = {}
+    for key, proc in procs.items():  # the sweep first: only its output outgrows a pipe
+        out, err = proc.communicate(timeout=120)
+        runs[key] = (proc.returncode, out, err)
+    return runs
+
+
+@pytest.mark.parametrize("case, code", [("pass", 0), ("fail", 2)])
+def test_module_entry_points_agree_byte_for_byte(entry_runs, case, code):
+    assert entry_runs["package", case] == entry_runs["cli", case]
+    assert entry_runs["cli", case][0] == code
+
+
+def test_a_long_sweep_arrives_whole_through_a_pipe(entry_runs):
+    code, out, err = entry_runs["sweep"]
+    assert (code, err) == (0, b"")
+    header, rows = parse_csv(out.decode())
+    assert len(rows) == 801 and float(rows[-1][0]) == pytest.approx(0.8)
+    assert all(len(row) == len(header) for row in rows)
 
 
 # --------------------------------------------------------------------------
