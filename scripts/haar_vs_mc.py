@@ -28,7 +28,6 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=200000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--alphas", type=float, nargs="*", default=[0.5, 1.5, 2.0])
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
@@ -42,13 +41,11 @@ def main(argv=None) -> int:
             if kind == "r":
                 analytic = haar_average_relative_entropy(povm)
                 label = "r"
-                est = monte_carlo_average(povm, "relative_entropy", args.samples,
-                                          rng, workers=args.workers)
+                est = monte_carlo_average(povm, "relative_entropy", args.samples, rng)
             else:
                 analytic = haar_average_tsallis(povm, alpha)
                 label = f"tsallis({alpha:g})"
-                est = monte_carlo_average(povm, "tsallis", args.samples, rng,
-                                          alpha=alpha, workers=args.workers)
+                est = monte_carlo_average(povm, "tsallis", args.samples, rng, alpha=alpha)
             sigma = abs(analytic - est.mean) / est.std_error if est.std_error else 0.0
             worst = max(worst, sigma)
             print(f"{i:>4} {label:>12} {analytic:>12.8f} {est.mean:>12.8f} "
@@ -56,8 +53,7 @@ def main(argv=None) -> int:
         # the l1 measure has no closed-form average; report its pair bound
         # next to a sampled mean instead
         bound = haar_average_l1_bound(povm)
-        est = monte_carlo_average(povm, "l1", args.samples, rng,
-                                  workers=args.workers)
+        est = monte_carlo_average(povm, "l1", args.samples, rng)
         gap = bound - est.mean
         print(f"{i:>4} {'l1 (bound)':>12} {bound:>12.8f} {est.mean:>12.8f} "
               f"{est.std_error:>10.2e} {'gap=' + format(gap, '.4f'):>12}")

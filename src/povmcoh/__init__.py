@@ -21,7 +21,6 @@ from .errors import (
     ConvergenceFailureError,
     DegenerateEnsembleError,
     DimensionMismatchError,
-    DomainError,
     EmptyEnsembleError,
     InvalidExponentsError,
     NegativeEigenvalueError,

@@ -15,7 +15,7 @@ x = 1/sqrt(33); see README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,8 +57,9 @@ def check_exponents(p: float, q: float) -> tuple[float, float]:
     return p, q
 
 
-def _element_trace_norms(rho: DensityMatrix, povm: Povm, *powers: float) -> np.ndarray:
-    """||E_j^a rho||_tr for each power a (rows) and outcome j (columns), in one stacked SVD.
+def _element_trace_norms(rho: DensityMatrix, povm: Povm, *powers: float) -> list[np.ndarray]:
+    """||E_j^a rho||_tr over the outcomes j, one array per power a, in one stacked SVD
+    with one layer per distinct power.
 
     For E_j = u_j diag(s_j) u_j^dag and C_j = sqrt(s_j) u_j^dag, E_j^a = u_j s_j^(a - 1/2) C_j,
     and the orthonormal columns of u_j and v drop out: ||E_j^a rho||_tr =
@@ -66,8 +67,10 @@ def _element_trace_norms(rho: DensityMatrix, povm: Povm, *powers: float) -> np.n
     """
     cvw = measures._factor(rho, povm, 1.0)
     s = povm.root_factors[0][:, :, None]
-    stack = np.array([s ** (a - 0.5) * cvw for a in powers])
-    return np.sum(linalg.stacked_singular_values(stack), axis=-1)
+    distinct = dict.fromkeys(powers)
+    stack = np.array([s ** (a - 0.5) * cvw for a in distinct])
+    norms = dict(zip(distinct, np.sum(linalg.stacked_singular_values(stack), axis=-1)))
+    return [norms[a] for a in powers]
 
 
 def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundReport:
@@ -81,11 +84,9 @@ def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundRep
 
 
 def holder_bound_22(rho: DensityMatrix, povm: Povm) -> BoundReport:
-    """p = q = 2 closed form: (sum_j ||E_j rho||^(1/2))^2 - sum_j ||E_j rho||."""
-    (t,) = _element_trace_norms(rho, povm, 1.0)
-    value = float(np.sum(np.sqrt(t)) ** 2 - np.sum(t))
-    c_l1 = measures.l1_coherence(rho, povm).value
-    return BoundReport(c_l1, value, "thm1_p2q2", (2.0, 2.0))
+    """holder_bound at p = q = 2, (sum_j ||E_j rho||^(1/2))^2 - sum_j ||E_j rho||, under
+    its own id."""
+    return replace(holder_bound(rho, povm, 2.0, 2.0), bound_id="thm1_p2q2")
 
 
 def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundReport]:

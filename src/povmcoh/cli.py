@@ -228,8 +228,8 @@ def cmd_haar(args) -> int:
         raise ValidationError("--alpha is required for the tsallis measure, and only for it")
     if args.measure == "l1bound" and args.mc is not None:
         raise ValidationError("--mc does not apply to the l1bound measure")
-    if not args.mc and (args.seed is not None or args.workers is not None):
-        raise ValidationError("--seed and --workers apply only with a nonzero --mc")
+    if not args.mc and args.seed is not None:
+        raise ValidationError("--seed applies only with a nonzero --mc")
     povm = _load(args.povm, "povm")
     if args.measure == "l1bound":
         value = haar.haar_average_l1_bound(povm)
@@ -247,9 +247,7 @@ def cmd_haar(args) -> int:
         if seed < 0:
             raise ValidationError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
-    workers = 2 if args.workers is None else args.workers
-    result = haar.haar_average(povm, measure_id, alpha=args.alpha,
-                               mc_samples=args.mc, rng=rng, workers=workers)
+    result = haar.haar_average(povm, measure_id, alpha=args.alpha, mc_samples=args.mc, rng=rng)
     doc = {
         "measure": result.measure_id,
         "alpha": result.alpha,
@@ -315,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--mc", type=int, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, help="MC seed (fallback: COH_SEED, then 0)")
-    p.add_argument("--workers", type=int, help="MC threads (default: 2)")
     p.set_defaults(func=cmd_haar)
 
     return parser

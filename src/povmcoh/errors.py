@@ -97,10 +97,6 @@ class NegativeEigenvalueError(NumericError):
     """An operator that must be positive semidefinite has a genuinely negative eigenvalue."""
 
 
-class DomainError(NumericError):
-    """A scalar function was evaluated outside its domain (e.g. log at 0 with no limit)."""
-
-
 class SingularSumError(NumericError):
     """Random POVM construction drew a numerically singular normalization sum."""
 

@@ -32,7 +32,7 @@ from . import linalg, measures
 from .errors import BetaNonPositiveError, InvalidExponentsError, ValidationError, as_count, as_float
 from .objects import Povm, require_type
 
-# Samples per Monte Carlo chunk; fixed so results don't depend on worker count.
+# Samples per Monte Carlo chunk; fixed so results don't depend on the thread count.
 # A chunk this size takes about 0.7 ms at d = 2 and 3-4 ms at d = 8 (2-CPU Xeon,
 # one BLAS thread), against 0.04 ms to hand work to linalg.map_blocks' parked
 # helper, so two chunks on two threads beat one chunk twice the size.  Chunks of
@@ -209,25 +209,21 @@ def _chunk_stats(povm: Povm, count: int, gen: np.random.Generator,
 
 
 def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
-                        rng: np.random.Generator, alpha: float | None = None,
-                        workers: int = 2) -> McEstimate:
+                        rng: np.random.Generator, alpha: float | None = None) -> McEstimate:
     """Monte Carlo Haar average of a measure over pure states.
 
     The sample budget is split into chunks of MC_CHUNK samples, each driven by
     its own spawned child generator; per-chunk means and squared deviations are
     merged in chunk order (Chan et al.), so the estimate is identical for a given
-    rng state regardless of `workers`.  workers=1 runs every chunk on the calling
-    thread; any larger value lets two or more chunks share linalg.map_blocks'
-    helper thread, at most two threads in all.
+    rng state whichever thread runs a chunk.  The chunks run through
+    linalg.map_blocks: one chunk or one CPU runs on the calling thread, anything
+    more shares the work with its one helper thread.
     """
     samples = as_count(samples, ValidationError, "samples")
-    workers = as_count(workers, ValidationError, "workers")
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
     if samples > MAX_MC_SAMPLES:
         raise ValidationError(f"at most {MAX_MC_SAMPLES} samples, got {samples}")
-    if workers < 1:
-        raise ValidationError(f"need at least 1 worker, got {workers}")
     require_type(povm, Povm, "povm")
     require_type(rng, np.random.Generator, "rng")
     measures.check_measure_id(measure_id, alpha)
@@ -246,8 +242,7 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
     def stats(idx):
         return _chunk_stats(povm, counts[idx], gens[idx], value_of)
 
-    chunks = range(len(counts))
-    parts = [stats(idx) for idx in chunks] if workers == 1 else linalg.map_blocks(stats, chunks)
+    parts = linalg.map_blocks(stats, range(len(counts)))
 
     total, mean, m2 = parts[0]
     for count, chunk_mean, chunk_m2 in parts[1:]:
@@ -282,8 +277,7 @@ class HaarAverageResult:
 
 def haar_average(povm: Povm, measure_id: str, alpha: float | None = None,
                  mc_samples: int | None = None,
-                 rng: np.random.Generator | None = None,
-                 workers: int = 2) -> HaarAverageResult:
+                 rng: np.random.Generator | None = None) -> HaarAverageResult:
     """Analytic Haar average by measure id; a Monte Carlo cross-check unless mc_samples is 0."""
     measures.check_measure_id(measure_id, alpha)
     if measure_id == measures.RELATIVE_ENTROPY:
@@ -299,5 +293,5 @@ def haar_average(povm: Povm, measure_id: str, alpha: float | None = None,
         return HaarAverageResult(analytic, measure_id, alpha)
     if rng is None:
         raise ValidationError("mc_samples given without an rng")
-    est = monte_carlo_average(povm, measure_id, mc_samples, rng, alpha=alpha, workers=workers)
+    est = monte_carlo_average(povm, measure_id, mc_samples, rng, alpha=alpha)
     return HaarAverageResult(analytic, measure_id, alpha, est.mean, est.std_error, est.samples)

@@ -161,16 +161,16 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w real and sorted descending, columns of v
-    the matching orthonormal eigenvectors.  Inputs are symmetrized first; a
+    the matching orthonormal eigenvectors.  Inputs are symmetrized first; an empty,
     non-square or non-finite matrix, or a Hermiticity defect max|M - M^dag| above
     HERMITICITY_TOL, is rejected.
     """
     m = as_array(m, NotSquareError, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise NotSquareError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NotSquareError("matrix has non-finite entries")
-    defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+    defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     w, v = stacked_eigh(m)

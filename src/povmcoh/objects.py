@@ -414,19 +414,19 @@ def haar_random_pure(d: int, rng: np.random.Generator) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
-def random_povm(d: int, n: int, rng: np.random.Generator, max_attempts: int = 10) -> Povm:
+def random_povm(d: int, n: int, rng: np.random.Generator) -> Povm:
     """Random n-outcome POVM on dimension d.
 
     Wishart blocks G_j = A_j A_j^dag are normalized by S = sum_j G_j via
-    E_j = S^{-1/2} G_j S^{-1/2}; a numerically singular S triggers a resample.
+    E_j = S^{-1/2} G_j S^{-1/2}; a numerically singular S triggers a resample,
+    up to ten draws in all.
     """
     d, n = as_count(d, ValidationError, "d"), as_count(n, ValidationError, "n")
-    max_attempts = as_count(max_attempts, ValidationError, "max_attempts")
     if d < 1 or n < 1:
         raise ValidationError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     _check_drawn_entries(n * d * d)
     require_type(rng, np.random.Generator, "rng")
-    for _ in range(max_attempts):
+    for _ in range(10):
         blocks = []
         for _ in range(n):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -438,14 +438,14 @@ def random_povm(d: int, n: int, rng: np.random.Generator, max_attempts: int = 10
         s_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
         elements = [linalg.hermitian_part(s_inv_sqrt @ g @ s_inv_sqrt) for g in blocks]
         return Povm(elements)
-    raise SingularSumError(f"POVM normalization sum stayed singular after {max_attempts} draws")
+    raise SingularSumError("POVM normalization sum stayed singular after 10 draws")
 
 
 def require_unitary(basis: np.ndarray) -> np.ndarray:
-    """The basis as a complex array, after checking it is a square unitary matrix."""
+    """The basis as a complex array, after checking it is a nonempty square unitary matrix."""
     basis = as_array(basis, NotUnitaryError, "basis")
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise NotUnitaryError(f"basis must be a square matrix, got shape {basis.shape}")
+    if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.size == 0:
+        raise NotUnitaryError(f"basis must be a nonempty square matrix, got shape {basis.shape}")
     if not _finite(basis):  # its unitarity defect would be NaN, which passes the check below
         raise NotUnitaryError("basis has non-finite entries")
     d = basis.shape[0]

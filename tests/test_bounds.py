@@ -89,7 +89,7 @@ def test_holder_bound_matches_22_closed_form():
         povm = random_povm(d, int(rng.integers(2, 7)), rng)
         a = holder_bound(rho, povm, 2.0, 2.0).bound_value
         b = holder_bound_22(rho, povm).bound_value
-        assert abs(a - b) < 1e-10
+        assert a == b
 
 
 def test_holder_bound_identity_povm_is_zero():

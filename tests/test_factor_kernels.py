@@ -201,6 +201,23 @@ def test_each_bound_takes_its_trace_norms_in_one_stacked_svd(monkeypatch, bound)
     assert len(calls) == 1
 
 
+def test_equal_hoelder_exponents_take_one_svd_layer(monkeypatch):
+    rng = np.random.default_rng(87)
+    povm = random_povm(D, 5, rng)
+    rho = random_density(rng, D)
+    l1_coherence(rho, povm)
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return stacked_singular_values(m)
+
+    monkeypatch.setattr(linalg, "stacked_singular_values", counting)
+    report = holder_bound(rho, povm, 2.0, 2.0)
+    assert [shape[0] for shape in calls] == [1]  # one layer for p/2 = q/2 = 1
+    assert holder_bound_22(rho, povm).bound_value == report.bound_value
+
+
 def test_l1_memo_holds_no_strong_reference():
     rng = np.random.default_rng(82)
     povm = random_povm(D, 3, rng)

@@ -371,37 +371,32 @@ def test_pointwise_l1_never_exceeds_universal_bound():
 # Monte Carlo oracle
 
 
-def test_mc_deterministic_across_worker_counts():
+def test_mc_two_threads_equal_the_one_cpu_estimate(monkeypatch):
     povm = random_povm(3, 3, np.random.default_rng(57))
-    a = monte_carlo_average(povm, "relative_entropy", 30000, np.random.default_rng(99), workers=1)
-    for workers in (2, 4):
-        b = monte_carlo_average(
-            povm, "relative_entropy", 30000, np.random.default_rng(99), workers=workers
-        )
-        assert a.mean == b.mean
-        assert a.std_error == b.std_error
+    hand_offs = record_hand_offs(monkeypatch)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    two = monte_carlo_average(povm, "relative_entropy", 30000, np.random.default_rng(99))
+    assert len(hand_offs) == 1
+    monkeypatch.setattr(linalg, "_cpus", lambda: 1)
+    hand_offs.clear()
+    starts = record_thread_starts(monkeypatch)
+    one = monte_carlo_average(povm, "relative_entropy", 30000, np.random.default_rng(99))
+    assert starts == [] and hand_offs == []
+    assert (two.mean, two.std_error) == (one.mean, one.std_error)
 
 
 def test_mc_builds_no_pool_for_one_chunk(monkeypatch):
     povm = random_povm(3, 3, np.random.default_rng(57))
     want = monte_carlo_average(povm, "l1", MC_CHUNK, np.random.default_rng(98))
     hand_offs = record_hand_offs(monkeypatch)
-    # two chunks take the one helper thread, however many workers are asked for
-    monte_carlo_average(povm, "l1", MC_CHUNK + 100, np.random.default_rng(98), workers=4)
+    # two chunks take the one helper thread on two CPUs
+    monte_carlo_average(povm, "l1", MC_CHUNK + 100, np.random.default_rng(98))
     assert len(hand_offs) == (1 if linalg._cpus() >= 2 else 0)
     hand_offs.clear()
     starts = record_thread_starts(monkeypatch)
-    got = monte_carlo_average(povm, "l1", MC_CHUNK, np.random.default_rng(98), workers=4)
-    monte_carlo_average(povm, "l1", MC_CHUNK + 100, np.random.default_rng(98), workers=1)
+    got = monte_carlo_average(povm, "l1", MC_CHUNK, np.random.default_rng(98))
     assert starts == [] and hand_offs == []
     assert (got.mean, got.std_error) == (want.mean, want.std_error)
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_mc_rejects_fewer_than_one_worker(workers):
-    with pytest.raises(ValidationError, match="worker"):
-        monte_carlo_average(z_basis_povm(), "relative_entropy", 100, np.random.default_rng(1),
-                            workers=workers)
 
 
 @pytest.mark.parametrize("call", [
@@ -410,7 +405,6 @@ def test_mc_rejects_fewer_than_one_worker(workers):
     lambda rng: monte_carlo_average(z_basis_povm(), "l1", "x", rng),
     lambda rng: monte_carlo_average(z_basis_povm(), "l1", 150.7, rng),
     lambda rng: monte_carlo_average(z_basis_povm(), "l1", "300", rng),
-    lambda rng: monte_carlo_average(z_basis_povm(), "l1", 300, rng, workers=None),
     lambda rng: haar_random_pure(None, rng),
     lambda rng: haar_random_pure(2.5, rng),
     lambda rng: random_povm(math.nan, 2, rng),
@@ -423,7 +417,7 @@ def test_counts_must_be_integers(call):
 
 def test_counts_accept_numpy_integers():
     rng = np.random.default_rng(3)
-    assert monte_carlo_average(z_basis_povm(), "l1", np.int64(300), rng, workers=np.int32(2)).samples == 300
+    assert monte_carlo_average(z_basis_povm(), "l1", np.int64(300), rng).samples == 300
     assert haar_random_pure(np.int64(3), rng).dim == 3
     assert random_povm(np.int32(2), np.uint8(3), rng).outcomes == 3
 

@@ -14,8 +14,11 @@ from povmcoh import (
     NotUnitaryError,
     Povm,
     PureState,
+    SingularSumError,
     ValidationError,
     bound_b1,
+    bound_b2,
+    bound_b3,
     build_lsm,
     ensemble_from_measurement,
     haar_moment,
@@ -337,6 +340,19 @@ def test_random_povm_completeness_and_validity():
             assert validate(random_povm(d, n, rng)) == []
 
 
+def test_random_povm_gives_up_after_ten_singular_sums(monkeypatch):
+    draws = []
+
+    def singular(m, kernel_rtol):
+        draws.append(m)
+        return np.ones(1), np.eye(len(m), 1)  # rank 1 < d
+
+    monkeypatch.setattr(objects.linalg, "support_eigenpairs", singular)
+    with pytest.raises(SingularSumError, match="after 10 draws"):
+        random_povm(2, 2, np.random.default_rng(1))
+    assert len(draws) == 10
+
+
 def test_random_povm_deterministic():
     a = random_povm(4, 3, np.random.default_rng(9))
     b = random_povm(4, 3, np.random.default_rng(9))
@@ -377,7 +393,12 @@ def test_projective_povm_rejects_nonunitary():
     (lambda: Ensemble([np.eye(2) / 2.0], "x"), ValidationError),
     (lambda: validate_density("x"), ValidationError),
     (lambda: validate_pure("x"), ValidationError),
-    (lambda: random_povm(2, 2, np.random.default_rng(1), max_attempts=None), ValidationError),
+    # an empty basis or matrix
+    (lambda: projective_povm(np.zeros((0, 0))), NotUnitaryError),
+    (lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), np.zeros((0, 0))), NotUnitaryError),
+    (lambda: bound_b2(DensityMatrix(np.eye(2) / 2.0), np.zeros((0, 0))), NotUnitaryError),
+    (lambda: bound_b3(DensityMatrix(np.eye(2) / 2.0), np.zeros((0, 0))), NotUnitaryError),
+    (lambda: haar_moment(np.zeros((0, 0)), 0.5), NotSquareError),
     (lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol="x"), ValidationError),
     (lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol="x"),
      ValidationError),
