@@ -21,7 +21,6 @@ import numpy as np
 from . import bounds, fileio, haar, lsm, measures, uncertainty
 from .errors import (
     DimensionMismatchError,
-    NumericError,
     PovmcohError,
     ValidationError,
 )
@@ -342,9 +341,7 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except DimensionMismatchError as exc:
         return _fail(exc, 3)
-    except NumericError as exc:
-        return _fail(exc, 4)
-    except PovmcohError as exc:  # anything else from the library
+    except PovmcohError as exc:  # numeric failures and anything else from the library
         return _fail(exc, 4)
 
 

@@ -29,6 +29,7 @@ from functools import partial
 import numpy as np
 
 from . import linalg, measures
+from .bounds import check_exponents
 from .errors import BetaNonPositiveError, InvalidExponentsError, ValidationError, as_count, as_float
 from .objects import Povm, require_type
 
@@ -147,8 +148,6 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
     (p, q); the default uses p = q = 2 everywhere, where the bound collapses
     to exactly n - 1.
     """
-    from .bounds import check_exponents  # local import; bounds pulls measures
-
     n = require_type(povm, Povm, "povm").outcomes
     if not (exponents is None or isinstance(exponents, Mapping)):
         raise InvalidExponentsError(

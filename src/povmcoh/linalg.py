@@ -23,7 +23,7 @@ HERMITICITY_TOL = 1e-9
 # Eigenvalues of nominally-PSD operators in [-PSD_CLAMP_TOL, 0) clamp to 0;
 # anything more negative is a real bug upstream.
 PSD_CLAMP_TOL = 1e-10
-# Relative floor of a state's and an element's support, and the default of sqrt_psd:
+# Relative floor of a state's and an element's support, and of sqrt_psd's:
 # eigenvalues at or below this fraction of the largest count as kernel (psd_support).
 SUPPORT_RTOL = 1e-13
 # Batched products over many pairs of matrices run in blocks of at most this many
@@ -177,12 +177,12 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1], v[:, ::-1]
 
 
-def clamp_psd_eigenvalues(w: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+def clamp_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Zero out negative roundoff in eigenvalues of a PSD operator; reject real negatives."""
     w = np.asarray(w, dtype=float)
     low = float(w.min()) if w.size else 0.0
-    if low < -tol:
-        raise NegativeEigenvalueError(f"eigenvalue {low:.3e} below -{tol:.1e}; operator is not PSD")
+    if low < -PSD_CLAMP_TOL:
+        raise NegativeEigenvalueError(f"eigenvalue {low:.3e} below -{PSD_CLAMP_TOL:.1e}; operator is not PSD")
     return np.where(w < 0.0, 0.0, w)
 
 
@@ -195,7 +195,7 @@ def psd_support(w: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     return w, np.count_nonzero(w > rtol * w[..., :1], axis=-1)
 
 
-def support_eigenpairs(m: np.ndarray, kernel_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def support_eigenpairs(m: np.ndarray, kernel_rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, v) of a PSD Hermitian M on its support (psd_support), w
     descending, so (v / sqrt(w)) @ v^dag is the pseudo-inverse square root of M."""
     w, v = eig_hermitian(m)
@@ -203,12 +203,12 @@ def support_eigenpairs(m: np.ndarray, kernel_rtol: float = 0.0) -> tuple[np.ndar
     return w[:rank], v[:, :rank]
 
 
-def sqrt_psd(m: np.ndarray, kernel_rtol: float = SUPPORT_RTOL) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix on its support: the floor keeps
-    eigenvalue roundoff (eps, whose root is 1e-8) from sprouting junk directions in
-    rank-deficient inputs such as projectors.  No package code calls it; the tests'
-    kernel accuracy criterion checks support_eigenpairs through it."""
-    w, v = support_eigenpairs(m, kernel_rtol)
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD Hermitian matrix on its support: the floor
+    SUPPORT_RTOL keeps eigenvalue roundoff (eps, whose root is 1e-8) from sprouting
+    junk directions in rank-deficient inputs such as projectors.  No package code
+    calls it; the tests' kernel accuracy criterion checks support_eigenpairs through it."""
+    w, v = support_eigenpairs(m, SUPPORT_RTOL)
     return (v * np.sqrt(w)) @ v.conj().T
 
 

@@ -31,13 +31,14 @@ FULL_RANK_TOL = 1e-10
 class LsmInstance:
     """LSM operators for an ensemble, with the discrimination error.
 
-    The operators form a POVM on the support of the average state; when that
-    support is the whole space (support_restricted False) they are a genuine
-    POVM.  completeness_defect measures max|sum_j M_j - P_support|.
+    The operators, one read-only (m, d, d) array, form a POVM on the support of
+    the average state; when that support is the whole space (support_restricted
+    False) they are a genuine POVM.  completeness_defect measures
+    max|sum_j M_j - P_support|.
     """
 
     ensemble: Ensemble
-    operators: tuple
+    operators: np.ndarray
     error_probability: float
     support_rank: int
     support_projector: np.ndarray
@@ -114,9 +115,10 @@ def build_lsm(ensemble: Ensemble) -> LsmInstance:
     if -1e-10 <= error < 0.0:
         error = 0.0
     defect = float(np.max(np.abs(operators.sum(axis=0) - projector)))
+    operators.flags.writeable = False
     return LsmInstance(
         ensemble=ensemble,
-        operators=tuple(operators),
+        operators=operators,
         error_probability=error,
         support_rank=rank,
         support_projector=projector,

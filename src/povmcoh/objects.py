@@ -1,7 +1,9 @@
 """Quantum objects: density matrices, pure states, POVMs, ensembles.
 
-Construction validates; `validate_*` helpers report violations on raw arrays
-so callers (and the CLI) can surface measured defects instead of a bare error.
+Construction validates: each constructor raises a ValidationError whose
+`violations` list the broken invariants with their measured defects, so callers
+(and the CLI) can surface them instead of a bare error; validate(obj) re-checks
+a constructed object by the same rule.
 """
 
 from __future__ import annotations
@@ -45,31 +47,22 @@ class Violation:
         return f"{self.invariant} (defect {self.defect:.3e})"
 
 
-def _frozen(a: np.ndarray, what: str) -> np.ndarray:
-    out = np.array(as_array(a, ValidationError, what))
-    out.flags.writeable = False
-    return out
-
-
 def _finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a).all())
 
 
-def validate_density(mat: np.ndarray) -> list[Violation]:
-    """Violations of: square, finite, Hermitian, PSD, unit trace."""
-    return _check_density(mat)[0]
-
-
 def _check_density(mat) -> tuple[list[Violation], tuple | None]:
-    """validate_density's list and, when it is empty, DensityMatrix.support: read-only
-    views of one copy of the eigenpairs that validated the state."""
+    """Violations of: square, finite, Hermitian, PSD, unit trace.  With none, also
+    the read-only matrix the check stacked, a new array, and DensityMatrix.support:
+    read-only views of one copy of the eigenpairs that validated the state."""
     violations, _, checked = _check_members([as_array(mat, ValidationError, "density matrix")], "", True)
     if violations:
         return violations, None
-    (w, (rank,)), v = linalg.psd_support(checked[1], linalg.SUPPORT_RTOL), checked[2].copy()
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return [], (w[0, :rank], v[0, :, :rank])
+    stack, w, v = checked
+    (w, (rank,)), v = linalg.psd_support(w, linalg.SUPPORT_RTOL), v.copy()
+    for a in (stack, w, v):
+        a.flags.writeable = False
+    return [], (stack[0], (w[0, :rank], v[0, :, :rank]))
 
 
 def _check_members(mats: list, prefix: str, states: bool) -> tuple[list[Violation], bool, tuple | None]:
@@ -124,9 +117,8 @@ def _check_members(mats: list, prefix: str, states: bool) -> tuple[list[Violatio
     return out, end < len(mats), None if out else (stack, w, v)
 
 
-def validate_pure(vec: np.ndarray) -> list[Violation]:
+def _check_pure(vec: np.ndarray) -> list[Violation]:
     """Violations of: 1-D, finite, unit norm."""
-    vec = as_array(vec, ValidationError, "pure state")
     if vec.ndim != 1 or vec.size == 0:
         return [Violation("vector", float(vec.ndim))]
     if not _finite(vec):
@@ -135,16 +127,11 @@ def validate_pure(vec: np.ndarray) -> list[Violation]:
     return [] if defect <= NORM_TOL else [Violation("unit_norm", defect)]  # NaN (overflow) fails
 
 
-def validate_povm(elements) -> list[Violation]:
-    """Violations of: per-element Hermitian PSD, common dimension, completeness.
-    Any sequence of matrices and an (n, d, d) array give the same list."""
-    return _check_povm(elements)[0]
-
-
 def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
-    """validate_povm's list and, when it is empty, the element stack with its
-    eigenpairs (w, u), w descending: one batched eigendecomposition.  Completeness
-    is checked only when every element is valid."""
+    """Violations of: nonempty, the member rule per element, completeness, which is
+    checked only when every element is valid.  Any sequence of matrices and an
+    (n, d, d) array give the same list.  With none, also the element stack, a new
+    array, with its eigenpairs (w, u), w descending: one batched eigendecomposition."""
     mats = [as_array(e, ValidationError, "POVM element") for e in _members(elements, "POVM elements")]
     if not mats:
         return [Violation("nonempty", 0.0)], None
@@ -158,15 +145,11 @@ def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
     return ([Violation("completeness", comp)], None) if comp > COMPLETENESS_TOL else ([], checked)
 
 
-def validate_ensemble(states, weights) -> list[Violation]:
-    """Violations of: nonempty, matching lengths/dims, valid members, finite weights
-    >= 0 summing to 1."""
-    return _check_ensemble(states, weights)[0]
-
-
 def _check_ensemble(states, weights) -> tuple[list[Violation], tuple | None]:
-    """validate_ensemble's list and, when it is empty, the (m, d, d) member stack and
-    the weights.  A member of another dimension ends the check before the weights."""
+    """Violations of: nonempty, one 1-D weight per member, the member rule per member,
+    finite weights >= 0 summing to 1; a member of another dimension ends the check
+    before the weights.  With none, also the (m, d, d) member stack, a new array,
+    and the weights."""
     states = _members(states, "ensemble states")
     if not states:
         return [Violation("nonempty", 0.0)], None
@@ -212,10 +195,10 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(self.mat, "density matrix"))
-        violations, support = _check_density(self.mat)
+        violations, checked = _check_density(self.mat)
         _raise_if(violations, "density matrix")
-        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "mat", checked[0])
+        object.__setattr__(self, "_support", checked[1])
 
     @property
     def dim(self) -> int:
@@ -247,8 +230,10 @@ class PureState:
     vec: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vec", _frozen(self.vec, "pure state"))
-        _raise_if(validate_pure(self.vec), "pure state")
+        vec = np.array(as_array(self.vec, ValidationError, "pure state"))
+        _raise_if(_check_pure(vec), "pure state")
+        vec.flags.writeable = False
+        object.__setattr__(self, "vec", vec)
 
     @property
     def dim(self) -> int:
@@ -318,8 +303,7 @@ class Ensemble:
     """States with prior weights; weights sum to one.
 
     The members, given as DensityMatrix objects, matrices or an (m, d, d) array, are
-    held as one read-only (m, d, d) array `stack`; the constructor raises the
-    violations validate_ensemble reports.
+    held as one read-only (m, d, d) array `stack`.
     """
 
     stack: np.ndarray
@@ -370,13 +354,13 @@ def _root_factors(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def validate(obj) -> list[Violation]:
     """Re-check any constructed object; empty list means all invariants hold."""
     if isinstance(obj, DensityMatrix):
-        return validate_density(obj.mat)
+        return _check_density(obj.mat)[0]
     if isinstance(obj, PureState):
-        return validate_pure(obj.vec)
+        return _check_pure(obj.vec)
     if isinstance(obj, Povm):
-        return validate_povm(obj.elements)
+        return _check_povm(obj.elements)[0]
     if isinstance(obj, Ensemble):
-        return validate_ensemble(obj.stack, obj.weights)
+        return _check_ensemble(obj.stack, obj.weights)[0]
     raise ValidationError(f"cannot validate object of type {type(obj).__name__}")
 
 

@@ -5,7 +5,18 @@ import threading
 
 import numpy as np
 
-from povmcoh import DensityMatrix, Povm, projective_povm, linalg
+from povmcoh import DensityMatrix, Povm, ValidationError, projective_povm, linalg, validate
+
+
+def raised_violations(construct, *args) -> list:
+    """The violations of the ValidationError construct(*args) raises, or [] when it
+    builds an object that validate() passes."""
+    try:
+        built = construct(*args)
+    except ValidationError as error:
+        return error.violations
+    assert validate(built) == []
+    return []
 
 
 def random_unitary(rng, d):

@@ -19,6 +19,7 @@ from helpers import (
     dense_overlap_c,
     dense_overlap_c_prime,
     mixed_rank_povm,
+    raised_violations,
     random_density,
     random_rank_density,
     random_unitary,
@@ -41,7 +42,7 @@ from povmcoh import (
     tsallis_coherence,
 )
 from povmcoh import linalg, measures
-from povmcoh.objects import Violation, validate_density, validate_ensemble
+from povmcoh.objects import Violation
 
 D = 5
 TOL = 1e-12
@@ -70,8 +71,8 @@ def _cases():
 def _lsm_matches_dense(ensemble):
     instance = build_lsm(ensemble)
     operators, error = dense_lsm_error(ensemble)
-    assert isinstance(instance.operators, tuple)
-    assert all(op.shape == (ensemble.dim, ensemble.dim) for op in instance.operators)
+    assert isinstance(instance.operators, np.ndarray) and not instance.operators.flags.writeable
+    assert instance.operators.shape == (ensemble.size, ensemble.dim, ensemble.dim)
     assert max(np.max(np.abs(got - want)) for got, want in zip(instance.operators, operators)) < TOL
     assert abs(instance.error_probability - error) < TOL
     # the inverse steering map is the same sandwich, restricted to the mixture's support
@@ -209,18 +210,21 @@ def test_exact_zero_values_report_unsigned():
 
 
 def test_empty_matrix_is_not_a_state():
-    assert validate_density(np.zeros((0, 0))) == [Violation("square", 2.0)]
+    assert raised_violations(DensityMatrix, np.zeros((0, 0))) == [Violation("square", 2.0)]
     with pytest.raises(ValidationError, match="square"):
         DensityMatrix(np.zeros((0, 0)))
 
 
-def test_batched_members_raise_what_validate_ensemble_reports():
+def test_batched_members_report_every_failing_member():
     good, bad_trace, bad_psd = np.eye(2) / 2.0, np.eye(2), np.diag([1.5, -0.5])
     # members checked in one pass report every failing member; members of two sizes
     # are never built one at a time
-    for members, weights in (([good, bad_trace, bad_psd], [0.3, 0.3, 0.4]),
-                             ([good, bad_psd, bad_trace], [0.3, 0.3, 0.4]),
-                             ([good, np.eye(3) / 3.0], [0.5, 0.5])):
+    trace, psd = Violation("unit_trace", 1.0), Violation("positive_semidefinite", 0.5)
+    for members, weights, expected in (
+            ([good, bad_trace, bad_psd], [0.3, 0.3, 0.4], {1: trace, 2: psd}),
+            ([good, bad_psd, bad_trace], [0.3, 0.3, 0.4], {1: psd, 2: trace}),
+            ([good, np.eye(3) / 3.0], [0.5, 0.5], {1: Violation("dimension", 1.0)})):
         with pytest.raises(ValidationError, match="invalid ensemble") as raised:
             Ensemble(members, weights)
-        assert raised.value.violations == validate_ensemble(members, weights) != []
+        assert raised.value.violations == [Violation(f"member_{i}_{v.invariant}", v.defect)
+                                           for i, v in expected.items()]

@@ -131,7 +131,7 @@ def test_sqrt_psd_rejects_truly_negative():
 def test_support_eigenpairs_inverse_root_full_rank():
     rng = np.random.default_rng(6)
     rho = random_density(rng, 4).mat
-    w, v = support_eigenpairs(rho)
+    w, v = support_eigenpairs(rho, linalg.SUPPORT_RTOL)
     assert w.size == 4
     s = (v / np.sqrt(w)) @ v.conj().T
     assert np.max(np.abs(s @ rho @ s - np.eye(4))) < 1e-8
