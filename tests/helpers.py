@@ -8,13 +8,14 @@ import numpy as np
 from povmcoh import DensityMatrix, Povm, ValidationError, projective_povm, linalg, validate
 
 
-def raised_violations(construct, *args) -> list:
-    """The violations of the ValidationError construct(*args) raises, or [] when it
-    builds an object that validate() passes."""
+def raised_violations(construct, *args) -> list | None:
+    """The violations of the ValidationError construct(*args) raises; [] only when it
+    builds an object that validate() passes, and None when it raises no violations
+    (input that is not an array of numbers)."""
     try:
         built = construct(*args)
     except ValidationError as error:
-        return error.violations
+        return error.violations or None
     assert validate(built) == []
     return []
 

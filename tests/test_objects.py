@@ -57,7 +57,7 @@ def test_density_reports_hermiticity_and_psd():
 
 def test_pure_state_norm():
     assert raised_violations(PureState, np.array([1.0, 0.0], dtype=complex)) == []
-    assert raised_violations(PureState, np.array([1.0, 1.0], dtype=complex)) != []
+    assert raised_violations(PureState, np.array([1.0, 1.0], dtype=complex)) == [Violation("unit_norm", 1.0)]
 
 
 def test_entries_near_the_largest_double_are_reported():
@@ -108,7 +108,8 @@ def test_povm_accepts_an_array_stack():
     assert isinstance(stack, np.ndarray) and stack.shape == (2, 2, 2)
     assert raised_violations(Povm, np.array(stack)) == raised_violations(Povm, list(stack)) == []
     bad = np.array([np.diag([1.0, 0.0]), np.diag([0.5, -0.2]), np.diag([-0.5, 1.2])])
-    assert raised_violations(Povm, bad) == raised_violations(Povm, list(bad)) != []
+    assert raised_violations(Povm, bad) == raised_violations(Povm, list(bad))
+    assert [v.invariant for v in raised_violations(Povm, bad)] == ["element_1_positive", "element_2_positive"]
     assert raised_violations(Povm, np.zeros((0, 2, 2))) == [Violation("nonempty", 0.0)]
     assert raised_violations(Povm, [np.zeros((0, 0))]) == [Violation("element_0_square", 2.0)]
     for form in (tuple(stack), np.array(stack)):
@@ -198,13 +199,13 @@ def _weights(kind, m):
 @given(members=MEMBER_LISTS, weights=st.sampled_from(["uniform", "nan", "length", "none"]))
 def test_constructors_build_valid_objects_or_raise(members, weights):
     # raised_violations checks that each call builds an object that validates or
-    # raises a ValidationError
+    # raises a ValidationError; None marks one raised without violations
     found = raised_violations(Ensemble, members, _weights(weights, len(members)))
     elements = [m.mat if isinstance(m, DensityMatrix) else m for m in members]
     raised_violations(Povm, elements)
     square = [e for e in elements if np.shape(e) == (2, 2)]
     raised_violations(Povm, [*elements, np.eye(2) - sum(square)])  # completed
-    own = [raised_violations(DensityMatrix, member) for member in members]
+    own = [raised_violations(DensityMatrix, element) for element in elements]
     shapes = {np.shape(e) for e in elements}
     shape = shapes.pop() if len(shapes) == 1 else ()
     if weights in ("uniform", "nan") and len(shape) == 2 and shape[0] == shape[1]:
