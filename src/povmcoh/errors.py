@@ -9,9 +9,11 @@ import numpy as np
 
 
 def as_float(value, error: type, name: str) -> float:
-    """float(value), or `error` when value is not a real number."""
+    """float(value), or `error` when value is not a real number in the double range."""
     try:
         return float(value)
+    except OverflowError:  # an int past the largest double, perhaps too long to print
+        raise error(f"{name} must be a number in the double range") from None
     except (TypeError, ValueError):
         raise error(f"{name} must be a number, got {value!r}") from None
 
@@ -26,9 +28,12 @@ def as_count(value, error: type, name: str) -> int:
 
 
 def as_array(value, error: type, name: str, dtype: type = complex) -> np.ndarray:
-    """np.asarray(value, dtype=dtype), or `error` when value holds no such numbers."""
+    """np.asarray(value, dtype=dtype), or `error` when value holds no such numbers in
+    the double range."""
     try:
         return np.asarray(value, dtype=dtype)
+    except OverflowError:
+        raise error(f"{name} must hold numbers in the double range") from None
     except (TypeError, ValueError):
         raise error(f"{name} must be an array of numbers, got {value!r}") from None
 

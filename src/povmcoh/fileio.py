@@ -7,8 +7,8 @@ One object per file:
     {"kind": "povm",       "dim": d, "payload": [matrix, ...]}
     {"kind": "ensemble",   "dim": d, "payload": [matrix, ...], "weights": [w, ...]}
 
-Every complex entry is an [re, im] pair.  Serialization uses Python's repr
-floats, so a dump/load cycle reproduces finite doubles bit-exactly.
+Every complex entry is an [re, im] pair of JSON numbers.  Serialization uses
+Python's repr floats, so a dump/load cycle reproduces finite doubles bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,40 +17,37 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_array
 from .objects import DensityMatrix, Ensemble, Povm, PureState
 
 KINDS = ("state", "pure_state", "povm", "ensemble")
 
 
-def _decode_pair(value, where: str) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
-        raise ValidationError(f"{where}: expected an [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+def _decode(payload, shape: tuple) -> np.ndarray:
+    """The complex array of the given shape that a payload of [re, im] pairs holds:
+    nested lists of shape (*shape, 2) whose entries are JSON numbers, converted
+    exactly (a negative zero stays negative)."""
+    parts = np.array(payload, dtype=object)
+    if parts.shape != (*shape, 2):
+        raise ValidationError(f"payload: expected [re, im] pairs in nested lists of shape "
+                              f"{(*shape, 2)}, got shape {parts.shape}")
+    numbers = [type(x) in (int, float) for x in parts.flat]  # bool is not a JSON number
+    if not all(numbers):
+        at = np.unravel_index(numbers.index(False), parts.shape)
+        where = "".join(f"[{i}]" for i in at)
+        raise ValidationError(f"payload{where}: expected a JSON number, got {parts[at]!r}")
+    return as_array(parts, ValidationError, "payload", float).view(complex)[..., 0]
 
 
-def _decode_matrix(rows, dim: int, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ValidationError(f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValidationError(f"{where}: row {i} must have {dim} entries")
-        for j, pair in enumerate(row):
-            out[i, j] = _decode_pair(pair, f"{where}[{i}][{j}]")
-    return out
-
-
-def _encode_matrix(mat: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, dtype=complex)]
+def _encode(a: np.ndarray) -> list:
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def loads(text: str):
     """Parse a matrix-file JSON string into the matching validated object."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit of int()
         raise ValidationError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError("JSON nested too deeply") from exc
@@ -66,26 +63,27 @@ def loads(text: str):
     if payload is None:
         raise ValidationError("missing payload")
 
+    if kind in ("povm", "ensemble"):
+        if not isinstance(payload, list) or not payload:
+            raise ValidationError("payload: expected a nonempty list of matrices")
+        shape = (len(payload), dim, dim)
+    else:
+        shape = (dim, dim) if kind == "state" else (dim,)
+    array = _decode(payload, shape)
     if kind == "state":
-        return DensityMatrix(_decode_matrix(payload, dim, "payload"))
+        return DensityMatrix(array)
     if kind == "pure_state":
-        if not isinstance(payload, list) or len(payload) != dim:
-            raise ValidationError(f"payload: expected {dim} amplitude pairs")
-        vec = np.array([_decode_pair(p, f"payload[{i}]") for i, p in enumerate(payload)])
-        return PureState(vec)
-    if not isinstance(payload, list) or not payload:
-        raise ValidationError("payload: expected a nonempty list of matrices")
-    mats = [_decode_matrix(m, dim, f"payload[{i}]") for i, m in enumerate(payload)]
+        return PureState(array)
     if kind == "povm":
         if "weights" in doc:
             raise ValidationError("weights are only valid for ensembles")
-        return Povm(mats)
+        return Povm(array)
     weights = doc.get("weights")
-    if not isinstance(weights, list) or len(weights) != len(mats):
+    if not isinstance(weights, list) or len(weights) != len(array):
         raise ValidationError("ensemble needs a weights list matching payload length")
-    if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights):
+    if not all(type(w) in (int, float) for w in weights):
         raise ValidationError("weights must be numbers")
-    return Ensemble(mats, weights)
+    return Ensemble(array, weights)
 
 
 def load(path: str):
@@ -101,16 +99,13 @@ def load(path: str):
 def dumps(obj) -> str:
     """Serialize a DensityMatrix / PureState / Povm / Ensemble to matrix-file JSON."""
     if isinstance(obj, DensityMatrix):
-        doc = {"kind": "state", "dim": obj.dim, "payload": _encode_matrix(obj.mat)}
+        doc = {"kind": "state", "dim": obj.dim, "payload": _encode(obj.mat)}
     elif isinstance(obj, PureState):
-        doc = {"kind": "pure_state", "dim": obj.dim,
-               "payload": [[float(v.real), float(v.imag)] for v in obj.vec]}
+        doc = {"kind": "pure_state", "dim": obj.dim, "payload": _encode(obj.vec)}
     elif isinstance(obj, Povm):
-        doc = {"kind": "povm", "dim": obj.dim,
-               "payload": [_encode_matrix(e) for e in obj.elements]}
+        doc = {"kind": "povm", "dim": obj.dim, "payload": _encode(obj.elements)}
     elif isinstance(obj, Ensemble):
-        doc = {"kind": "ensemble", "dim": obj.dim,
-               "payload": [_encode_matrix(m) for m in obj.stack],
+        doc = {"kind": "ensemble", "dim": obj.dim, "payload": _encode(obj.stack),
                "weights": [float(w) for w in obj.weights]}
     else:
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")

@@ -212,6 +212,16 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def support_sandwich(w: np.ndarray, v: np.ndarray, stack: np.ndarray, power: float,
+                       weights: np.ndarray | None = None) -> np.ndarray:
+    """The Hermitian part of eta_j R A_j R for each A_j of a stack (n, d, d), with
+    R = v diag(w^power) v^dag from the support eigenpairs (w, v) of a PSD matrix: power
+    1/2 (its square root) or -1/2 (its inverse square root on the support), eta_j 1 by default."""
+    root = (v * np.sqrt(w) if power > 0 else v / np.sqrt(w)) @ v.conj().T
+    sandwiches = root @ stack @ root
+    return hermitian_part(sandwiches if weights is None else weights[:, None, None] * sandwiches)
+
+
 def stacked_singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of each matrix in a stack (..., rows, cols), descending
     along the last axis.  Batched LAPACK calls instead of a Python loop; a

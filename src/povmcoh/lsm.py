@@ -79,38 +79,31 @@ def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:
     remaining weights are renormalized (total dropped mass <= n * 1e-14).
     """
     measures._check_pair(rho, povm)
-    w, v = rho.support
-    root = (v * np.sqrt(w)) @ v.conj().T
-    blocks = linalg.hermitian_part(root @ povm.elements @ root)
+    blocks = linalg.support_sandwich(*rho.support, povm.elements, 0.5)
     etas = np.real(np.trace(blocks, axis1=1, axis2=2))
     keep = etas > WEIGHT_DROP_TOL
     weights = etas[keep]
     return Ensemble(blocks[keep] / weights[:, None, None], weights / weights.sum())
 
 
-def _mixture_support(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support eigenpairs of an ensemble's average state; rejects a zero mixture."""
+def _average_support(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The average state of an ensemble and its support eigenpairs (w, v); refuses a zero average."""
+    rho_out = require_type(ensemble, Ensemble, "ensemble").average_state()
     w, v = linalg.support_eigenpairs(rho_out, KERNEL_RTOL)
     if w.size == 0 or float(w[0]) <= DEGENERATE_TOL:
         raise DegenerateEnsembleError("ensemble average state is numerically zero")
-    return w, v
-
-
-def _sandwiches(weights: np.ndarray, stack: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
-    """eta_j inv_root rho_j inv_root for every member of an (m, d, d) stack, symmetrized."""
-    return linalg.hermitian_part(weights[:, None, None] * (inv_root @ stack @ inv_root))
+    return rho_out, w, v
 
 
 def build_lsm(ensemble: Ensemble) -> LsmInstance:
     """LSM operators M_j = eta_j W rho_j W, W the inverse square root of the
     average state on its support, and the discrimination error probability."""
-    eta, stack = require_type(ensemble, Ensemble, "ensemble").weights, ensemble.stack
-    w, v = _mixture_support(ensemble.average_state())
+    _, w, v = _average_support(ensemble)
     rank = w.size
     projector = v @ v.conj().T
-    operators = _sandwiches(eta, stack, (v / np.sqrt(w)) @ v.conj().T)
+    operators = linalg.support_sandwich(w, v, ensemble.stack, -0.5, ensemble.weights)
     # success = sum_j eta_j tr(M_j rho_j), each trace as an elementwise product sum
-    success = float(eta @ np.einsum("jab,jba->j", operators, stack).real)
+    success = float(ensemble.weights @ np.einsum("jab,jba->j", operators, ensemble.stack).real)
     error = 1.0 - success
     if -1e-10 <= error < 0.0:
         error = 0.0
@@ -134,19 +127,17 @@ def measurement_from_ensemble(ensemble: Ensemble) -> StatePovmResult:
     pair on the original space; otherwise all operators are restricted to the
     support of the mixture and the result is flagged.
     """
-    rho_out = require_type(ensemble, Ensemble, "ensemble").average_state()
-    w, v = _mixture_support(rho_out)
-    stack = ensemble.stack
-    if w.size == ensemble.dim and float(w[-1]) > FULL_RANK_TOL:
-        basis, inv_root = None, (v / np.sqrt(w)) @ v.conj().T
-    else:
-        # restricted to the support, written in the eigenbasis of the mixture
-        basis, inv_root = v, np.diag(1.0 / np.sqrt(w))
+    rho_out, w, v = _average_support(ensemble)
+    basis, stack = None, ensemble.stack
+    if w.size < ensemble.dim or float(w[-1]) <= FULL_RANK_TOL:
+        # restricted to the support, written in the eigenbasis of the mixture: there
+        # the mixture is diag(w), with the identity for eigenvectors
+        basis, v = v, np.eye(w.size)
         rho_out = linalg.hermitian_part(basis.conj().T @ rho_out @ basis)
         stack = basis.conj().T @ stack @ basis
     return StatePovmResult(
         state=DensityMatrix(rho_out),
-        povm=Povm(_sandwiches(ensemble.weights, stack, inv_root)),
+        povm=Povm(linalg.support_sandwich(w, v, stack, -0.5, ensemble.weights)),
         support_restricted=basis is not None,
         support_basis=basis,
     )

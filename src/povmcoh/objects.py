@@ -415,13 +415,10 @@ def random_povm(d: int, n: int, rng: np.random.Generator) -> Povm:
         for _ in range(n):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             blocks.append(a @ a.conj().T)
-        s = sum(blocks)
-        w, v = linalg.support_eigenpairs(s, kernel_rtol=1e-12)
+        w, v = linalg.support_eigenpairs(sum(blocks), kernel_rtol=1e-12)
         if w.size < d:
             continue
-        s_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-        elements = [linalg.hermitian_part(s_inv_sqrt @ g @ s_inv_sqrt) for g in blocks]
-        return Povm(elements)
+        return Povm(linalg.support_sandwich(w, v, np.array(blocks), -0.5))
     raise SingularSumError("POVM normalization sum stayed singular after 10 draws")
 
 

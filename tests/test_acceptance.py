@@ -14,7 +14,6 @@ from helpers import (
     block_projective_povm,
     perturbed_avg_relative_entropy,
     perturbed_avg_tsallis,
-    plus_density,
     random_density,
     random_ensemble,
     random_pure_density,
@@ -25,7 +24,6 @@ from helpers import (
 )
 from povmcoh import (
     DensityMatrix,
-    PureState,
     bounds,
     build_lsm,
     discrimination_identity_check,
@@ -45,7 +43,6 @@ from povmcoh import (
     validate,
 )
 from povmcoh import linalg
-from povmcoh.measures import pure_l1_coherence
 
 
 @contextmanager

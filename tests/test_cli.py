@@ -596,6 +596,9 @@ FILE_TEXTS = {
     "huge_pure_state": json.dumps({"kind": "pure_state", "dim": 2, "payload": [[1e308, 1e308], [1e308, 0]]}),
     "huge_weights": json.dumps({"kind": "ensemble", "dim": 2, "payload": [_entries(np.eye(2) / 2)] * 2,
                                 "weights": [1e308, 1e308]}),
+    "huge_int_state": '{"kind": "state", "dim": 1, "payload": [[[1%s, 0]]]}' % ("0" * 400),
+    "huge_int_weights": json.dumps({"kind": "ensemble", "dim": 2, "payload": [_entries(np.eye(2) / 2)] * 2,
+                                    "weights": [10**400, 0.5]}),
     "wrong_kind": '{"kind": "operator", "dim": 2, "payload": []}',
     "not_json": '{"kind": "state", "dim": 2, "payload": [[',
 }

@@ -123,10 +123,10 @@ def test_loads_rejects_wrong_matrix_shape():
 
 
 def test_loads_rejects_bad_entry_encoding():
-    # entries must be [re, im] pairs, not bare floats
-    doc = {"kind": "state", "dim": 1, "payload": [[1.0]]}
-    with pytest.raises(ValidationError):
-        fileio.loads(json.dumps(doc))
+    # entries must be [re, im] pairs, not bare floats, of JSON numbers in the double range
+    for text in ("[[1.0]]", "[[[true, 0]]]", '[[["1", 0]]]', "[[[1%s, 0]]]" % ("0" * 400)):
+        with pytest.raises(ValidationError):
+            fileio.loads('{"kind": "state", "dim": 1, "payload": %s}' % text)
 
 
 def test_loads_rejects_pure_state_wrong_length():
@@ -166,7 +166,7 @@ def test_loads_rejects_non_numeric_weights():
 def test_loads_validates_decoded_object():
     # well-formed JSON whose matrix is not a density matrix still fails
     bad = np.array([[0.9, 0.0], [0.0, 0.9]], dtype=complex)  # trace 1.8
-    doc = {"kind": "state", "dim": 2, "payload": fileio._encode_matrix(bad)}
+    doc = {"kind": "state", "dim": 2, "payload": fileio._encode(bad)}
     with pytest.raises(ValidationError):
         fileio.loads(json.dumps(doc))
 

@@ -7,29 +7,42 @@ from hypothesis import strategies as st
 
 from helpers import raised_violations, random_density, random_unitary, x_basis_povm
 from povmcoh import (
+    AlphaOutOfRangeError,
+    BetaNonPositiveError,
     DensityMatrix,
     EmptyEnsembleError,
     Ensemble,
+    InvalidExponentsError,
     NotSquareError,
     NotUnitaryError,
     Povm,
     PureState,
     SingularSumError,
     ValidationError,
+    XOutOfRangeError,
+    ZOutOfRangeError,
     bound_b1,
     bound_b2,
     bound_b3,
     build_lsm,
     ensemble_from_measurement,
+    figure1_reference_bounds,
+    figure1_state,
+    figure2_reference_bounds,
+    figure2_state,
+    haar_average_tsallis,
     haar_moment,
     haar_random_pure,
+    holder_bound,
     is_povm_incoherent,
     l1_coherence,
     measurement_from_ensemble,
     monte_carlo_average,
     overlap_constant,
     projective_povm,
+    pure_state_bound,
     random_povm,
+    tsallis_coherence,
     uncertainty_report,
     validate,
 )
@@ -366,6 +379,9 @@ def test_projective_povm_rejects_nonunitary():
         projective_povm(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
+HUGE_INT = 10**400  # past the largest double
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: DensityMatrix("x"), ValidationError),
     (lambda: PureState("x"), ValidationError),
@@ -400,6 +416,27 @@ def test_projective_povm_rejects_nonunitary():
     (lambda: monte_carlo_average(x_basis_povm(), "l1", 300, None), ValidationError),
     (lambda: random_povm(2, 2, None), ValidationError),
     (lambda: haar_random_pure(2, None), ValidationError),
+    # an integer past the largest double, which float() and numpy cannot convert
+    (lambda: DensityMatrix([[HUGE_INT, 0], [0, 0]]), ValidationError),
+    (lambda: PureState([HUGE_INT, 0]), ValidationError),
+    (lambda: Povm([[[HUGE_INT, 0], [0, 0]]]), ValidationError),
+    (lambda: Ensemble([np.eye(2) / 2.0], [HUGE_INT]), ValidationError),
+    (lambda: holder_bound(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), HUGE_INT, 2), InvalidExponentsError),
+    (lambda: tsallis_coherence(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), -HUGE_INT), AlphaOutOfRangeError),
+    (lambda: haar_average_tsallis(x_basis_povm(), HUGE_INT), AlphaOutOfRangeError),
+    (lambda: haar_moment(np.eye(2) / 2.0, HUGE_INT), BetaNonPositiveError),
+    (lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol=HUGE_INT), ValidationError),
+    (lambda: pure_state_bound(HUGE_INT), ValidationError),
+    (lambda: figure1_state(HUGE_INT), ZOutOfRangeError),
+    (lambda: figure2_state(-HUGE_INT), XOutOfRangeError),
+    (lambda: figure1_reference_bounds(HUGE_INT), ZOutOfRangeError),
+    (lambda: figure2_reference_bounds(HUGE_INT), XOutOfRangeError),
+    (lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), [[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
+    (lambda: bound_b2(DensityMatrix(np.eye(2) / 2.0), [[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
+    (lambda: bound_b3(DensityMatrix(np.eye(2) / 2.0), [[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
+    (lambda: projective_povm([[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
+    (lambda: haar_moment([[HUGE_INT, 0], [0, 0]], 0.5), NotSquareError),
+    (lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol=HUGE_INT), ValidationError),
 ])
 def test_non_numeric_and_non_iterable_inputs_raise_the_entry_point_error(call, error):
     with pytest.raises(error) as info:

@@ -8,7 +8,6 @@ import pytest
 
 from helpers import (
     dense_entropy,
-    plus_density,
     random_density,
     random_pure_density,
     random_unitary,
