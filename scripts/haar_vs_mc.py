@@ -11,13 +11,7 @@ import sys
 
 import numpy as np
 
-from povmcoh import (
-    haar_average_l1_bound,
-    haar_average_relative_entropy,
-    haar_average_tsallis,
-    monte_carlo_average,
-    random_povm,
-)
+from povmcoh import haar_average, haar_average_l1_bound, monte_carlo_average, random_povm
 
 
 def main(argv=None) -> int:
@@ -31,25 +25,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    jobs = [("r", None)] + [("tsallis", a) for a in args.alphas]
+    jobs = [("relative_entropy", None, "r")]
+    jobs += [("tsallis", a, f"tsallis({a:g})") for a in args.alphas]
     worst = 0.0
     print(f"{'povm':>4} {'measure':>12} {'analytic':>12} {'mc':>12} "
           f"{'stderr':>10} {'sigma':>7}")
     for i in range(args.povms):
         povm = random_povm(args.dim, args.outcomes, rng)
-        for kind, alpha in jobs:
-            if kind == "r":
-                analytic = haar_average_relative_entropy(povm)
-                label = "r"
-                est = monte_carlo_average(povm, "relative_entropy", args.samples, rng)
-            else:
-                analytic = haar_average_tsallis(povm, alpha)
-                label = f"tsallis({alpha:g})"
-                est = monte_carlo_average(povm, "tsallis", args.samples, rng, alpha=alpha)
-            sigma = abs(analytic - est.mean) / est.std_error if est.std_error else 0.0
-            worst = max(worst, sigma)
-            print(f"{i:>4} {label:>12} {analytic:>12.8f} {est.mean:>12.8f} "
-                  f"{est.std_error:>10.2e} {sigma:>7.2f}")
+        for measure_id, alpha, label in jobs:
+            res = haar_average(povm, measure_id, alpha=alpha, mc_samples=args.samples, rng=rng)
+            worst = max(worst, res.sigma_distance)
+            print(f"{i:>4} {label:>12} {res.analytic:>12.8f} {res.mc_estimate:>12.8f} "
+                  f"{res.mc_std_error:>10.2e} {res.sigma_distance:>7.2f}")
         # the l1 measure has no closed-form average; report its pair bound
         # next to a sampled mean instead
         bound = haar_average_l1_bound(povm)

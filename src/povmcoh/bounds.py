@@ -108,8 +108,8 @@ def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundRepor
     )
 
 
-def _basis_frame(rho: DensityMatrix, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r = B^dag rho B for a unitary basis B of rho's dimension, and |r_jk| off the diagonal.
+def basis_bounds(rho: DensityMatrix, basis: np.ndarray) -> tuple[BoundReport, BoundReport, BoundReport]:
+    """(b1, b2, b3) for a unitary basis B of rho's dimension, from one frame r = B^dag rho B.
 
     Every cross block of the rank-one projectors |b_j><b_j| is r_jk |b_j><b_k|,
     so the l1 value of the basis measurement is sum_{j!=k} |r_jk|.
@@ -119,34 +119,32 @@ def _basis_frame(rho: DensityMatrix, basis: np.ndarray) -> tuple[np.ndarray, np.
     r = basis.conj().T @ rho.mat @ basis
     off = np.abs(r)
     np.fill_diagonal(off, 0.0)
-    return r, off
+    c_l1 = float(off.sum())
+    # <j|rho^2|j> = (r r^dag)_jj, the squared norm of row j of r
+    s = np.linalg.norm(r, axis=1)
+    coeff = rho.dim - 1.0 - np.arange(rho.dim)
+    b1 = float(2.0 * np.dot(coeff, np.sort(s)))
+    diag = np.clip(np.real(np.diagonal(r)), 0.0, None)
+    b2 = float(np.sum(np.sqrt(diag)) ** 2 - 1.0)
+    # tr rho^2 = sum_jk |r_jk|^2, so the gap is the off-diagonal weight
+    gap = float(np.sum(off**2))
+    b3 = float(math.sqrt(rho.dim * (rho.dim - 1.0) * gap))
+    return BoundReport(c_l1, b1, "b1"), BoundReport(c_l1, b2, "b2"), BoundReport(c_l1, b3, "b3")
 
 
 def bound_b1(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
     """Sorted second-moment bound 2 sum_j (d - j) s_(j), s_j = sqrt(<j|rho^2|j>) nondecreasing."""
-    r, off = _basis_frame(rho, basis)
-    # <j|rho^2|j> = (r r^dag)_jj, the squared norm of row j of r
-    s = np.linalg.norm(r, axis=1)
-    coeff = rho.dim - 1.0 - np.arange(rho.dim)
-    value = float(2.0 * np.dot(coeff, np.sort(s)))
-    return BoundReport(float(off.sum()), value, "b1")
+    return basis_bounds(rho, basis)[0]
 
 
 def bound_b2(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
     """Diagonal-weight bound (sum_j sqrt(<j|rho|j>))^2 - 1."""
-    r, off = _basis_frame(rho, basis)
-    diag = np.clip(np.real(np.diagonal(r)), 0.0, None)
-    value = float(np.sum(np.sqrt(diag)) ** 2 - 1.0)
-    return BoundReport(float(off.sum()), value, "b2")
+    return basis_bounds(rho, basis)[1]
 
 
 def bound_b3(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
     """Purity-gap bound sqrt( d (d-1) (tr rho^2 - sum_j <j|rho|j>^2) )."""
-    _, off = _basis_frame(rho, basis)
-    # tr rho^2 = sum_jk |r_jk|^2, so the gap is the off-diagonal weight
-    gap = float(np.sum(off**2))
-    value = float(math.sqrt(rho.dim * (rho.dim - 1.0) * gap))
-    return BoundReport(float(off.sum()), value, "b3")
+    return basis_bounds(rho, basis)[2]
 
 
 # --------------------------------------------------------------------------

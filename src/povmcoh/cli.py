@@ -122,15 +122,8 @@ def _bound_row(rho: DensityMatrix, povm: Povm, pq_list, basis) -> list:
         row.append(bounds.holder_bound(rho, povm, p, q).bound_value)
     row.append(bounds.holder_bound_22(rho, povm).bound_value)
     row.extend([ordered.bound_value, uniform.bound_value])
-    if basis is not None:
-        row.extend([
-            bounds.bound_b1(rho, basis).bound_value,
-            bounds.bound_b2(rho, basis).bound_value,
-            bounds.bound_b3(rho, basis).bound_value,
-        ])
-    else:
-        row.extend(["", "", ""])
-    return row
+    reports = bounds.basis_bounds(rho, basis) if basis is not None else ()
+    return row + ([report.bound_value for report in reports] or ["", "", ""])
 
 
 def cmd_bounds(args) -> int:
@@ -145,13 +138,12 @@ def cmd_bounds(args) -> int:
             raise ValidationError("--figure replaces --state/--povm")
         if args.figure == 1:
             grid = _parse_range(args.range, (0.0, 0.8, 0.01))
-            family, reference, dim = bounds.figure1_state, bounds.figure1_reference_bounds, 2
+            family, reference, basis = bounds.figure1_state, bounds.figure1_reference_bounds, np.eye(2)
         else:
             grid = _parse_range(args.range, (0.0, 0.24, 0.0025))
-            family, reference, dim = bounds.figure2_state, bounds.figure2_reference_bounds, 3
+            family, reference, basis = bounds.figure2_state, bounds.figure2_reference_bounds, np.eye(3)
         for value in (grid[0], grid[-1]):  # each family takes an interval: fail before any row
             family(float(value))
-        basis = np.eye(dim)
         povm = projective_povm(basis)
         writer.writerow(header + ["b1_ref", "b2_ref", "b3_ref"])
         for value in grid:

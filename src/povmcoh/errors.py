@@ -8,6 +8,14 @@ import operator
 import numpy as np
 
 
+def shown(value) -> str:
+    """repr(value) for a message, or its type when repr raises (an int too long to print)."""
+    try:
+        return repr(value)
+    except Exception:
+        return f"<unprintable {type(value).__name__}>"
+
+
 def as_float(value, error: type, name: str) -> float:
     """float(value), or `error` when value is not a real number in the double range."""
     try:
@@ -15,7 +23,7 @@ def as_float(value, error: type, name: str) -> float:
     except OverflowError:  # an int past the largest double, perhaps too long to print
         raise error(f"{name} must be a number in the double range") from None
     except (TypeError, ValueError):
-        raise error(f"{name} must be a number, got {value!r}") from None
+        raise error(f"{name} must be a number, got {shown(value)}") from None
 
 
 def as_count(value, error: type, name: str) -> int:
@@ -24,7 +32,7 @@ def as_count(value, error: type, name: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {shown(value)}") from None
 
 
 def as_array(value, error: type, name: str, dtype: type = complex) -> np.ndarray:
@@ -35,7 +43,7 @@ def as_array(value, error: type, name: str, dtype: type = complex) -> np.ndarray
     except OverflowError:
         raise error(f"{name} must hold numbers in the double range") from None
     except (TypeError, ValueError):
-        raise error(f"{name} must be an array of numbers, got {value!r}") from None
+        raise error(f"{name} must be an array of numbers, got {shown(value)}") from None
 
 
 class PovmcohError(Exception):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg, measures
 from .bounds import check_exponents
-from .errors import BetaNonPositiveError, InvalidExponentsError, ValidationError, as_count, as_float
+from .errors import BetaNonPositiveError, InvalidExponentsError, ValidationError, as_count, as_float, shown
 from .objects import Povm, require_type
 
 # Samples per Monte Carlo chunk; fixed so results don't depend on the thread count.
@@ -151,7 +151,7 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
     n = require_type(povm, Povm, "povm").outcomes
     if not (exponents is None or isinstance(exponents, Mapping)):
         raise InvalidExponentsError(
-            f"exponents must map pairs (j, k) to Hölder pairs (p, q), got {exponents!r}")
+            f"exponents must map pairs (j, k) to Hölder pairs (p, q), got {shown(exponents)}")
     moments: dict[float, np.ndarray] = {}
 
     def moment(j: int, beta: float) -> float:
@@ -220,9 +220,9 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
     """
     samples = as_count(samples, ValidationError, "samples")
     if samples < 100:
-        raise ValidationError(f"need at least 100 samples, got {samples}")
+        raise ValidationError(f"need at least 100 samples, got {shown(samples)}")
     if samples > MAX_MC_SAMPLES:
-        raise ValidationError(f"at most {MAX_MC_SAMPLES} samples, got {samples}")
+        raise ValidationError(f"at most {MAX_MC_SAMPLES} samples, got {shown(samples)}")
     require_type(povm, Povm, "povm")
     require_type(rng, np.random.Generator, "rng")
     measures.check_measure_id(measure_id, alpha)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AlphaOutOfRangeError, NumericError, ValidationError, as_float
+from .errors import AlphaOutOfRangeError, NumericError, ValidationError, as_float, shown
 from .objects import DensityMatrix, Povm, require_same_dim, require_type
 
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
@@ -142,9 +142,9 @@ def check_measure_id(measure_id: str, alpha=None) -> None:
     """ValidationError unless measure_id is a str among MEASURE_IDS, and when an alpha
     is given to a measure other than tsallis, which alone takes one."""
     if not isinstance(measure_id, str) or measure_id not in MEASURE_IDS:
-        raise ValidationError(f"unknown measure id: {measure_id!r}")
+        raise ValidationError(f"unknown measure id: {shown(measure_id)}")
     if alpha is not None and measure_id != TSALLIS:
-        raise ValidationError(f"the {measure_id} measure takes no alpha, got {alpha!r}")
+        raise ValidationError(f"the {measure_id} measure takes no alpha, got {shown(alpha)}")
 
 
 def check_alpha(alpha: float) -> float:

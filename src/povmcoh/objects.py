@@ -23,10 +23,11 @@ from .errors import (
     as_array,
     as_count,
     as_float,
+    shown,
 )
 
 HERMITICITY_TOL = linalg.HERMITICITY_TOL  # 1e-9
-PSD_TOL = 1e-10
+PSD_TOL = linalg.PSD_CLAMP_TOL  # 1e-10
 TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
 NORM_TOL = 1e-12
@@ -179,7 +180,7 @@ def _members(items, what: str) -> tuple:
     try:
         return tuple(items)
     except TypeError:
-        raise ValidationError(f"{what} must be a sequence, got {items!r}") from None
+        raise ValidationError(f"{what} must be a sequence, got {shown(items)}") from None
 
 
 def _raise_if(violations, what):
@@ -384,14 +385,14 @@ def require_same_dim(*dims):
 def _check_drawn_entries(entries: int) -> None:
     if entries > MAX_DRAWN_ENTRIES:
         raise ValidationError(
-            f"at most {MAX_DRAWN_ENTRIES} random entries per draw, got {entries}")
+            f"at most {MAX_DRAWN_ENTRIES} random entries per draw, got {shown(entries)}")
 
 
 def haar_random_pure(d: int, rng: np.random.Generator) -> PureState:
     """Haar-distributed pure state: normalized vector of iid complex Gaussians."""
     d = as_count(d, ValidationError, "dimension")
     if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
+        raise ValidationError(f"dimension must be >= 1, got {shown(d)}")
     _check_drawn_entries(d)
     require_type(rng, np.random.Generator, "rng")
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -407,7 +408,7 @@ def random_povm(d: int, n: int, rng: np.random.Generator) -> Povm:
     """
     d, n = as_count(d, ValidationError, "d"), as_count(n, ValidationError, "n")
     if d < 1 or n < 1:
-        raise ValidationError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+        raise ValidationError(f"need d >= 1 and n >= 1, got d={shown(d)}, n={shown(n)}")
     _check_drawn_entries(n * d * d)
     require_type(rng, np.random.Generator, "rng")
     for _ in range(10):

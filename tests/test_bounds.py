@@ -29,7 +29,7 @@ from povmcoh import (
     projective_povm,
     random_povm,
 )
-from povmcoh.bounds import BoundReport, check_exponents
+from povmcoh.bounds import BoundReport, basis_bounds, check_exponents
 
 IDENTITY_POVM_2 = Povm([np.eye(2, dtype=complex)])
 
@@ -178,6 +178,9 @@ def test_basis_bounds_certify_the_l1_value():
             expected = l1_coherence(rho, povm).value
             for bound in (bound_b1, bound_b2, bound_b3):
                 assert abs(bound(rho, basis).c_l1_value - expected) < 1e-12
+            # one frame gives all three reports, each as its lone call does
+            lone = tuple(bound(rho, basis) for bound in (bound_b1, bound_b2, bound_b3))
+            assert basis_bounds(rho, basis) == lone
 
 
 def test_b1_examples():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from helpers import plus_density, random_unitary, trine_povm, x_basis_povm, z_basis_povm
 from povmcoh import DensityMatrix, Ensemble, NumericError, Povm, PureState, ValidationError, fileio
 from povmcoh import projective_povm, random_povm
-from povmcoh import cli, haar, linalg, lsm
+from povmcoh import bounds, cli, haar, linalg, lsm
 
 
 def write_obj(tmp_path, name, obj):
@@ -166,6 +166,16 @@ def test_bounds_figure2_sweep(capsys):
     assert abs(b1r - 2.52) < 1e-9
     # the measure itself coincides with B2 for a pure state in this basis
     assert abs(float(row[col["c_l1"]]) - b2r) < 1e-9
+
+
+def test_bounds_figure_sweep_checks_its_basis_once_per_row(capsys, monkeypatch):
+    calls = []
+    original = bounds.require_unitary
+    monkeypatch.setattr(bounds, "require_unitary", lambda basis: calls.append(1) or original(basis))
+    code, out, err = run(capsys, ["bounds", "--figure", "1", "--range", "0:0.02:0.01"])
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 3
+    assert len(calls) == 3
 
 
 def test_bounds_figure_rejects_state(capsys, plus_path):

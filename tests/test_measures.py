@@ -30,7 +30,7 @@ from povmcoh import (
     relative_entropy_coherence,
     tsallis_coherence,
 )
-from povmcoh import haar, linalg, measures
+from povmcoh import haar, linalg, measures, objects
 from povmcoh.bounds import figure1_state
 from povmcoh.measures import (
     compute,
@@ -140,6 +140,17 @@ def test_roundoff_clamp_is_logged_and_larger_negatives_raise(caplog):
     assert record.getMessage() == "x value -1.000e-12 clamped to 0 (roundoff)"
     with pytest.raises(NumericError):
         measures._clamp_value(-1e-6, "x")
+
+
+def test_least_eigenvalue_at_the_psd_floor_builds_and_measures():
+    """A state and a POVM element with least eigenvalue -PSD_TOL pass the member rule,
+    so the support kernels behind every measure must accept them too."""
+    floor = -objects.PSD_TOL  # 1e-10
+    state = diagonal_density([1.0 - floor, floor])
+    povm = Povm([np.diag([1.0 - floor, floor]), np.diag([floor, 1.0 - floor])])
+    for rho in (state, plus_density()):
+        for measure_id, alpha in (("relative_entropy", None), ("l1", None), ("tsallis", 0.5)):
+            assert np.isfinite(compute(rho, povm, measure_id, alpha).value)
 
 
 def test_dimension_mismatch():

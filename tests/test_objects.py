@@ -30,6 +30,8 @@ from povmcoh import (
     figure1_state,
     figure2_reference_bounds,
     figure2_state,
+    haar_average,
+    haar_average_l1_bound,
     haar_average_tsallis,
     haar_moment,
     haar_random_pure,
@@ -380,6 +382,7 @@ def test_projective_povm_rejects_nonunitary():
 
 
 HUGE_INT = 10**400  # past the largest double
+LONG_INT = 10**5000  # past Python's 4300-digit limit for str()
 
 
 @pytest.mark.parametrize("call, error", [
@@ -437,6 +440,28 @@ HUGE_INT = 10**400  # past the largest double
     (lambda: projective_povm([[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
     (lambda: haar_moment([[HUGE_INT, 0], [0, 0]], 0.5), NotSquareError),
     (lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol=HUGE_INT), ValidationError),
+    # an integer, or a list holding one, too long for str(): the message shows its type
+    (lambda: haar_random_pure(LONG_INT, np.random.default_rng(0)), ValidationError),
+    (lambda: haar_random_pure(-LONG_INT, np.random.default_rng(0)), ValidationError),
+    (lambda: random_povm(LONG_INT, 1, np.random.default_rng(0)), ValidationError),
+    (lambda: random_povm(-LONG_INT, 1, np.random.default_rng(0)), ValidationError),
+    (lambda: random_povm(1, LONG_INT, np.random.default_rng(0)), ValidationError),
+    (lambda: random_povm(2, [LONG_INT], np.random.default_rng(0)), ValidationError),
+    (lambda: monte_carlo_average(x_basis_povm(), "relative_entropy", LONG_INT, np.random.default_rng(0)),
+     ValidationError),
+    (lambda: monte_carlo_average(x_basis_povm(), "relative_entropy", -LONG_INT, np.random.default_rng(0)),
+     ValidationError),
+    (lambda: haar_average(x_basis_povm(), "relative_entropy", mc_samples=LONG_INT, rng=np.random.default_rng(0)),
+     ValidationError),
+    (lambda: haar_average(x_basis_povm(), "relative_entropy", mc_samples=-LONG_INT, rng=np.random.default_rng(0)),
+     ValidationError),
+    (lambda: haar_average(x_basis_povm(), LONG_INT), ValidationError),
+    (lambda: haar_average(x_basis_povm(), "l1", alpha=LONG_INT), ValidationError),
+    (lambda: haar_average_l1_bound(x_basis_povm(), LONG_INT), InvalidExponentsError),
+    (lambda: Povm(LONG_INT), ValidationError),
+    (lambda: Ensemble(LONG_INT, [1.0]), ValidationError),
+    (lambda: holder_bound(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), [LONG_INT], 2), InvalidExponentsError),
+    (lambda: tsallis_coherence(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), [LONG_INT]), AlphaOutOfRangeError),
 ])
 def test_non_numeric_and_non_iterable_inputs_raise_the_entry_point_error(call, error):
     with pytest.raises(error) as info:

@@ -18,12 +18,14 @@ CALLABLES = sorted((getattr(povmcoh, name) for name in povmcoh.__all__
 CALLABLES += [DensityMatrix, PureState, Povm, Ensemble]
 
 # No count in the pool is a sample count or size that runs: Monte Carlo takes at
-# least 100 samples, and 10**400 is past every cap on a draw.
+# least 100 samples, and 10**400 is past every cap on a draw.  10**5000 is past
+# Python's digit limit for str(), so no error message may print it.
 POOL = [
     DensityMatrix(np.eye(2) / 2.0), plus_density(), PureState(np.array([0.6, 0.8j])),
     x_basis_povm(), trine_povm(), Ensemble([np.diag([1.0, 0.0]), np.eye(2) / 2.0], [0.25, 0.75]),
     None, "x", "r", "tsallis", True, False,
     math.nan, math.inf, -math.inf, 10**400, -10**400, 1e308,
+    10**5000, -10**5000, [10**5000],
     -1, 0, 1, 2, 3,
     np.eye(2), np.eye(2) / 2.0, np.zeros((0, 0)), np.ones((2, 3)),
 ]
