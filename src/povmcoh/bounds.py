@@ -21,7 +21,16 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import InvalidExponentsError, NumericError, XOutOfRangeError, ZOutOfRangeError, as_float
-from .objects import DensityMatrix, Povm, require_same_dim, require_type, require_unitary
+from .objects import (
+    DensityMatrix,
+    Povm,
+    _check_states,
+    _raise_if,
+    projective_povm,
+    require_same_dim,
+    require_type,
+    require_unitary,
+)
 
 EXPONENT_TOL = 1e-12
 BOUND_SLACK = 1e-8
@@ -39,12 +48,19 @@ class BoundReport:
     parameters: tuple | None = None
 
     def __post_init__(self):
-        finite = math.isfinite(self.c_l1_value) and math.isfinite(self.bound_value)
-        if not (finite and self.bound_value >= self.c_l1_value - BOUND_SLACK):
-            raise NumericError(
-                f"{self.bound_id} bound {self.bound_value:.12e} is not finite or fell below "
-                f"the l1 value {self.c_l1_value:.12e}"
-            )
+        _certify(self.bound_id, self.c_l1_value, self.bound_value)
+
+
+def _certify(bound_id: str, c_l1, bound) -> None:
+    """NumericError unless the bound is finite and at least the finite l1 value less
+    BOUND_SLACK: for one report, or row by row over the columns of a state stack, where
+    the message names the first failing row."""
+    sound = (abs(c_l1) < math.inf) & (abs(bound) < math.inf) & (bound >= c_l1 - BOUND_SLACK)  # NaN fails
+    if sound is not True and not np.all(sound):  # a report's floats give a bool, with no numpy call
+        c_l1, bound = (np.ravel(x)[np.argmin(sound)] for x in np.broadcast_arrays(c_l1, bound))
+        raise NumericError(
+            f"{bound_id} bound {bound:.12e} is not finite or fell below the l1 value {c_l1:.12e}"
+        )
 
 
 def check_exponents(p: float, q: float) -> tuple[float, float]:
@@ -57,15 +73,17 @@ def check_exponents(p: float, q: float) -> tuple[float, float]:
     return p, q
 
 
-def _element_trace_norms(rho: DensityMatrix, povm: Povm, *powers: float) -> list[np.ndarray]:
-    """||E_j^a rho||_tr over the outcomes j, one array per power a, in one stacked SVD
-    with one layer per distinct power.
+# The kernels below take one state or a stack of states as measures' kernels do, and
+# return one value per state; the public functions are the case of one state.
+def _element_trace_norms(support: tuple, povm: Povm, *powers: float) -> list[np.ndarray]:
+    """||E_j^a rho||_tr over the outcomes j, an (..., n) array per power a, in one
+    stacked SVD with one layer per distinct power.
 
     For E_j = u_j diag(s_j) u_j^dag and C_j = sqrt(s_j) u_j^dag, E_j^a = u_j s_j^(a - 1/2) C_j,
     and the orthonormal columns of u_j and v drop out: ||E_j^a rho||_tr =
     ||s_j^(a - 1/2) C_j v w||_tr, a row scaling of one measures._factor stack.
     """
-    cvw = measures._factor(rho, povm, 1.0)
+    cvw = measures._factor(support, povm, 1.0)
     s = povm.root_factors[0][:, :, None]
     distinct = dict.fromkeys(powers)
     stack = np.array([s ** (a - 0.5) * cvw for a in distinct])
@@ -73,14 +91,68 @@ def _element_trace_norms(rho: DensityMatrix, povm: Povm, *powers: float) -> list
     return [norms[a] for a in powers]
 
 
+def _holder_values(a: np.ndarray, b: np.ndarray, p: float, q: float) -> np.ndarray:
+    """sum_{j!=k} a_j^(1/p) b_k^(1/q) per state, from a = ||E_j^(p/2) rho||_tr and
+    b = ||E_k^(q/2) rho||_tr."""
+    a, b = a ** (1.0 / p), b ** (1.0 / q)
+    return a.sum(axis=-1) * b.sum(axis=-1) - linalg.row_dots(a, b)
+
+
+def _pair_values(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered and uniform pair bounds per state from t_j = ||sqrt(E_j) rho||_tr."""
+    n = t.shape[-1]
+    coeff = n - 1.0 - np.arange(n)
+    return 2.0 * linalg.row_dots(coeff, np.sort(t)), (n - 1.0) * t.sum(axis=-1)
+
+
+def _basis_values(mats: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(C_l1, b1, b2, b3) per state of a (..., d, d) stack, for a checked unitary basis B,
+    from one frame r = B^dag rho B per state.
+
+    Every cross block of the rank-one projectors |b_j><b_j| is r_jk |b_j><b_k|,
+    so the l1 value of the basis measurement is sum_{j!=k} |r_jk|.
+    """
+    d = basis.shape[0]
+    r = basis.conj().T @ mats @ basis
+    off = np.abs(r)
+    off.reshape(off.shape[:-2] + (-1,))[..., :: d + 1] = 0.0  # the diagonals
+    c_l1 = off.sum(axis=(-2, -1))
+    # <j|rho^2|j> = (r r^dag)_jj, the squared norm of row j of r
+    s = np.linalg.norm(r, axis=-1)
+    b1 = 2.0 * linalg.row_dots(d - 1.0 - np.arange(d), np.sort(s))
+    diag = np.maximum(r.reshape(r.shape[:-2] + (-1,))[..., :: d + 1].real, 0.0)
+    b2 = np.sqrt(diag).sum(axis=-1) ** 2 - 1.0
+    # tr rho^2 = sum_jk |r_jk|^2, so the gap is the off-diagonal weight
+    b3 = np.sqrt(d * (d - 1.0) * (off * off).sum(axis=(-2, -1)))
+    return c_l1, b1, b2, b3
+
+
+def _bound_columns(mats: np.ndarray, support: tuple, povm: Povm, pq_list, basis) -> np.ndarray:
+    """The bound columns of the CLI, (m, columns) for a stack of m states and (1, columns)
+    for one: C_l1, the Hölder bound per (p, q) of pq_list and at p = q = 2, the ordered
+    and uniform pair bounds and, given the checked basis of a rank-one projective POVM,
+    b1, b2 and b3.  Each bound column is certified as its BoundReport would be."""
+    c_l1 = measures._cross_block_trace_norms(support, povm)
+    pairs = [*pq_list, (2.0, 2.0)]
+    t, *norms = _element_trace_norms(support, povm, 0.5, *(a for p, q in pairs for a in (p / 2.0, q / 2.0)))
+    columns = [_holder_values(a, b, p, q) for (p, q), a, b in zip(pairs, norms[::2], norms[1::2])]
+    columns += _pair_values(t)
+    for bound_id, column in zip(["thm1"] * len(pq_list) + ["thm1_p2q2", "thm2_ordered", "thm2_uniform"], columns):
+        _certify(bound_id, c_l1, column)
+    if basis is not None:
+        frame_l1, *frame_bounds = _basis_values(mats, basis)
+        for bound_id, column in zip(("b1", "b2", "b3"), frame_bounds):
+            _certify(bound_id, frame_l1, column)
+        columns += frame_bounds
+    return np.column_stack([c_l1, *columns])
+
+
 def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundReport:
     """Factorized bound sum_{j!=k} ||E_j^(p/2) rho||^(1/p) ||E_k^(q/2) rho||^(1/q)."""
     p, q = check_exponents(p, q)
-    a, b = _element_trace_norms(rho, povm, p / 2.0, q / 2.0)
-    a, b = a ** (1.0 / p), b ** (1.0 / q)
-    value = float(a.sum() * b.sum() - np.dot(a, b))
+    value = _holder_values(*_element_trace_norms(measures._one_state(rho, povm), povm, p / 2.0, q / 2.0), p, q)
     c_l1 = measures.l1_coherence(rho, povm).value
-    return BoundReport(c_l1, value, "thm1", (p, q))
+    return BoundReport(c_l1, float(value), "thm1", (p, q))
 
 
 def holder_bound_22(rho: DensityMatrix, povm: Povm) -> BoundReport:
@@ -95,41 +167,18 @@ def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundRepor
     sorted:  2 sum_j (n - j) t_(j)  with t_(1) <= ... <= t_(n)
     uniform: (n - 1) sum_j t_j
     """
-    (t,) = _element_trace_norms(rho, povm, 0.5)
-    n = t.size
-    t_sorted = np.sort(t)
-    coeff = n - 1.0 - np.arange(n)
-    ordered_value = float(2.0 * np.dot(coeff, t_sorted))
-    uniform_value = float((n - 1.0) * t.sum())
+    (t,) = _element_trace_norms(measures._one_state(rho, povm), povm, 0.5)
+    ordered, uniform = map(float, _pair_values(t))
     c_l1 = measures.l1_coherence(rho, povm).value
-    return (
-        BoundReport(c_l1, ordered_value, "thm2_ordered"),
-        BoundReport(c_l1, uniform_value, "thm2_uniform"),
-    )
+    return BoundReport(c_l1, ordered, "thm2_ordered"), BoundReport(c_l1, uniform, "thm2_uniform")
 
 
 def basis_bounds(rho: DensityMatrix, basis: np.ndarray) -> tuple[BoundReport, BoundReport, BoundReport]:
-    """(b1, b2, b3) for a unitary basis B of rho's dimension, from one frame r = B^dag rho B.
-
-    Every cross block of the rank-one projectors |b_j><b_j| is r_jk |b_j><b_k|,
-    so the l1 value of the basis measurement is sum_{j!=k} |r_jk|.
-    """
+    """(b1, b2, b3) for a unitary basis B of rho's dimension, from one frame r = B^dag rho B."""
     basis = require_unitary(basis)
     require_same_dim(require_type(rho, DensityMatrix, "rho").dim, basis.shape[0])
-    r = basis.conj().T @ rho.mat @ basis
-    off = np.abs(r)
-    np.fill_diagonal(off, 0.0)
-    c_l1 = float(off.sum())
-    # <j|rho^2|j> = (r r^dag)_jj, the squared norm of row j of r
-    s = np.linalg.norm(r, axis=1)
-    coeff = rho.dim - 1.0 - np.arange(rho.dim)
-    b1 = float(2.0 * np.dot(coeff, np.sort(s)))
-    diag = np.clip(np.real(np.diagonal(r)), 0.0, None)
-    b2 = float(np.sum(np.sqrt(diag)) ** 2 - 1.0)
-    # tr rho^2 = sum_jk |r_jk|^2, so the gap is the off-diagonal weight
-    gap = float(np.sum(off**2))
-    b3 = float(math.sqrt(rho.dim * (rho.dim - 1.0) * gap))
-    return BoundReport(c_l1, b1, "b1"), BoundReport(c_l1, b2, "b2"), BoundReport(c_l1, b3, "b3")
+    c_l1, *values = map(float, _basis_values(rho.mat, basis))
+    return tuple(BoundReport(c_l1, value, bound_id) for value, bound_id in zip(values, ("b1", "b2", "b3")))
 
 
 def bound_b1(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
@@ -151,40 +200,64 @@ def bound_b3(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
 # single-parameter state families behind the figure replays
 
 
-def _check_z(z) -> float:
-    z = as_float(z, ZOutOfRangeError, "z")
-    if not (0.0 <= z <= 0.8):
-        raise ZOutOfRangeError(f"z must lie in [0, 0.8], got {z}")
-    return z
+# (parameter name, interval end, range error) of each family
+_FAMILIES = {1: ("z", 0.8, ZOutOfRangeError), 2: ("x", X_MAX, XOutOfRangeError)}
 
 
-def _check_x(x) -> float:
-    x = as_float(x, XOutOfRangeError, "x")
-    if not (0.0 <= x <= X_MAX):
-        raise XOutOfRangeError(f"x must lie in [0, {X_MAX!r}], got {x}")
-    return x
+def _check_parameters(values: np.ndarray, figure: int) -> np.ndarray:
+    """values, or the family's range error for the first one outside [0, end]."""
+    name, end, error = _FAMILIES[figure]
+    outside = ~((values >= 0.0) & (values <= end))  # NaN is outside
+    if outside.any():
+        raise error(f"{name} must lie in [0, {end!r}], got {float(values[outside][0])}")
+    return values
+
+
+def _parameter(value, figure: int) -> np.ndarray:
+    """One checked parameter as the one-row array of the family stacks."""
+    name, _, error = _FAMILIES[figure]
+    return _check_parameters(np.array([as_float(value, error, name)]), figure)
+
+
+def _figure1_rows(z: np.ndarray) -> np.ndarray:
+    """The (m, 2, 2) stack (1/2) [[1-z, 1/2], [1/2, 1+z]] over the z values."""
+    rows = np.empty((len(z), 2, 2), dtype=complex)
+    rows[:, 0, 0], rows[:, 1, 1] = 1.0 - z, 1.0 + z
+    rows[:, 0, 1] = rows[:, 1, 0] = 0.5
+    return 0.5 * rows
+
+
+def _figure2_rows(x: np.ndarray) -> np.ndarray:
+    """The (m, 3, 3) stack |c><c| of c = (x, 4x, sqrt(1 - 17x^2)) over the x values."""
+    c = np.stack([x, 4.0 * x, np.sqrt(np.maximum(1.0 - 17.0 * x * x, 0.0))], axis=-1).astype(complex)
+    return c[:, :, None] * c.conj()[:, None, :]
+
+
+def _figure1_references(z: np.ndarray) -> np.ndarray:
+    """The (m, 3) closed-form (b1, b2, b3) curves of the qubit family."""
+    return np.column_stack([np.sqrt(0.25 + (1.0 - z) ** 2), np.sqrt(1.0 - z * z), np.full(len(z), 0.5)])
+
+
+def _figure2_references(x: np.ndarray) -> np.ndarray:
+    """The (m, 3) closed-form (b1, b2, b3) curves of the qutrit family."""
+    tail = np.sqrt(np.maximum(1.0 - 17.0 * x * x, 0.0))
+    b3 = np.sqrt(6.0 * np.maximum(1.0 - 17.0 * x**4 - (1.0 - 17.0 * x * x) ** 2, 0.0))
+    return np.column_stack([12.0 * x, (5.0 * x + tail) ** 2 - 1.0, b3])
 
 
 def figure1_state(z: float) -> DensityMatrix:
     """Qubit family (1/2) [[1-z, 1/2], [1/2, 1+z]] for z in [0, 4/5]."""
-    z = _check_z(z)
-    return DensityMatrix(0.5 * np.array([[1.0 - z, 0.5], [0.5, 1.0 + z]], dtype=complex))
+    return DensityMatrix(_figure1_rows(_parameter(z, 1))[0])
 
 
 def figure2_state(x: float) -> DensityMatrix:
     """Qutrit pure family x|1> + 4x|2> + sqrt(1-17x^2)|3> for x in [0, 1/sqrt(17)]."""
-    x = _check_x(x)
-    vec = np.array([x, 4.0 * x, math.sqrt(max(1.0 - 17.0 * x * x, 0.0))], dtype=complex)
-    return DensityMatrix(np.outer(vec, vec.conj()))
+    return DensityMatrix(_figure2_rows(_parameter(x, 2))[0])
 
 
 def figure1_reference_bounds(z: float) -> tuple[float, float, float]:
     """Closed-form (b1, b2, b3) reference curves for the qubit family."""
-    z = _check_z(z)
-    b1 = math.sqrt(0.25 + (1.0 - z) ** 2)
-    b2 = math.sqrt(1.0 - z * z)
-    b3 = 0.5
-    return b1, b2, b3
+    return tuple(_figure1_references(_parameter(z, 1))[0].tolist())
 
 
 def figure2_reference_bounds(x: float) -> tuple[float, float, float]:
@@ -197,9 +270,26 @@ def figure2_reference_bounds(x: float) -> tuple[float, float, float]:
     family has sum(c_i^4) = 1 + 256 = 257, so the curve overshoots for x > 0.
     All three still dominate the l1 measure on the family's range.
     """
-    x = _check_x(x)
-    tail = math.sqrt(max(1.0 - 17.0 * x * x, 0.0))
-    b1 = 12.0 * x
-    b2 = (5.0 * x + tail) ** 2 - 1.0
-    b3 = math.sqrt(6.0 * max(1.0 - 17.0 * x**4 - (1.0 - 17.0 * x * x) ** 2, 0.0))
-    return b1, b2, b3
+    return tuple(_figure2_references(_parameter(x, 2))[0].tolist())
+
+
+def _figure_sweep(figure: int, grid: np.ndarray, pq_list):
+    """The CSV rows of a figure replay over a grid of the family's parameter, as (rows,
+    columns) arrays, one per block of rows (linalg.blocks): the parameter, the
+    _bound_columns of its states in the figure's basis and the three reference curves.
+
+    The grid and the basis are checked once, before the first block is made; each
+    block's states are validated in one pass (objects._check_states)."""
+    _check_parameters(grid, figure)
+    states, references, d = {1: (_figure1_rows, _figure1_references, 2),
+                             2: (_figure2_rows, _figure2_references, 3)}[figure]
+    basis = require_unitary(np.eye(d))
+    povm = projective_povm(basis)
+
+    def block(values: np.ndarray) -> np.ndarray:
+        violations, checked = _check_states(states(values), "row_")
+        _raise_if(violations, "state family")
+        mats, support = checked
+        return np.column_stack([values, _bound_columns(mats, support, povm, pq_list, basis), references(values)])
+
+    return (block(grid[rows]) for rows in linalg.blocks(grid.size, d * d))

@@ -24,7 +24,7 @@ from .errors import (
     PovmcohError,
     ValidationError,
 )
-from .objects import DensityMatrix, Ensemble, Povm, PureState, projective_povm
+from .objects import DensityMatrix, Ensemble, Povm, PureState, require_unitary
 
 # Largest --range grid a figure sweep accepts.
 MAX_RANGE_POINTS = 10**6
@@ -112,18 +112,7 @@ def _parse_range(text: str, default: tuple[float, float, float]) -> np.ndarray:
     count = int(math.floor(steps + 1e-9)) + 1 if math.isfinite(steps) else math.inf
     if count > MAX_RANGE_POINTS:
         raise ValidationError(f"--range gives more than {MAX_RANGE_POINTS} points, got {text!r}")
-    return lo + step * np.arange(count)
-
-
-def _bound_row(rho: DensityMatrix, povm: Povm, pq_list, basis) -> list:
-    ordered, uniform = bounds.pair_bounds(rho, povm)
-    row = [ordered.c_l1_value]
-    for p, q in pq_list:
-        row.append(bounds.holder_bound(rho, povm, p, q).bound_value)
-    row.append(bounds.holder_bound_22(rho, povm).bound_value)
-    row.extend([ordered.bound_value, uniform.bound_value])
-    reports = bounds.basis_bounds(rho, basis) if basis is not None else ()
-    return row + ([report.bound_value for report in reports] or ["", "", ""])
+    return np.minimum(lo + step * np.arange(count), hi)  # roundoff must not pass the stop
 
 
 def cmd_bounds(args) -> int:
@@ -136,20 +125,11 @@ def cmd_bounds(args) -> int:
     if args.figure is not None:
         if args.state or args.povm:
             raise ValidationError("--figure replaces --state/--povm")
-        if args.figure == 1:
-            grid = _parse_range(args.range, (0.0, 0.8, 0.01))
-            family, reference, basis = bounds.figure1_state, bounds.figure1_reference_bounds, np.eye(2)
-        else:
-            grid = _parse_range(args.range, (0.0, 0.24, 0.0025))
-            family, reference, basis = bounds.figure2_state, bounds.figure2_reference_bounds, np.eye(3)
-        for value in (grid[0], grid[-1]):  # each family takes an interval: fail before any row
-            family(float(value))
-        povm = projective_povm(basis)
+        grid = _parse_range(args.range, (0.0, 0.8, 0.01) if args.figure == 1 else (0.0, 0.24, 0.0025))
+        blocks = bounds._figure_sweep(args.figure, grid, pq_list)  # checks the grid: fails before any row
         writer.writerow(header + ["b1_ref", "b2_ref", "b3_ref"])
-        for value in grid:
-            rho = family(float(value))
-            row = [float(value)] + _bound_row(rho, povm, pq_list, basis)
-            writer.writerow(row + list(reference(float(value))))
+        for rows in blocks:  # numbers need no CSV quoting: each is its repr, as csv writes it
+            sys.stdout.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
         return 0
 
     if not (args.state and args.povm):
@@ -162,8 +142,9 @@ def cmd_bounds(args) -> int:
     if povm.is_rank_one_projective():
         # each element is a rank-one projector; the top row of its factor, sqrt(s) u^dag
         # with s = 1, is the conjugated basis column
-        basis = povm.root_factors[1][:, 0, :].conj().T
-    writer.writerows([header, [""] + _bound_row(rho, povm, pq_list, basis)])  # no header on error
+        basis = require_unitary(povm.root_factors[1][:, 0, :].conj().T)
+    [row] = bounds._bound_columns(rho.mat, measures._one_state(rho, povm), povm, pq_list, basis).tolist()
+    writer.writerows([header, [""] + row + ([] if basis is not None else ["", "", ""])])  # no header on error
     return 0
 
 

@@ -226,12 +226,12 @@ def stacked_singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of each matrix in a stack (..., rows, cols), descending
     along the last axis.  Batched LAPACK calls instead of a Python loop; a
     stack of row or column vectors has one singular value each, its norm, and
-    needs no LAPACK call."""
+    needs no LAPACK call.  The result is C-contiguous (_by_blocks)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2:
         raise NotSquareError(f"expected a stack of matrices, got shape {m.shape}")
     if min(m.shape[-2:]) == 1:
-        return np.sqrt(np.square(np.abs(m)).sum(axis=(-2, -1)))[..., None]
+        return np.ascontiguousarray(np.sqrt(np.square(np.abs(m)).sum(axis=(-2, -1)))[..., None])
     return _by_blocks(lambda piece: npl.svd(piece, compute_uv=False), m)
 
 
@@ -261,10 +261,12 @@ def _by_blocks(func, m: np.ndarray):
     entries is cut into blocks of matrices (linalg.blocks) that run on two threads
     (map_blocks) and are joined in order: LAPACK treats each matrix alone, so the
     result is bit-identical to one call.  A smaller stack is one call, with no
-    thread."""
+    thread.  Either way the result is C-contiguous, so a sum over its last axes adds
+    each matrix's values in one order, however many matrices the stack holds."""
     try:
         if m.size <= BLOCK_ENTRIES:
-            return func(m)
+            out = func(m)
+            return tuple(map(np.ascontiguousarray, out)) if isinstance(out, tuple) else np.ascontiguousarray(out)
         rows, cols = m.shape[-2:]
         flat = m.reshape(-1, rows, cols)
         parts = map_blocks(lambda piece: func(flat[piece]), blocks(len(flat), rows * cols))
@@ -275,6 +277,14 @@ def _by_blocks(func, m: np.ndarray):
         return np.concatenate(outputs).reshape(m.shape[:-2] + outputs[0].shape[1:])
 
     return tuple(map(join, zip(*parts))) if isinstance(parts[0], tuple) else join(parts)
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of a and b along the last axis, broadcast over the others.
+    Each is the BLAS dot of a 1-D np.dot, so a row has np.dot's bits."""
+    if a.ndim == b.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -32,8 +32,9 @@ class LsmInstance:
     """LSM operators for an ensemble, with the discrimination error.
 
     The operators, one read-only (m, d, d) array, form a POVM on the support of
-    the average state; when that support is the whole space (support_restricted
-    False) they are a genuine POVM.  completeness_defect measures
+    the average state; when that support is the whole space they are a genuine
+    POVM.  support_restricted is _average_support's flag, the one that
+    measurement_from_ensemble reports.  completeness_defect measures
     max|sum_j M_j - P_support|.
     """
 
@@ -86,19 +87,21 @@ def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:
     return Ensemble(blocks[keep] / weights[:, None, None], weights / weights.sum())
 
 
-def _average_support(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The average state of an ensemble and its support eigenpairs (w, v); refuses a zero average."""
+def _average_support(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The average state of an ensemble, its support eigenpairs (w, v) and whether that
+    support is restricted: of rank below d, or with its least kept eigenvalue at or
+    below FULL_RANK_TOL.  Refuses a zero average."""
     rho_out = require_type(ensemble, Ensemble, "ensemble").average_state()
     w, v = linalg.support_eigenpairs(rho_out, KERNEL_RTOL)
     if w.size == 0 or float(w[0]) <= DEGENERATE_TOL:
         raise DegenerateEnsembleError("ensemble average state is numerically zero")
-    return rho_out, w, v
+    return rho_out, w, v, w.size < ensemble.dim or float(w[-1]) <= FULL_RANK_TOL
 
 
 def build_lsm(ensemble: Ensemble) -> LsmInstance:
     """LSM operators M_j = eta_j W rho_j W, W the inverse square root of the
     average state on its support, and the discrimination error probability."""
-    _, w, v = _average_support(ensemble)
+    _, w, v, restricted = _average_support(ensemble)
     rank = w.size
     projector = v @ v.conj().T
     operators = linalg.support_sandwich(w, v, ensemble.stack, -0.5, ensemble.weights)
@@ -115,7 +118,7 @@ def build_lsm(ensemble: Ensemble) -> LsmInstance:
         error_probability=error,
         support_rank=rank,
         support_projector=projector,
-        support_restricted=rank < ensemble.dim,
+        support_restricted=restricted,
         completeness_defect=defect,
     )
 
@@ -127,9 +130,9 @@ def measurement_from_ensemble(ensemble: Ensemble) -> StatePovmResult:
     pair on the original space; otherwise all operators are restricted to the
     support of the mixture and the result is flagged.
     """
-    rho_out, w, v = _average_support(ensemble)
+    rho_out, w, v, restricted = _average_support(ensemble)
     basis, stack = None, ensemble.stack
-    if w.size < ensemble.dim or float(w[-1]) <= FULL_RANK_TOL:
+    if restricted:
         # restricted to the support, written in the eigenbasis of the mixture: there
         # the mixture is diag(w), with the identity for eigenvectors
         basis, v = v, np.eye(w.size)

@@ -13,6 +13,7 @@ all j != k) and are invariant under relabeling of outcomes.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -69,26 +70,40 @@ def _check_pair(rho: DensityMatrix, povm: Povm) -> None:
     require_same_dim(rho.dim, povm.dim)
 
 
-def _memoised(rho: DensityMatrix, povm: Povm, key: tuple, evaluate) -> float:
-    """The clamped value of evaluate(), computed once per (rho, povm, key)."""
-    _check_pair(rho, povm)
+def _memoised(rho: DensityMatrix, povm: Povm, key: tuple, kernel, *args) -> float:
+    """The clamped value of kernel(rho.support, povm, *args), computed once per
+    (rho, povm, key)."""
+    support = _one_state(rho, povm)
     by_povm = _MEMO.get(rho)
     if by_povm is None:
         by_povm = _MEMO[rho] = weakref.WeakKeyDictionary()
     values = by_povm.setdefault(povm, {})
     if key not in values:
-        values[key] = _clamp_value(evaluate(), key[0])
+        values[key] = _clamp_value(float(kernel(support, povm, *args)), key[0])
     return values[key]
 
 
-def _factor(rho: DensityMatrix, povm: Povm, a: float) -> np.ndarray:
-    """The (n, k, r) stack C_j v w^a from rho's support eigenpairs (w, v) and the element
-    factors C_j = sqrt(s_j) u_j^dag of Povm.root_factors.  The orthonormal columns of v
-    and u_j drop out of the norms and spectra taken from it: with Y = _factor(rho, povm,
-    1/2), sqrt(E_j) rho sqrt(E_k) = u_j Y_j Y_k^dag u_k^dag."""
+# The kernels below take the support eigenpairs (w, v) of states against one POVM and
+# return one value per state: of one state, w (r,) and v (d, r), or of a stack of m states
+# along a leading axis, w (m, r) and v (m, d, r), padded to one rank r with zero
+# eigenvalues and zero columns (objects._check_states).  The single-state functions
+# call them on rho.support (_one_state): the case m = 1 without the axis, which spares
+# one state the per-call cost of numpy on a length-1 axis (about 3% of a pair-report
+# op).  A state's row in a stack of one rank has the bits of its single-state value.
+def _one_state(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """rho.support, the kernels' argument for one state, after the pair check."""
     _check_pair(rho, povm)
-    w, v = rho.support
-    return povm.root_factors[1] @ (v * w**a)
+    return rho.support
+
+
+def _factor(support: tuple, povm: Povm, a: float) -> np.ndarray:
+    """The (..., n, k, r) stack C_j v w^a from each state's support eigenpairs (w, v) and
+    the element factors C_j = sqrt(s_j) u_j^dag of Povm.root_factors.  The orthonormal
+    columns of v and u_j drop out of the norms and spectra taken from it: with
+    Y = _factor(support, povm, 1/2), sqrt(E_j) rho sqrt(E_k) = u_j Y_j Y_k^dag u_k^dag."""
+    w, v = support
+    x = v * w[..., None, :] ** a
+    return povm.root_factors[1] @ (x if x.ndim == 2 else x[:, None])  # a stack: one axis for the outcomes
 
 
 def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
@@ -98,15 +113,14 @@ def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResul
     Y_j^dag Y_j (r x r), whichever is smaller; S(rho) is the entropy of the support
     spectrum.
     """
-    return CoherenceResult(_memoised(rho, povm, (RELATIVE_ENTROPY, None),
-                                     lambda: _block_entropies(rho, povm)), RELATIVE_ENTROPY)
+    return CoherenceResult(_memoised(rho, povm, (RELATIVE_ENTROPY, None), _block_entropies), RELATIVE_ENTROPY)
 
 
-def _block_entropies(rho: DensityMatrix, povm: Povm) -> float:
-    y = _factor(rho, povm, 0.5)
+def _block_entropies(support: tuple, povm: Povm) -> np.ndarray:
+    y = _factor(support, povm, 0.5)
     yh = y.conj().swapaxes(-1, -2)
     blocks = linalg.stacked_psd_eigenvalues(y @ yh if y.shape[-2] <= y.shape[-1] else yh @ y)
-    return float(np.sum(linalg.spectrum_entropy(blocks)) - linalg.spectrum_entropy(rho.support[0]))
+    return np.sum(linalg.spectrum_entropy(blocks), axis=-1) - linalg.spectrum_entropy(support[0])
 
 
 def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
@@ -116,13 +130,13 @@ def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
     the thin QR Y_j = Q_j R_j gives ||R_j R_k^dag||_tr instead, so every core is
     min(k, r) square: 1 x 1 for rank-one elements or a pure state.
     """
-    return CoherenceResult(_memoised(rho, povm, (L1, None), lambda: _cross_block_trace_norms(rho, povm)), L1)
+    return CoherenceResult(_memoised(rho, povm, (L1, None), _cross_block_trace_norms), L1)
 
 
-def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
-    y = _factor(rho, povm, 0.5)
+def _cross_block_trace_norms(support: tuple, povm: Povm) -> np.ndarray:
+    y = _factor(support, povm, 0.5)
     cores = np.linalg.qr(y, mode="r") if y.shape[-1] < y.shape[-2] else y
-    n, a, b = cores.shape
+    *states, n, a, _ = cores.shape
     # the (k, j) block is the adjoint of the (j, k) block: same trace norm, so only
     # the pairs j < k are taken, in blocks of pairs (linalg.blocks) of one batched
     # SVD each.  numpy's SVD overlaps on two threads only from about 8192 complex
@@ -131,11 +145,12 @@ def _cross_block_trace_norms(rho: DensityMatrix, povm: Povm) -> float:
     outcome = np.arange(n)
     j, k = np.nonzero(outcome[:, None] < outcome)
 
-    def trace_norms(pairs: slice) -> float:
-        products = cores[j[pairs]].conj() @ cores[k[pairs]].swapaxes(-1, -2)
-        return float(linalg.stacked_singular_values(products).sum())
+    def trace_norms(pairs: slice) -> np.ndarray:
+        products = np.take(cores, j[pairs], axis=-3).conj() @ np.take(cores, k[pairs], axis=-3).swapaxes(-1, -2)
+        return linalg.stacked_singular_values(products).sum(axis=(-2, -1))
 
-    return 2.0 * sum(linalg.map_blocks(trace_norms, linalg.blocks(len(j), a * a)))
+    parts = linalg.map_blocks(trace_norms, linalg.blocks(len(j), math.prod(states) * a * a))
+    return 2.0 * sum(parts) if parts else np.zeros(states)
 
 
 def check_measure_id(measure_id: str, alpha=None) -> None:
@@ -165,26 +180,26 @@ def tsallis_coherence(rho: DensityMatrix, povm: Povm, alpha: float) -> Coherence
     At alpha = 1/2 the sum of sigma^4 is taken from Gram matrices, with no spectrum.
     """
     alpha = check_alpha(alpha)
-    return CoherenceResult(_memoised(rho, povm, (TSALLIS, alpha),
-                                     lambda: _tsallis_value(rho, povm, alpha)), TSALLIS, alpha)
+    return CoherenceResult(_memoised(rho, povm, (TSALLIS, alpha), _tsallis_value, alpha), TSALLIS, alpha)
 
 
-def _tsallis_value(rho: DensityMatrix, povm: Povm, alpha: float) -> float:
+def _tsallis_value(support: tuple, povm: Povm, alpha: float) -> np.ndarray:
     """sum_j sum_i sigma_i(M_j)^(2/alpha), with sigma(M_j) = sigma(C_j v w^(alpha/2)),
     k x r each: rho^(alpha/2) = v w^(alpha/2) v^dag.
 
     At alpha = 1/2 the sum is sum_j ||G_j||_F^2 of the smaller Gram matrix G_j of M_j,
     k x k C_j sqrt(rho) C_j^dag or r x r: the LSM success sum sum_j tr(sqrt(rho) E_j
-    sqrt(rho) E_j), from one batched product and one dot of non-negative terms, with
-    no spectrum.  Every other alpha takes the singular values.
+    sqrt(rho) E_j), from one batched product and one dot of non-negative terms per
+    state, with no spectrum.  Every other alpha takes the singular values.  Returns
+    the Tsallis value of each state, unclamped.
     """
-    m = _factor(rho, povm, alpha / 2.0)
+    m = _factor(support, povm, alpha / 2.0)
     if alpha == 0.5:
         mh = m.conj().swapaxes(-1, -2)
-        gram = (m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m).reshape(-1).view(float)
-        total = float(gram @ gram)
+        gram = (m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m).reshape(m.shape[:-3] + (-1,)).view(float)
+        total = linalg.row_dots(gram, gram)
     else:
-        total = float(np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha)))
+        total = np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha), axis=(-2, -1))
     return (total - 1.0) / (alpha - 1.0)
 
 

@@ -55,15 +55,35 @@ def _finite(a: np.ndarray) -> bool:
 def _check_density(mat) -> tuple[list[Violation], tuple | None]:
     """Violations of: square, finite, Hermitian, PSD, unit trace.  With none, also
     the read-only matrix the check stacked, a new array, and DensityMatrix.support:
-    read-only views of one copy of the eigenpairs that validated the state."""
-    violations, _, checked = _check_members([as_array(mat, ValidationError, "density matrix")], "", True)
+    the one-member case of _check_states."""
+    violations, checked = _check_states([as_array(mat, ValidationError, "density matrix")], "")
+    if violations:
+        return violations, None
+    stack, (w, v) = checked
+    return [], (stack[0], (w[0], v[0]))
+
+
+def _check_states(mats, prefix: str) -> tuple[list[Violation], tuple | None]:
+    """The member rule of _check_members over states.  With no violation, also the
+    read-only member stack, a new array, and the supports (w, v) of every member
+    from the eigenpairs that validated it: w (m, r) descending and v (m, d, r), r
+    the largest rank (linalg.psd_support), a member of lower rank padded with zero
+    eigenvalues and zero columns.  The padding adds only zero singular values and
+    0 log 0 terms to the kernels that take the supports."""
+    violations, _, checked = _check_members(mats, prefix, True)
     if violations:
         return violations, None
     stack, w, v = checked
-    (w, (rank,)), v = linalg.psd_support(w, linalg.SUPPORT_RTOL), v.copy()
+    w, ranks = linalg.psd_support(w, linalg.SUPPORT_RTOL)
+    counts = ranks.tolist()
+    r = max(counts)
+    w, v = w[:, :r], np.ascontiguousarray(v[:, :, :r])
+    if min(counts) < r:
+        kept = np.arange(r) < ranks[:, None]
+        w, v = np.where(kept, w, 0.0), np.where(kept[:, None, :], v, 0.0)
     for a in (stack, w, v):
         a.flags.writeable = False
-    return [], (stack[0], (w[0, :rank], v[0, :, :rank]))
+    return [], (stack, (w, v))
 
 
 def _check_members(mats: list, prefix: str, states: bool) -> tuple[list[Violation], bool, tuple | None]:
@@ -77,23 +97,27 @@ def _check_members(mats: list, prefix: str, states: bool) -> tuple[list[Violatio
     ends the check, and a non-finite one "finite".  The rest are checked from one
     batched eigendecomposition: "hermitian" alone for a non-Hermitian member, else a
     least eigenvalue below -PSD_TOL ("positive_semidefinite" for states, "positive"
-    for elements) and, for states, the trace.
+    for elements) and, for states, the trace.  An (m, d, d) array of m >= 1 members
+    skips the per-member shape loop.
     """
     found, d, end = {}, None, len(mats)  # {member: violations}
-    for i, mat in enumerate(mats):
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            found[i] = [Violation("square", float(mat.ndim))]
-            continue
-        d = mat.shape[0] if d is None else d
-        if mat.shape[0] != d:
-            found[i], end = [Violation("dimension", float(mat.shape[0] - d))], i
-            break
-        if d == 0:
-            found[i] = [Violation("square", float(mat.ndim))]  # 0x0
-    shaped = [i for i in range(end) if i not in found]
+    if isinstance(mats, np.ndarray) and mats.ndim == 3 and mats.shape[1] == mats.shape[2] > 0:
+        shaped = list(range(end))  # a stack (m, d, d): every member square, of one size
+    else:
+        for i, mat in enumerate(mats):
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                found[i] = [Violation("square", float(mat.ndim))]
+                continue
+            d = mat.shape[0] if d is None else d
+            if mat.shape[0] != d:
+                found[i], end = [Violation("dimension", float(mat.shape[0] - d))], i
+                break
+            if d == 0:
+                found[i] = [Violation("square", float(mat.ndim))]  # 0x0
+        shaped = [i for i in range(end) if i not in found]
     stack = w = v = None
     if shaped:
-        stack = np.array([mats[i] for i in shaped])
+        stack = np.array(mats if len(shaped) == len(mats) else [mats[i] for i in shaped])
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             found.update((shaped[k], [Violation("finite", np.inf)]) for k in np.flatnonzero(~finite).tolist())

@@ -168,14 +168,15 @@ def test_bounds_figure2_sweep(capsys):
     assert abs(float(row[col["c_l1"]]) - b2r) < 1e-9
 
 
-def test_bounds_figure_sweep_checks_its_basis_once_per_row(capsys, monkeypatch):
+def test_bounds_figure_sweep_checks_its_basis_once(capsys, monkeypatch):
     calls = []
     original = bounds.require_unitary
     monkeypatch.setattr(bounds, "require_unitary", lambda basis: calls.append(1) or original(basis))
-    code, out, err = run(capsys, ["bounds", "--figure", "1", "--range", "0:0.02:0.01"])
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 8)  # two rows of 2 x 2 states per block
+    code, out, err = run(capsys, ["bounds", "--figure", "1", "--range", "0:0.04:0.01"])
     assert code == 0
-    assert len(parse_csv(out)[1]) == 3
-    assert len(calls) == 3
+    assert len(parse_csv(out)[1]) == 5
+    assert len(calls) == 1  # once per sweep, over three blocks of rows
 
 
 def test_bounds_figure_rejects_state(capsys, plus_path):
@@ -237,6 +238,17 @@ def test_bounds_figure_outside_the_family_prints_no_row(capsys, figure, grid):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] in ("ZOutOfRangeError", "XOutOfRangeError")
+
+
+@pytest.mark.parametrize("figure, grid, count, stop", [
+    ("1", "0.17:0.8:0.07", 10, 0.8),  # 0.17 + 9 * 0.07 rounds to 0.8000000000000002
+    ("2", "0.04:0.24253562503633297:0.06751187501211099", 4, bounds.X_MAX),
+])
+def test_bounds_figure_grid_ends_on_its_stop(capsys, figure, grid, count, stop):
+    code, out, err = run(capsys, ["bounds", "--figure", figure, "--range", grid])
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)[1]
+    assert len(rows) == count and float(rows[-1][0]) == stop
 
 
 def test_bounds_rejects_bad_range(capsys):

@@ -72,6 +72,18 @@ def test_lsm_operators_resolve_support():
     assert instance.completeness_defect < 1e-8
 
 
+def test_lsm_and_inversion_flag_a_nearly_singular_average_alike():
+    # the average diag(1 - 5e-11, 5e-11) keeps rank 2 under KERNEL_RTOL, but its least
+    # eigenvalue is below FULL_RANK_TOL: both directions call the support restricted
+    ens = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.array([1.0 - 5e-11, 5e-11]))
+    instance = build_lsm(ens)
+    assert instance.support_rank == 2 and instance.support_restricted
+    assert measurement_from_ensemble(ens).support_restricted
+    # the support cut is the same: the operators resolve the identity, the error is 0
+    assert np.max(np.abs(instance.operators.sum(axis=0) - np.eye(2))) < 1e-8
+    assert abs(instance.error_probability) < 1e-12
+
+
 def test_lsm_error_probability_in_unit_interval():
     rng = np.random.default_rng(31)
     for _ in range(25):
