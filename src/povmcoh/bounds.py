@@ -15,7 +15,6 @@ x = 1/sqrt(33); see README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +24,9 @@ from .objects import (
     DensityMatrix,
     Povm,
     _check_states,
+    _Record,
     _raise_if,
+    _set,
     projective_povm,
     require_same_dim,
     require_type,
@@ -38,17 +39,17 @@ BOUND_SLACK = 1e-8
 X_MAX = 1.0 / math.sqrt(17.0)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """A certified upper bound on the l1 measure."""
 
-    c_l1_value: float
-    bound_value: float
-    bound_id: str
-    parameters: tuple | None = None
+    _fields = ("c_l1_value", "bound_value", "bound_id", "parameters")
 
-    def __post_init__(self):
-        _certify(self.bound_id, self.c_l1_value, self.bound_value)
+    def __init__(self, c_l1_value: float, bound_value: float, bound_id: str, parameters: tuple | None = None):
+        _certify(bound_id, c_l1_value, bound_value)
+        _set(self, "c_l1_value", c_l1_value)
+        _set(self, "bound_value", bound_value)
+        _set(self, "bound_id", bound_id)
+        _set(self, "parameters", parameters)
 
 
 def _certify(bound_id: str, c_l1, bound) -> None:
@@ -158,7 +159,8 @@ def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundRep
 def holder_bound_22(rho: DensityMatrix, povm: Povm) -> BoundReport:
     """holder_bound at p = q = 2, (sum_j ||E_j rho||^(1/2))^2 - sum_j ||E_j rho||, under
     its own id."""
-    return replace(holder_bound(rho, povm, 2.0, 2.0), bound_id="thm1_p2q2")
+    report = holder_bound(rho, povm, 2.0, 2.0)
+    return BoundReport(report.c_l1_value, report.bound_value, "thm1_p2q2", report.parameters)
 
 
 def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundReport]:
@@ -241,7 +243,9 @@ def _figure1_references(z: np.ndarray) -> np.ndarray:
 def _figure2_references(x: np.ndarray) -> np.ndarray:
     """The (m, 3) closed-form (b1, b2, b3) curves of the qutrit family."""
     tail = np.sqrt(np.maximum(1.0 - 17.0 * x * x, 0.0))
-    b3 = np.sqrt(6.0 * np.maximum(1.0 - 17.0 * x**4 - (1.0 - 17.0 * x * x) ** 2, 0.0))
+    # sqrt(6 (1 - 17x^4 - (1 - 17x^2)^2)) = x sqrt(204 - 1836x^2) for x >= 0, without
+    # the cancellation of the printed form near x = 0
+    b3 = x * np.sqrt(204.0 - 1836.0 * x * x)
     return np.column_stack([12.0 * x, (5.0 * x + tail) ** 2 - 1.0, b3])
 
 

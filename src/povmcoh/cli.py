@@ -9,7 +9,6 @@ success, 2 for input or validation problems, 3 for dimension mismatches,
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import math
@@ -120,15 +119,16 @@ def cmd_bounds(args) -> int:
     header = ["parameter", "c_l1"]
     header += [f"thm1_p{p:g}_q{q:g}" for p, q in pq_list]
     header += ["thm1_p2q2", "thm2_ordered", "thm2_uniform", "b1", "b2", "b3"]
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    # no cell needs CSV quoting: the names hold no comma, quote or line break, and each
+    # number is its repr, as the csv module writes it
 
     if args.figure is not None:
         if args.state or args.povm:
             raise ValidationError("--figure replaces --state/--povm")
         grid = _parse_range(args.range, (0.0, 0.8, 0.01) if args.figure == 1 else (0.0, 0.24, 0.0025))
         blocks = bounds._figure_sweep(args.figure, grid, pq_list)  # checks the grid: fails before any row
-        writer.writerow(header + ["b1_ref", "b2_ref", "b3_ref"])
-        for rows in blocks:  # numbers need no CSV quoting: each is its repr, as csv writes it
+        sys.stdout.write(",".join(header + ["b1_ref", "b2_ref", "b3_ref"]) + "\n")
+        for rows in blocks:
             sys.stdout.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
         return 0
 
@@ -144,7 +144,8 @@ def cmd_bounds(args) -> int:
         # with s = 1, is the conjugated basis column
         basis = require_unitary(povm.root_factors[1][:, 0, :].conj().T)
     [row] = bounds._bound_columns(rho.mat, measures._one_state(rho, povm), povm, pq_list, basis).tolist()
-    writer.writerows([header, [""] + row + ([] if basis is not None else ["", "", ""])])  # no header on error
+    cells = ["", *map(repr, row), *([] if basis is not None else ["", "", ""])]  # no basis: empty b1-b3
+    sys.stdout.write(",".join(header) + "\n" + ",".join(cells) + "\n")  # no header on error
     return 0
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from . import linalg, measures
 from .bounds import check_exponents
 from .errors import BetaNonPositiveError, InvalidExponentsError, ValidationError, as_count, as_float, shown
-from .objects import Povm, require_type
+from .objects import Povm, _Record, _set, require_type
 
 # Samples per Monte Carlo chunk; fixed so results don't depend on the thread count.
 # A chunk this size takes about 0.7 ms at d = 2 and 3-4 ms at d = 8 (2-CPU Xeon,
@@ -183,11 +182,13 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
 # Monte Carlo oracle
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    std_error: float
-    samples: int
+class McEstimate(_Record):
+    _fields = ("mean", "std_error", "samples")
+
+    def __init__(self, mean: float, std_error: float, samples: int):
+        _set(self, "mean", mean)
+        _set(self, "std_error", std_error)
+        _set(self, "samples", samples)
 
 
 def _chunk_stats(povm: Povm, count: int, gen: np.random.Generator,
@@ -253,16 +254,20 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
     return McEstimate(mean, math.sqrt(m2 / (samples - 1) / samples), samples)
 
 
-@dataclass(frozen=True)
-class HaarAverageResult:
+class HaarAverageResult(_Record):
     """Analytic Haar average, optionally with an attached MC estimate."""
 
-    analytic: float
-    measure_id: str
-    alpha: float | None = None
-    mc_estimate: float | None = None
-    mc_std_error: float | None = None
-    sample_count: int | None = None
+    _fields = ("analytic", "measure_id", "alpha", "mc_estimate", "mc_std_error", "sample_count")
+
+    def __init__(self, analytic: float, measure_id: str, alpha: float | None = None,
+                 mc_estimate: float | None = None, mc_std_error: float | None = None,
+                 sample_count: int | None = None):
+        _set(self, "analytic", analytic)
+        _set(self, "measure_id", measure_id)
+        _set(self, "alpha", alpha)
+        _set(self, "mc_estimate", mc_estimate)
+        _set(self, "mc_std_error", mc_std_error)
+        _set(self, "sample_count", sample_count)
 
     @property
     def sigma_distance(self) -> float | None:

@@ -9,13 +9,11 @@ ensemble equals half the Tsallis(1/2) coherence of the pair — checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import linalg, measures
 from .errors import DegenerateEnsembleError
-from .objects import DensityMatrix, Ensemble, Povm, require_type
+from .objects import DensityMatrix, Ensemble, Povm, _Frozen, _Record, _set, require_type
 
 # Members steered with weight at or below this are dropped.
 WEIGHT_DROP_TOL = 1e-14
@@ -27,8 +25,7 @@ DEGENERATE_TOL = 1e-14
 FULL_RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class LsmInstance:
+class LsmInstance(_Frozen):
     """LSM operators for an ensemble, with the discrimination error.
 
     The operators, one read-only (m, d, d) array, form a POVM on the support of
@@ -38,17 +35,22 @@ class LsmInstance:
     max|sum_j M_j - P_support|.
     """
 
-    ensemble: Ensemble
-    operators: np.ndarray
-    error_probability: float
-    support_rank: int
-    support_projector: np.ndarray
-    support_restricted: bool
-    completeness_defect: float
+    _fields = ("ensemble", "operators", "error_probability", "support_rank", "support_projector",
+               "support_restricted", "completeness_defect")
+
+    def __init__(self, ensemble: Ensemble, operators: np.ndarray, error_probability: float,
+                 support_rank: int, support_projector: np.ndarray, support_restricted: bool,
+                 completeness_defect: float):
+        _set(self, "ensemble", ensemble)
+        _set(self, "operators", operators)
+        _set(self, "error_probability", error_probability)
+        _set(self, "support_rank", support_rank)
+        _set(self, "support_projector", support_projector)
+        _set(self, "support_restricted", support_restricted)
+        _set(self, "completeness_defect", completeness_defect)
 
 
-@dataclass(frozen=True, eq=False)
-class StatePovmResult:
+class StatePovmResult(_Frozen):
     """Ensemble converted back to a (state, POVM) pair.
 
     When the mixture is rank-deficient everything is restricted to its support
@@ -56,21 +58,27 @@ class StatePovmResult:
     the restricted space back into the original one.
     """
 
-    state: DensityMatrix
-    povm: Povm
-    support_restricted: bool
-    support_basis: np.ndarray | None = None
+    _fields = ("state", "povm", "support_restricted", "support_basis")
+
+    def __init__(self, state: DensityMatrix, povm: Povm, support_restricted: bool,
+                 support_basis: np.ndarray | None = None):
+        _set(self, "state", state)
+        _set(self, "povm", povm)
+        _set(self, "support_restricted", support_restricted)
+        _set(self, "support_basis", support_basis)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Record):
     """C_{T,1/2}(rho, E) = lhs against rhs = 2 P_err, with the LSM instance of the
-    steered ensemble that gave P_err."""
+    steered ensemble that gave P_err, which repr and equality leave out."""
 
-    lhs: float
-    rhs: float
-    defect: float
-    instance: LsmInstance = field(repr=False, compare=False)
+    _fields = ("lhs", "rhs", "defect")
+
+    def __init__(self, lhs: float, rhs: float, defect: float, instance: LsmInstance):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "defect", defect)
+        _set(self, "instance", instance)
 
 
 def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:

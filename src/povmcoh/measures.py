@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import AlphaOutOfRangeError, NumericError, ValidationError, as_float, shown
-from .objects import DensityMatrix, Povm, require_same_dim, require_type
+from .objects import DensityMatrix, Povm, _Record, _set, require_same_dim, require_type
 
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
 # anything lower means a kernel bug.
@@ -33,18 +32,22 @@ TSALLIS = "tsallis"
 MEASURE_IDS = (RELATIVE_ENTROPY, L1, TSALLIS)
 
 
-@dataclass(frozen=True)
-class CoherenceResult:
-    value: float
-    measure_id: str
-    alpha: float | None = None
+class CoherenceResult(_Record):
+    _fields = ("value", "measure_id", "alpha")
+
+    def __init__(self, value: float, measure_id: str, alpha: float | None = None):
+        _set(self, "value", value)
+        _set(self, "measure_id", measure_id)
+        _set(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class IncoherenceReport:
-    incoherent: bool
-    max_defect: float
-    tol: float
+class IncoherenceReport(_Record):
+    _fields = ("incoherent", "max_defect", "tol")
+
+    def __init__(self, incoherent: bool, max_defect: float, tol: float):
+        _set(self, "incoherent", incoherent)
+        _set(self, "max_defect", max_defect)
+        _set(self, "tol", tol)
 
 
 def _clamp_value(value: float, measure_id: str) -> float:

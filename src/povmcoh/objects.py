@@ -8,7 +8,6 @@ a constructed object by the same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,12 +36,54 @@ WEIGHT_SUM_TOL = 1e-10
 MAX_DRAWN_ENTRIES = 1 << 22
 
 
-@dataclass(frozen=True)
-class Violation:
+# How a _Frozen class's own __init__ sets each field, once.  object.__setattr__ keeps
+# the attributes in the instance's inline values, where reads are fastest; writing
+# them through self.__dict__ would turn it into a real dict, which reads about 4x
+# slower on CPython 3.11.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Attributes set once, by each class's own __init__ (through _set): assigning
+    or deleting one raises AttributeError.  repr shows the _fields in order.
+    Equality and hashing stay object's own C-level ones, by identity, which the
+    weakly keyed measure memo looks up on every call."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Record(_Frozen):
+    """A _Frozen value: equal, and hash-equal, to a record of its own class with
+    equal _fields."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Violation(_Record):
     """One broken invariant, with the measured defect."""
 
-    invariant: str
-    defect: float
+    _fields = ("invariant", "defect")
+
+    def __init__(self, invariant: str, defect: float):
+        _set(self, "invariant", invariant)
+        _set(self, "defect", defect)
 
     def __str__(self):
         return f"{self.invariant} (defect {self.defect:.3e})"
@@ -213,17 +254,16 @@ def _raise_if(violations, what):
         raise ValidationError(f"invalid {what}: {msg}", violations)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """Hermitian PSD matrix with unit trace."""
 
-    mat: np.ndarray
+    _fields = ("mat",)
 
-    def __post_init__(self):
-        violations, checked = _check_density(self.mat)
+    def __init__(self, mat: np.ndarray):
+        violations, checked = _check_density(mat)
         _raise_if(violations, "density matrix")
-        object.__setattr__(self, "mat", checked[0])
-        object.__setattr__(self, "_support", checked[1])
+        _set(self, "mat", checked[0])
+        _set(self, "_support", checked[1])
 
     @property
     def dim(self) -> int:
@@ -248,17 +288,16 @@ class DensityMatrix:
         return self.purity() >= 1.0 - as_float(tol, ValidationError, "tol")
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Frozen):
     """Unit vector; `density()` gives the rank-one projector."""
 
-    vec: np.ndarray
+    _fields = ("vec",)
 
-    def __post_init__(self):
-        vec = np.array(as_array(self.vec, ValidationError, "pure state"))
+    def __init__(self, vec: np.ndarray):
+        vec = np.array(as_array(vec, ValidationError, "pure state"))
         _raise_if(_check_pure(vec), "pure state")
         vec.flags.writeable = False
-        object.__setattr__(self, "vec", vec)
+        _set(self, "vec", vec)
 
     @property
     def dim(self) -> int:
@@ -268,19 +307,18 @@ class PureState:
         return DensityMatrix(np.outer(self.vec, self.vec.conj()))
 
 
-@dataclass(frozen=True, eq=False)
-class Povm:
+class Povm(_Frozen):
     """Measurement: PSD elements summing to the identity, one read-only (n, d, d) stack."""
 
-    elements: np.ndarray
+    _fields = ("elements",)
 
     def __init__(self, elements):
         violations, checked = _check_povm(elements)
         _raise_if(violations, "POVM")
         stack, w, u = checked  # a new array, owned here
         stack.flags.writeable = False
-        object.__setattr__(self, "elements", stack)
-        object.__setattr__(self, "_root_factors", _root_factors(w, u))
+        _set(self, "elements", stack)
+        _set(self, "_root_factors", _root_factors(w, u))
 
     @property
     def dim(self) -> int:
@@ -323,16 +361,14 @@ class Povm:
         return float(np.max(np.abs(e @ e - e))) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class Ensemble:
+class Ensemble(_Frozen):
     """States with prior weights; weights sum to one.
 
     The members, given as DensityMatrix objects, matrices or an (m, d, d) array, are
     held as one read-only (m, d, d) array `stack`.
     """
 
-    stack: np.ndarray
-    weights: np.ndarray
+    _fields = ("stack", "weights")
 
     def __init__(self, states, weights):
         violations, checked = _check_ensemble(states, weights)
@@ -342,8 +378,8 @@ class Ensemble:
         stack, weights = checked[0], checked[1].copy()  # the stack is a new array, owned here
         stack.flags.writeable = False
         weights.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "weights", weights)
+        _set(self, "stack", stack)
+        _set(self, "weights", weights)
 
     @cached_property
     def states(self) -> tuple[DensityMatrix, ...]:

@@ -14,23 +14,25 @@ left side is at least log2(1/c) with no entropy correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, measures
 from .errors import ValidationError, as_float
-from .objects import COMPLETENESS_TOL, DensityMatrix, Povm, require_same_dim, require_type
+from .objects import COMPLETENESS_TOL, DensityMatrix, Povm, _Record, _set, require_same_dim, require_type
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
-    lhs: float
-    c: float
-    c_prime: float
-    bound_c: float
-    bound_c_prime: float
-    entropy_rho: float
+class UncertaintyReport(_Record):
+    _fields = ("lhs", "c", "c_prime", "bound_c", "bound_c_prime", "entropy_rho")
+
+    def __init__(self, lhs: float, c: float, c_prime: float, bound_c: float, bound_c_prime: float,
+                 entropy_rho: float):
+        _set(self, "lhs", lhs)
+        _set(self, "c", c)
+        _set(self, "c_prime", c_prime)
+        _set(self, "bound_c", bound_c)
+        _set(self, "bound_c_prime", bound_c_prime)
+        _set(self, "entropy_rho", entropy_rho)
 
 
 def _check_povms(e: Povm, f: Povm) -> None:

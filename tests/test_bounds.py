@@ -239,6 +239,18 @@ def test_b3_reference_curve_form():
     assert abs(figure2_reference_bounds(0.0)[2] - bound_b3(figure2_state(0.0), np.eye(3)).bound_value) < 1e-12
 
 
+@pytest.mark.parametrize("x", [1e-9, 1e-6, 0.0025, 0.1, 0.24])
+def test_b3_reference_curve_keeps_its_digits_near_zero(x):
+    # the printed form sqrt(6 (1 - 17x^4 - (1 - 17x^2)^2)), a difference of nearly
+    # equal numbers near x = 0, taken at 50 digits
+    import mpmath
+
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        exact = mpmath.sqrt(6 * (1 - 17 * xm**4 - (1 - 17 * xm**2) ** 2))
+        assert abs(figure2_reference_bounds(x)[2] - exact) <= 1e-15 * exact
+
+
 def test_family1_states():
     rho = figure1_state(0.0)
     w = np.linalg.eigvalsh(rho.mat)

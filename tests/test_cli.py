@@ -770,14 +770,14 @@ def test_a_long_sweep_arrives_whole_through_a_pipe(entry_runs):
 
 def test_cli_import_path_stays_light():
     """A fresh `import povmcoh.cli` loads every layer module but none of the
-    modules only a rare branch needs. It runs in a subprocess: pytest itself
-    imports logging."""
+    modules only a rare branch needs, nor `dataclasses` or `csv`, which no class
+    or command uses. It runs in a subprocess: pytest itself imports logging."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = "import json, sys; import povmcoh.cli; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     loaded = set(json.loads(proc.stdout))
-    assert {"numpy.random", "logging", "concurrent.futures"}.isdisjoint(loaded)
+    assert {"numpy.random", "logging", "concurrent.futures", "dataclasses", "csv"}.isdisjoint(loaded)
     layers = ("linalg", "objects", "measures", "bounds", "lsm", "uncertainty", "haar", "fileio", "cli")
     assert {f"povmcoh.{layer}" for layer in layers} <= loaded
