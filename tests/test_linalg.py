@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -268,6 +269,29 @@ def test_a_failure_on_the_helper_leaves_it_working(two_cpus):
     assert _within(10, lambda: map_blocks(lambda i: i * i, range(5))) == [0, 1, 4, 9, 16]
 
 
+def test_an_interrupted_caller_waits_for_the_helpers_share(two_cpus):
+    # item 0 is interrupted on the calling thread while item 1 still runs on the
+    # helper: the interrupt reaches the caller only once the helper's share is done
+    finished = threading.Event()
+
+    def item(i):
+        if i == 0:
+            raise KeyboardInterrupt
+        time.sleep(0.2)
+        finished.set()
+        return i
+
+    def call():
+        try:
+            map_blocks(item, range(2))
+        except KeyboardInterrupt:
+            return finished.is_set()
+        return "no interrupt"
+
+    assert _within(10, call) is True
+    assert _within(10, lambda: map_blocks(lambda i: i * i, range(5))) == [0, 1, 4, 9, 16]
+
+
 def test_a_nested_call_completes(two_cpus):
     # even items nest on the calling thread, which waits for the helper's share of
     # the outer call; odd ones nest on the helper, which runs them in a loop
@@ -319,6 +343,27 @@ sys.exit(os.waitstatus_to_exitcode(status))
     done = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", child],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_call_from_an_atexit_handler_works():
+    # the helper starts before exit; atexit handlers run after threading's own
+    # shutdown hooks, where a pool that refuses new work would fail the call
+    child = """
+import atexit
+from povmcoh import linalg
+linalg._cpus = lambda: 2
+want = [3, 2, 1, 0, 1, 2]
+assert linalg.map_blocks(abs, range(-3, 3)) == want
+
+def at_exit():
+    print("ok" if linalg.map_blocks(abs, range(-3, 3)) == want else "wrong")
+
+atexit.register(at_exit)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 def test_map_blocks_raises_what_a_loop_over_the_items_would(two_cpus):
