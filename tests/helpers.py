@@ -295,13 +295,19 @@ def record_thread_starts(monkeypatch) -> list:
 
 def record_hand_offs(monkeypatch) -> list:
     """The ident of the helper thread each map_blocks call hands items to from now
-    on, as a list that fills as the calls run."""
+    on, as a list that fills as the calls run.  The helper is started first, if no
+    call has started it yet, so that its queue can be wrapped."""
+    if linalg._helper is None:
+        with monkeypatch.context() as two_cpus:
+            two_cpus.setattr(linalg, "_cpus", lambda: 2)
+            linalg.map_blocks(abs, range(2))
+    jobs, helper = linalg._helper
     hand_offs = []
-    run = linalg._Helper.run
 
-    def recording_run(helper, job, own):
-        hand_offs.append(helper.thread.ident)
-        return run(helper, job, own)
+    class RecordingQueue:
+        def put(self, job):
+            hand_offs.append(helper.ident)
+            jobs.put(job)
 
-    monkeypatch.setattr(linalg._Helper, "run", recording_run)
+    monkeypatch.setattr(linalg, "_helper", (RecordingQueue(), helper))
     return hand_offs

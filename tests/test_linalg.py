@@ -232,9 +232,10 @@ def test_map_blocks_keeps_item_order_under_fast_switching(two_cpus):
     finally:
         sys.setswitchinterval(interval)
     assert [i for i, _ in got] == list(range(300))
-    assert {ident for _, ident in got} == {threading.get_ident(), linalg._helper.thread.ident}
+    _, helper = linalg._helper
+    assert {ident for _, ident in got} == {threading.get_ident(), helper.ident}
     assert again == got  # the same helper thread, parked between the calls
-    assert _helper_threads() == [linalg._helper.thread]
+    assert _helper_threads() == [helper]
 
 
 def test_the_parked_helper_keeps_no_item_alive(two_cpus):
