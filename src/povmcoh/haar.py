@@ -40,6 +40,11 @@ from .objects import Povm, _Record, _set, require_type
 MC_CHUNK = 4096
 # Largest Monte Carlo sample count; checked before any chunk list or generator exists.
 MAX_MC_SAMPLES = 10**8
+# Smallest standard error sigma_distance divides by, relative to max(1, |values|):
+# 16 ulp.  A measure that is the same for every state (each element a multiple of I,
+# or d = 1) samples with a standard error of roundoff, about 1e-18, and the 1-3 ulp
+# between its exact average and the sample mean would read as tens of sigma.
+MC_ROUNDOFF_FLOOR = 16 * np.finfo(float).eps
 # Largest moment order: an order-beta moment costs about beta cumulative sums, so
 # the exact averages take alpha >= 1e-4 and Hölder exponents up to 2e4.
 MAX_BETA = 1e4
@@ -271,12 +276,12 @@ class HaarAverageResult(_Record):
 
     @property
     def sigma_distance(self) -> float | None:
-        """|analytic - mc| in standard errors (None without an MC run)."""
+        """|analytic - mc| in standard errors (None without an MC run), the standard
+        error taken as at least MC_ROUNDOFF_FLOOR times max(1, |analytic|, |mc|)."""
         if self.mc_estimate is None:
             return None
-        if self.mc_std_error == 0.0:
-            return 0.0 if self.analytic == self.mc_estimate else math.inf
-        return abs(self.analytic - self.mc_estimate) / self.mc_std_error
+        floor = MC_ROUNDOFF_FLOOR * max(1.0, abs(self.analytic), abs(self.mc_estimate))
+        return abs(self.analytic - self.mc_estimate) / max(self.mc_std_error, floor)
 
 
 def haar_average(povm: Povm, measure_id: str, alpha: float | None = None,

@@ -459,6 +459,15 @@ def test_haar_l1bound(capsys, z_path):
     assert abs(doc["universal_bound"] - 1.0) < 1e-12
 
 
+def test_haar_mc_of_a_measure_the_same_for_every_state_reads_below_one_sigma(capsys, tmp_path):
+    # C_r is 1 for every state: the standard error is roundoff, and so is the gap
+    path = write_obj(tmp_path, "half.json", Povm([np.eye(2) / 2, np.eye(2) / 2]))
+    code, out, err = run(capsys, ["haar", "--povm", path, "--measure", "r", "--mc", "1000", "--seed", "3"])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["mc_std_error"] < 1e-15 and doc["sigma_distance"] < 1.0
+
+
 def test_haar_mc_deterministic_for_seed(capsys, monkeypatch, z_path):
     argv = ["haar", "--povm", z_path, "--measure", "r", "--mc", "20000", "--seed", "11"]
     code1, out1, _ = run(capsys, argv)

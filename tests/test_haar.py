@@ -3,7 +3,11 @@ high-precision oracle, exact moment formulas, the l1 pair bound, and the Monte
 Carlo cross-check."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -26,6 +30,7 @@ from povmcoh import (
     InvalidExponentsError,
     Povm,
     ValidationError,
+    HaarAverageResult,
     haar_average,
     haar_average_l1_bound,
     haar_average_relative_entropy,
@@ -38,7 +43,7 @@ from povmcoh import (
     tsallis_half_trace_formula,
 )
 from povmcoh import linalg
-from povmcoh.haar import MAX_BETA, MAX_MC_SAMPLES, MC_CHUNK
+from povmcoh.haar import MAX_BETA, MAX_MC_SAMPLES, MC_CHUNK, MC_ROUNDOFF_FLOOR
 from povmcoh.measures import pure_l1_coherence
 from povmcoh.objects import MAX_DRAWN_ENTRIES
 
@@ -549,6 +554,38 @@ def test_haar_average_dispatch_with_mc():
     )
     assert res.mc_estimate is not None
     assert res.sigma_distance <= 4.0
+
+
+def test_sigma_distance_of_a_measure_the_same_for_every_state_is_roundoff():
+    # every element a multiple of I: C_r is 1 for every state, the sampled standard
+    # error is roundoff, and the exact average is a few ulp below 1
+    povm = Povm([np.eye(2) / 2, np.eye(2) / 2])
+    res = haar_average(povm, "relative_entropy", mc_samples=1000, rng=np.random.default_rng(3))
+    assert res.mc_std_error < 1e-15 and res.analytic != res.mc_estimate
+    assert res.sigma_distance < 1.0
+
+
+@pytest.mark.parametrize("analytic, mc, std_error, want", [
+    (1.0, 1.0, 0.0, 0.0),
+    (1.0, 1.0 + MC_ROUNDOFF_FLOOR, 0.0, 1.0),
+    (4.0, 4.0 + 2.0 * MC_ROUNDOFF_FLOOR, 1e-18, 0.5),
+    (0.5, 0.49, 0.01, 1.0),
+], ids=["equal", "floor", "relative-floor", "sampled"])
+def test_sigma_distance_floors_the_standard_error_at_roundoff(analytic, mc, std_error, want):
+    res = HaarAverageResult(analytic, "relative_entropy", None, mc, std_error, 1000)
+    assert res.sigma_distance == pytest.approx(want, rel=1e-12)
+
+
+def test_haar_vs_mc_script_passes_a_measure_the_same_for_every_state():
+    # on d = 1 every measure takes one value: no formula is off by tens of sigma
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), *sys.path]))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "haar_vs_mc.py"), "--povms", "1",
+                           "--samples", "2000", "--dim", "1", "--outcomes", "3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    worst = float(done.stdout.rsplit("distance:", 1)[1].split()[0])
+    assert worst < 1.0
 
 
 def test_haar_average_rejects_l1_id():
