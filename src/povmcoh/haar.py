@@ -34,7 +34,7 @@ from .objects import Povm, _Record, _set, require_type
 
 # Samples per Monte Carlo chunk; fixed so results don't depend on the thread count.
 # A chunk this size takes about 0.7 ms at d = 2 and 3-4 ms at d = 8 (2-CPU Xeon,
-# one BLAS thread), against 0.04 ms to hand work to linalg.map_blocks' parked
+# one BLAS thread), against 0.03 ms to hand work to linalg.map_blocks' parked
 # helper, so two chunks on two threads beat one chunk twice the size.  Chunks of
 # 2048 samples ran slower on two threads than chunks of 4096 at d = 2..8.
 MC_CHUNK = 4096

@@ -10,7 +10,13 @@ import threading
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import ConvergenceFailureError, NegativeEigenvalueError, NotHermitianError, NotSquareError, as_array
+from .errors import (
+    ConvergenceFailureError,
+    NegativeEigenvalueError,
+    NotHermitianError,
+    NotSquareError,
+    as_array,
+)
 
 # Inputs are accepted as Hermitian when max|M - M^dag| is below this.
 HERMITICITY_TOL = 1e-9
@@ -87,16 +93,15 @@ def map_blocks(func, items) -> list:
     items = list(items)
     if len(items) < 2 or _cpus() < 2:
         return [func(item) for item in items]
-    if _helper is None:
-        with _helper_start:
-            if _helper is None:
-                import queue  # only a process that splits work loads it
+    with _helper_start:
+        if _helper is None:
+            import queue  # only a process that splits work loads it
 
-                jobs = queue.SimpleQueue()
-                helper = threading.Thread(target=_serve, args=(jobs,), name="povmcoh-map_blocks", daemon=True)
-                helper.start()
-                _helper = jobs, helper
-    jobs, helper = _helper
+            jobs = queue.SimpleQueue()
+            helper = threading.Thread(target=_serve, args=(jobs,), name="povmcoh-map_blocks", daemon=True)
+            helper.start()
+            _helper = jobs, helper
+        jobs, helper = _helper
     if threading.get_ident() == helper.ident:
         return [func(item) for item in items]
     results = [None] * len(items)
