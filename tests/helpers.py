@@ -298,8 +298,8 @@ def record_hand_offs(monkeypatch) -> list:
     on, as a list that fills as the calls run.  The helper is started first, if no
     call has started it yet, so that its queue can be wrapped."""
     if linalg._helper is None:
-        with monkeypatch.context() as two_cpus:
-            two_cpus.setattr(linalg, "_cpus", lambda: 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_cpus", lambda: 2)
             linalg.map_blocks(abs, range(2))
     jobs, helper = linalg._helper
     hand_offs = []

@@ -27,10 +27,10 @@ from helpers import (
 from povmcoh import (
     AlphaOutOfRangeError,
     BetaNonPositiveError,
+    HaarAverageResult,
     InvalidExponentsError,
     Povm,
     ValidationError,
-    HaarAverageResult,
     haar_average,
     haar_average_l1_bound,
     haar_average_relative_entropy,
