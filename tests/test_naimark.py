@@ -15,8 +15,14 @@ import numpy as np
 import pytest
 
 from helpers import block_projective_povm, random_rank_density, random_unitary
-from povmcoh import Povm, l1_coherence, projective_povm, random_povm, relative_entropy_coherence
-from povmcoh import tsallis_coherence
+from povmcoh import (
+    Povm,
+    l1_coherence,
+    projective_povm,
+    random_povm,
+    relative_entropy_coherence,
+    tsallis_coherence,
+)
 
 TOL = 1e-10
 # eigenvalues at or below this are roundoff of a zero: the dilated matrices have
