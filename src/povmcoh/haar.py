@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from functools import partial
 
 import numpy as np
 
@@ -136,6 +135,11 @@ def haar_average_tsallis(povm: Povm, alpha: float) -> float:
     return measures._clamp_value((total - 1.0) / (alpha - 1.0), measures.TSALLIS)
 
 
+# measure id -> exact Haar average, called with check_measure_id's extra arguments; l1 has a bound
+_EXACT_AVERAGES = {measures.RELATIVE_ENTROPY: haar_average_relative_entropy,
+                   measures.TSALLIS: haar_average_tsallis}
+
+
 def tsallis_half_trace_formula(povm: Povm) -> float:
     """Trace-only closed form of the alpha = 1/2 Haar average:
     2 [ 1 - sum_j ( (tr E_j)^2 + tr E_j^2 ) / (d (d+1)) ]."""
@@ -197,8 +201,8 @@ class McEstimate(_Record):
 
 
 def _chunk_stats(povm: Povm, count: int, gen: np.random.Generator,
-                 value_of) -> tuple[int, float, float]:
-    """(count, mean, sum of squared deviations) of one chunk of samples."""
+                 value_of, args: tuple) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of value_of(p, *args) over one chunk."""
     # the same two draws as A + 1j B, written straight into one complex array
     g = np.empty((count, povm.dim), dtype=complex)
     g.real = gen.standard_normal((count, povm.dim))
@@ -207,7 +211,7 @@ def _chunk_stats(povm: Povm, count: int, gen: np.random.Generator,
     p = measures.pure_state_probabilities(g, povm)
     gr = g.view(float)
     p /= np.einsum("ij,ij->i", gr, gr)[:, None]
-    vals = value_of(p)
+    vals = value_of(p, *args)
     mean = float(vals.mean())
     dev = vals - mean
     return count, mean, float(dev @ dev)
@@ -231,21 +235,15 @@ def monte_carlo_average(povm: Povm, measure_id: str, samples: int,
         raise ValidationError(f"at most {MAX_MC_SAMPLES} samples, got {shown(samples)}")
     require_type(povm, Povm, "povm")
     require_type(rng, np.random.Generator, "rng")
-    measures.check_measure_id(measure_id, alpha)
-    if measure_id == measures.RELATIVE_ENTROPY:
-        value_of = measures.pure_relative_entropy_coherence
-    elif measure_id == measures.L1:
-        value_of = measures.pure_l1_coherence
-    else:
-        alpha = measures.check_alpha(alpha)
-        value_of = partial(measures.pure_tsallis_coherence, alpha=alpha)
+    args = measures.check_measure_id(measure_id, alpha)
+    value_of = measures._MEASURES[measure_id][1]
     counts = [MC_CHUNK] * (samples // MC_CHUNK)
     if samples % MC_CHUNK:
         counts.append(samples % MC_CHUNK)
     gens = rng.spawn(len(counts))
 
     def stats(idx):
-        return _chunk_stats(povm, counts[idx], gens[idx], value_of)
+        return _chunk_stats(povm, counts[idx], gens[idx], value_of, args)
 
     parts = linalg.map_blocks(stats, range(len(counts)))
 
@@ -276,9 +274,9 @@ class HaarAverageResult(_Record):
 
     @property
     def sigma_distance(self) -> float | None:
-        """|analytic - mc| in standard errors (None without an MC run), the standard
-        error taken as at least MC_ROUNDOFF_FLOOR times max(1, |analytic|, |mc|)."""
-        if self.mc_estimate is None:
+        """|analytic - mc| in standard errors (None unless mc_estimate and mc_std_error are both
+        set), the standard error taken as at least MC_ROUNDOFF_FLOOR times max(1, |analytic|, |mc|)."""
+        if self.mc_estimate is None or self.mc_std_error is None:
             return None
         floor = MC_ROUNDOFF_FLOOR * max(1.0, abs(self.analytic), abs(self.mc_estimate))
         return abs(self.analytic - self.mc_estimate) / max(self.mc_std_error, floor)
@@ -288,16 +286,13 @@ def haar_average(povm: Povm, measure_id: str, alpha: float | None = None,
                  mc_samples: int | None = None,
                  rng: np.random.Generator | None = None) -> HaarAverageResult:
     """Analytic Haar average by measure id; a Monte Carlo cross-check unless mc_samples is 0."""
-    measures.check_measure_id(measure_id, alpha)
-    if measure_id == measures.RELATIVE_ENTROPY:
-        analytic = haar_average_relative_entropy(povm)
-    elif measure_id == measures.TSALLIS:
-        analytic = haar_average_tsallis(povm, alpha)
-    else:
+    args = measures.check_measure_id(measure_id, alpha)
+    if measure_id not in _EXACT_AVERAGES:
         raise ValidationError(
             f"no exact Haar average for measure {measure_id!r}; "
             "use haar_average_l1_bound for the l1 bound"
         )
+    analytic = _EXACT_AVERAGES[measure_id](povm, *args)
     if mc_samples is None or as_count(mc_samples, ValidationError, "mc_samples") == 0:
         return HaarAverageResult(analytic, measure_id, alpha)
     if rng is None:

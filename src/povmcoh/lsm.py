@@ -87,8 +87,7 @@ def ensemble_from_measurement(rho: DensityMatrix, povm: Povm) -> Ensemble:
     Outcomes with weight <= WEIGHT_DROP_TOL never occur and are dropped; the
     remaining weights are renormalized (total dropped mass <= n * 1e-14).
     """
-    measures._check_pair(rho, povm)
-    blocks = linalg.support_sandwich(*rho.support, povm.elements, 0.5)
+    blocks = linalg.support_sandwich(*measures._one_state(rho, povm), povm.elements, 0.5)
     etas = np.real(np.trace(blocks, axis1=1, axis2=2))
     keep = etas > WEIGHT_DROP_TOL
     weights = etas[keep]
@@ -115,9 +114,7 @@ def build_lsm(ensemble: Ensemble) -> LsmInstance:
     operators = linalg.support_sandwich(w, v, ensemble.stack, -0.5, ensemble.weights)
     # success = sum_j eta_j tr(M_j rho_j), each trace as an elementwise product sum
     success = float(ensemble.weights @ np.einsum("jab,jba->j", operators, ensemble.stack).real)
-    error = 1.0 - success
-    if -1e-10 <= error < 0.0:
-        error = 0.0
+    error = measures._clamp_value(1.0 - success, "LSM error probability")
     defect = float(np.max(np.abs(operators.sum(axis=0) - projector)))
     operators.flags.writeable = False
     return LsmInstance(

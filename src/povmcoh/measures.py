@@ -14,6 +14,7 @@ all j != k) and are invariant under relabeling of outcomes.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -54,36 +55,19 @@ def _clamp_value(value: float, measure_id: str) -> float:
     if value < -NEGATIVE_VALUE_TOL:
         raise NumericError(f"{measure_id} evaluated to {value:.3e}, below -{NEGATIVE_VALUE_TOL:.1e}")
     if value < 0.0:
-        import logging  # kept off the import path: only a clamp needs it
-
-        logging.getLogger(__name__).debug("%s value %.3e clamped to 0 (roundoff)", measure_id, value)
+        # until a caller imports logging, no handler or level exists that takes a debug
+        # record, so the module is not loaded for one: a pure state's S(rho) clamps often
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            logging.getLogger(__name__).debug("%s value %.3e clamped to 0 (roundoff)", measure_id, value)
         return 0.0
     return value + 0.0  # -0.0 + 0.0 is +0.0: an exact zero reports unsigned
 
 
 # Measure values per (rho, POVM) pair, keyed weakly on rho and then on the POVM (both
-# immutable), then on (measure id, alpha): the bounds certify themselves against
-# C_l1, and the LSM identity and the uncertainty relation reuse C_T and C_r.
+# immutable), then on (measure id, *its extra arguments), by compute: the bounds certify
+# themselves against C_l1, and the LSM identity and the uncertainty relation reuse C_T and C_r.
 _MEMO = weakref.WeakKeyDictionary()
-
-
-def _check_pair(rho: DensityMatrix, povm: Povm) -> None:
-    require_type(rho, DensityMatrix, "rho")
-    require_type(povm, Povm, "povm")
-    require_same_dim(rho.dim, povm.dim)
-
-
-def _memoised(rho: DensityMatrix, povm: Povm, key: tuple, kernel, *args) -> float:
-    """The clamped value of kernel(rho.support, povm, *args), computed once per
-    (rho, povm, key)."""
-    support = _one_state(rho, povm)
-    by_povm = _MEMO.get(rho)
-    if by_povm is None:
-        by_povm = _MEMO[rho] = weakref.WeakKeyDictionary()
-    values = by_povm.setdefault(povm, {})
-    if key not in values:
-        values[key] = _clamp_value(float(kernel(support, povm, *args)), key[0])
-    return values[key]
 
 
 # The kernels below take the support eigenpairs (w, v) of states against one POVM and
@@ -95,7 +79,9 @@ def _memoised(rho: DensityMatrix, povm: Povm, key: tuple, kernel, *args) -> floa
 # op).  A state's row in a stack of one rank has the bits of its single-state value.
 def _one_state(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
     """rho.support, the kernels' argument for one state, after the pair check."""
-    _check_pair(rho, povm)
+    require_type(rho, DensityMatrix, "rho")
+    require_type(povm, Povm, "povm")
+    require_same_dim(rho.dim, povm.dim)
     return rho.support
 
 
@@ -116,7 +102,7 @@ def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResul
     Y_j^dag Y_j (r x r), whichever is smaller; S(rho) is the entropy of the support
     spectrum.
     """
-    return CoherenceResult(_memoised(rho, povm, (RELATIVE_ENTROPY, None), _block_entropies), RELATIVE_ENTROPY)
+    return compute(rho, povm, RELATIVE_ENTROPY)
 
 
 def _block_entropies(support: tuple, povm: Povm) -> np.ndarray:
@@ -133,7 +119,7 @@ def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
     the thin QR Y_j = Q_j R_j gives ||R_j R_k^dag||_tr instead, so every core is
     min(k, r) square: 1 x 1 for rank-one elements or a pure state.
     """
-    return CoherenceResult(_memoised(rho, povm, (L1, None), _cross_block_trace_norms), L1)
+    return compute(rho, povm, L1)
 
 
 def _cross_block_trace_norms(support: tuple, povm: Povm) -> np.ndarray:
@@ -156,13 +142,17 @@ def _cross_block_trace_norms(support: tuple, povm: Povm) -> np.ndarray:
     return 2.0 * sum(parts) if parts else np.zeros(states)
 
 
-def check_measure_id(measure_id: str, alpha=None) -> None:
-    """ValidationError unless measure_id is a str among MEASURE_IDS, and when an alpha
-    is given to a measure other than tsallis, which alone takes one."""
+def check_measure_id(measure_id: str, alpha=None) -> tuple:
+    """The measure's extra arguments to its kernels: (alpha,), checked, for tsallis,
+    which alone takes one, and () for the others.  ValidationError unless measure_id
+    is a str among MEASURE_IDS, and when an alpha is given to another measure."""
     if not isinstance(measure_id, str) or measure_id not in MEASURE_IDS:
         raise ValidationError(f"unknown measure id: {shown(measure_id)}")
-    if alpha is not None and measure_id != TSALLIS:
+    if measure_id == TSALLIS:
+        return (check_alpha(alpha),)
+    if alpha is not None:
         raise ValidationError(f"the {measure_id} measure takes no alpha, got {shown(alpha)}")
+    return ()
 
 
 def check_alpha(alpha: float) -> float:
@@ -182,8 +172,7 @@ def tsallis_coherence(rho: DensityMatrix, povm: Povm, alpha: float) -> Coherence
     being amplified by the fractional outer power on rank-deficient states.
     At alpha = 1/2 the sum of sigma^4 is taken from Gram matrices, with no spectrum.
     """
-    alpha = check_alpha(alpha)
-    return CoherenceResult(_memoised(rho, povm, (TSALLIS, alpha), _tsallis_value, alpha), TSALLIS, alpha)
+    return compute(rho, povm, TSALLIS, alpha)
 
 
 def _tsallis_value(support: tuple, povm: Povm, alpha: float) -> np.ndarray:
@@ -207,22 +196,24 @@ def _tsallis_value(support: tuple, povm: Povm, alpha: float) -> np.ndarray:
 
 
 def compute(rho: DensityMatrix, povm: Povm, measure_id: str, alpha: float | None = None) -> CoherenceResult:
-    """Dispatch by measure id ('relative_entropy' | 'l1' | 'tsallis'); only tsallis takes alpha."""
-    check_measure_id(measure_id, alpha)
-    if measure_id == RELATIVE_ENTROPY:
-        return relative_entropy_coherence(rho, povm)
-    if measure_id == L1:
-        return l1_coherence(rho, povm)
-    if alpha is None:
-        raise AlphaOutOfRangeError("tsallis measure requires alpha")
-    return tsallis_coherence(rho, povm, alpha)
+    """A measure's value by id ('relative_entropy' | 'l1' | 'tsallis'); only tsallis takes alpha.
+    Its kernel in _MEASURES runs once per (rho, povm, id, alpha), clamped; then _MEMO has it."""
+    args = check_measure_id(measure_id, alpha)
+    support = _one_state(rho, povm)
+    by_povm = _MEMO.get(rho)
+    if by_povm is None:
+        by_povm = _MEMO[rho] = weakref.WeakKeyDictionary()
+    values = by_povm.setdefault(povm, {})
+    key = (measure_id, *args)
+    if key not in values:
+        values[key] = _clamp_value(float(_MEASURES[measure_id][0](support, povm, *args)), measure_id)
+    return CoherenceResult(values[key], measure_id, *args)
 
 
 def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> IncoherenceReport:
     """Check E_j rho E_k = 0 for all j != k; defect is the largest entry magnitude."""
     tol = as_float(tol, ValidationError, "tol")
-    _check_pair(rho, povm)
-    w, v = rho.support
+    w, v = _one_state(rho, povm)
     # E_j rho E_k = Y_j Y_k^dag with Y_j = E_j v sqrt(w), d x r
     y = povm.elements @ (v * np.sqrt(w))
     defect = 0.0
@@ -272,3 +263,11 @@ def pure_tsallis_coherence(p: np.ndarray, alpha: float) -> np.ndarray:
     """Tsallis measure of a pure state: [sum_j p_j^(1/alpha) - 1] / (alpha - 1)."""
     alpha = check_alpha(alpha)
     return (p ** (1.0 / alpha) @ np.ones(np.shape(p)[-1]) - 1.0) / (alpha - 1.0)
+
+
+# measure id -> (kernel on supports, pure-state form), called with check_measure_id's extra arguments
+_MEASURES = {
+    RELATIVE_ENTROPY: (_block_entropies, pure_relative_entropy_coherence),
+    L1: (_cross_block_trace_norms, pure_l1_coherence),
+    TSALLIS: (_tsallis_value, pure_tsallis_coherence),
+}

@@ -353,6 +353,7 @@ class Povm(_Frozen):
 
     def is_rank_one_projective(self, tol: float = 1e-9) -> bool:
         """n == d and every element is idempotent with unit trace."""
+        tol = as_float(tol, ValidationError, "tol")
         if self.outcomes != self.dim:
             return False
         e = self.elements

@@ -99,7 +99,7 @@ def uncertainty_report(rho: DensityMatrix, e: Povm, f: Povm) -> UncertaintyRepor
     c = overlap_constant(e, f)
     c_prime = refined_overlap_constant(e, f)
     # a pure state's S(rho) can read -6e-16 or -0.0 in roundoff: both report as +0.0
-    entropy = max(0.0, float(linalg.spectrum_entropy(rho.support[0])))
+    entropy = measures._clamp_value(float(linalg.spectrum_entropy(rho.support[0])), "S(rho)")
     bound_c = 2.0 * (math.log2(1.0 / c) - entropy)
     bound_c_prime = math.log2(1.0 / c_prime) - 2.0 * entropy
     return UncertaintyReport(lhs, c, c_prime, bound_c, bound_c_prime, entropy)

@@ -500,6 +500,19 @@ def test_flags_the_mode_does_not_read_are_invalid(capsys, plus_path, z_path, arg
     assert error["message"].startswith(("--", "unrecognized arguments: --workers"))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "--state", "{z}", "--povm", "{z}", "--measure", "r"], ": expected a state or pure_state file"),
+    (["bounds", "--state", "{plus}", "--povm", "{z}", "--pq", "3,x"], "--pq expects numbers"),
+    (["bounds", "--figure", "1", "--range", "0:1"], "--range expects 'start:stop:step'"),
+    (["bounds", "--figure", "1", "--range", "0:a:0.1"], "--range expects numbers"),
+], ids=["povm-as-state", "pq-not-a-number", "range-two-parts", "range-not-a-number"])
+def test_malformed_arguments_are_named(capsys, plus_path, z_path, argv, message):
+    code, out, err = run(capsys, [a.format(plus=plus_path, z=z_path) for a in argv])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and message in error["message"]
+
+
 def test_haar_without_mc_reads_no_seed_from_the_environment(capsys, z_path, monkeypatch):
     monkeypatch.setenv("COH_SEED", "not-a-number")
     code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "r"])

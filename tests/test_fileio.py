@@ -110,6 +110,11 @@ def test_loads_rejects_bad_dim():
             fileio.loads(json.dumps(doc))
 
 
+def test_loads_rejects_empty_element_list():
+    with pytest.raises(ValidationError, match="nonempty list of matrices"):
+        fileio.loads('{"kind": "povm", "dim": 2, "payload": []}')
+
+
 def test_loads_rejects_missing_payload():
     with pytest.raises(ValidationError):
         fileio.loads('{"kind": "state", "dim": 2}')

@@ -576,6 +576,11 @@ def test_sigma_distance_floors_the_standard_error_at_roundoff(analytic, mc, std_
     assert res.sigma_distance == pytest.approx(want, rel=1e-12)
 
 
+def test_sigma_distance_needs_both_the_estimate_and_its_standard_error():
+    assert HaarAverageResult(1.0, "relative_entropy", mc_estimate=1.0).sigma_distance is None
+    assert HaarAverageResult(1.0, "relative_entropy", mc_std_error=0.1).sigma_distance is None
+
+
 def test_haar_vs_mc_script_passes_a_measure_the_same_for_every_state():
     # on d = 1 every measure takes one value: no formula is off by tens of sigma
     root = Path(__file__).resolve().parents[1]

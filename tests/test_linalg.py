@@ -17,6 +17,7 @@ from povmcoh import (
     DensityMatrix,
     NegativeEigenvalueError,
     NotHermitianError,
+    NotSquareError,
     Povm,
     ValidationError,
 )
@@ -416,6 +417,15 @@ def test_a_large_stack_on_two_threads_equals_the_one_cpu_result(monkeypatch, ker
     for result in (two, one):
         assert [a.shape for a in result] == [b.shape for b in whole]
         assert all(np.array_equal(a, b) for a, b in zip(result, whole))
+
+
+@STACKED_KERNELS
+def test_stacked_kernels_refuse_a_stack_of_non_matrices(kernel):
+    with pytest.raises(NotSquareError):
+        kernel(np.ones(3))
+    if kernel is not stacked_singular_values:  # the eigen kernels need square matrices
+        with pytest.raises(NotSquareError):
+            kernel(np.ones((2, 3)))
 
 
 @STACKED_KERNELS

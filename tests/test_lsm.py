@@ -16,6 +16,7 @@ from helpers import (
 from povmcoh import (
     DensityMatrix,
     Ensemble,
+    NumericError,
     Povm,
     PureState,
     build_lsm,
@@ -27,12 +28,28 @@ from povmcoh import (
     tsallis_coherence,
     validate,
 )
+from povmcoh import linalg
 
 
 def two_state_ensemble(v1, v2, w=(0.5, 0.5)):
     s1 = PureState(np.asarray(v1, dtype=complex)).density()
     s2 = PureState(np.asarray(v2, dtype=complex)).density()
     return Ensemble([s1, s2], np.asarray(w))
+
+
+@pytest.mark.parametrize("excess, clamped", [(5e-10, True), (1e-8, False)])
+def test_lsm_success_sum_past_one_is_roundoff_or_refused(monkeypatch, excess, clamped):
+    # orthogonal states: the operators are the projectors and the error is 0; scaling
+    # them by 1 + excess puts the success sum past 1 by excess.  Roundoff reads 0, as
+    # for a measure value (measures._clamp_value); a larger excess is a kernel bug
+    ens = two_state_ensemble([1.0, 0.0], [0.0, 1.0])
+    sandwich = linalg.support_sandwich
+    monkeypatch.setattr(linalg, "support_sandwich", lambda *args: (1.0 + excess) * sandwich(*args))
+    if clamped:
+        assert build_lsm(ens).error_probability == 0.0
+    else:
+        with pytest.raises(NumericError, match="LSM error probability"):
+            build_lsm(ens)
 
 
 def test_lsm_orthogonal_states_zero_error():

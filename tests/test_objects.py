@@ -75,6 +75,13 @@ def test_pure_state_norm():
     assert raised_violations(PureState, np.array([1.0, 1.0], dtype=complex)) == [Violation("unit_norm", 1.0)]
 
 
+def test_non_finite_pure_state_and_negative_weight_are_named():
+    assert raised_violations(PureState, np.array([np.nan, 1.0])) == [Violation("finite", np.inf)]
+    # the weights sum to 1, so only the sign is at fault
+    assert raised_violations(Ensemble, [np.eye(2) / 2.0] * 2, [1.5, -0.5]) == [
+        Violation("weights_nonnegative", 0.5)]
+
+
 def test_entries_near_the_largest_double_are_reported():
     # hermitian_part must not overflow before eigh, and an overflowing norm, trace or
     # spectrum (inf or NaN) is a violation, never a pass
@@ -368,6 +375,11 @@ def test_projective_povm_identity_basis():
     assert povm.is_rank_one_projective()
 
 
+def test_rank_one_projective_needs_unit_traces():
+    # n == d, but the traces are 3/2 and 1/2: refused by the trace check
+    assert not Povm([np.diag([1.0, 0.5]), np.diag([0.0, 0.5])]).is_rank_one_projective()
+
+
 def test_projective_povm_hadamard_basis():
     povm = x_basis_povm()
     plus = np.full((2, 2), 0.5)
@@ -462,6 +474,12 @@ LONG_INT = 10**5000  # past Python's 4300-digit limit for str()
     (lambda: Ensemble(LONG_INT, [1.0]), ValidationError),
     (lambda: holder_bound(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), [LONG_INT], 2), InvalidExponentsError),
     (lambda: tsallis_coherence(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), [LONG_INT]), AlphaOutOfRangeError),
+    # is_rank_one_projective reads tol as is_pure and is_povm_incoherent do, also
+    # where n != d settles the answer without it
+    (lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol="x"), ValidationError),
+    (lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol=HUGE_INT), ValidationError),
+    (lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol=1j), ValidationError),
+    (lambda: Povm([np.eye(2)]).is_rank_one_projective(tol=None), ValidationError),
 ])
 def test_non_numeric_and_non_iterable_inputs_raise_the_entry_point_error(call, error):
     with pytest.raises(error) as info:

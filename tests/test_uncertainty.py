@@ -16,6 +16,7 @@ from helpers import (
 )
 from povmcoh import (
     DensityMatrix,
+    NumericError,
     Povm,
     ValidationError,
     overlap_constant,
@@ -26,6 +27,20 @@ from povmcoh import (
     relative_entropy_coherence,
     uncertainty_report,
 )
+from povmcoh import linalg
+
+
+def test_a_negative_state_entropy_is_refused(monkeypatch):
+    # C_r of both pairs is memoised first, so only S(rho) reads the patched entropy:
+    # one clamp rule with the measures, roundoff reads 0 and -1e-6 is a kernel bug
+    rho = random_density(np.random.default_rng(4), 2)
+    e, f = z_basis_povm(), x_basis_povm()
+    relative_entropy_coherence(rho, e), relative_entropy_coherence(rho, f)
+    monkeypatch.setattr(linalg, "spectrum_entropy", lambda w: -1e-12)
+    assert uncertainty_report(rho, e, f).entropy_rho == 0.0
+    monkeypatch.setattr(linalg, "spectrum_entropy", lambda w: -1e-6)
+    with pytest.raises(NumericError, match="S\\(rho\\)"):
+        uncertainty_report(rho, e, f)
 
 
 def test_overlap_same_projective_basis_is_one():
