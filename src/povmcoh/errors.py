@@ -26,6 +26,16 @@ def as_float(value, error: type, name: str) -> float:
         raise error(f"{name} must be a number, got {shown(value)}") from None
 
 
+def as_tolerance(value) -> float:
+    """value as a tolerance: a float, finite and >= 0, or ValidationError.  A NaN
+    tolerance would fail every check made with it, a negative one every inexact
+    check, and inf would pass every one."""
+    tol = as_float(value, ValidationError, "tol")
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
+    return tol
+
+
 def as_count(value, error: type, name: str) -> int:
     """operator.index(value), or `error` when value is not an integer: an int or a
     numpy integer passes, a float (even an integral one), a string or None does not."""

@@ -156,12 +156,14 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clamp_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Zero out negative roundoff in eigenvalues of a PSD operator; reject real negatives."""
+    """Zero out negative roundoff in eigenvalues of a PSD operator; reject real negatives.
+    The result is C-contiguous: w itself when w is a C-contiguous float array with
+    nothing negative."""
     w = np.asarray(w, dtype=float)
     low = float(w.min()) if w.size else 0.0
     if low < -PSD_CLAMP_TOL:
         raise NegativeEigenvalueError(f"eigenvalue {low:.3e} below -{PSD_CLAMP_TOL:.1e}; operator is not PSD")
-    return np.where(w < 0.0, 0.0, w)
+    return np.where(w < 0.0, 0.0, w) if low < 0.0 else np.ascontiguousarray(w)
 
 
 def psd_support(w: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +172,7 @@ def psd_support(w: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     the rank of each support, the count of eigenvalues above rtol times the largest
     (a prefix of w)."""
     w = clamp_psd_eigenvalues(w)
-    return w, np.count_nonzero(w > rtol * w[..., :1], axis=-1)
+    return w, (w > rtol * w[..., :1]).sum(axis=-1)
 
 
 def support_eigenpairs(m: np.ndarray, kernel_rtol: float) -> tuple[np.ndarray, np.ndarray]:

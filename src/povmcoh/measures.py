@@ -20,7 +20,7 @@ import weakref
 import numpy as np
 
 from . import linalg
-from .errors import AlphaOutOfRangeError, NumericError, ValidationError, as_float, shown
+from .errors import AlphaOutOfRangeError, NumericError, ValidationError, as_float, as_tolerance, shown
 from .objects import DensityMatrix, Povm, _Record, _set, require_same_dim, require_type
 
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
@@ -212,15 +212,17 @@ def compute(rho: DensityMatrix, povm: Povm, measure_id: str, alpha: float | None
 
 def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> IncoherenceReport:
     """Check E_j rho E_k = 0 for all j != k; defect is the largest entry magnitude."""
-    tol = as_float(tol, ValidationError, "tol")
+    tol = as_tolerance(tol)
     w, v = _one_state(rho, povm)
-    # E_j rho E_k = Y_j Y_k^dag with Y_j = E_j v sqrt(w), d x r
+    # E_j rho E_k = Y_j Y_k^dag with Y_j = E_j v sqrt(w), d x r.  E_k rho E_j is the
+    # adjoint of E_j rho E_k, and conj(Y_j) Y_k^T its conjugate: all three have the
+    # same largest entry, so only the pairs j < k are taken, in blocks of pairs
+    # (linalg.blocks) of one batched product each
     y = povm.elements @ (v * np.sqrt(w))
-    defect = 0.0
-    for j in range(len(y) - 1):
-        # E_k rho E_j is the adjoint of E_j rho E_k, and conj(Y_j) Y_k^T its conjugate:
-        # all three have the same largest entry
-        defect = max(defect, float(np.max(np.abs(y[j].conj() @ y[j + 1:].swapaxes(-1, -2)))))
+    outcome = np.arange(len(y))
+    j, k = np.nonzero(outcome[:, None] < outcome)
+    defect = max((float(np.max(np.abs(y[j[pairs]].conj() @ y[k[pairs]].swapaxes(-1, -2))))
+                  for pairs in linalg.blocks(len(j), povm.dim ** 2)), default=0.0)
     return IncoherenceReport(defect <= tol, defect, tol)
 
 

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     as_array,
     as_count,
-    as_float,
+    as_tolerance,
     shown,
 )
 
@@ -93,17 +93,6 @@ def _finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a).all())
 
 
-def _check_density(mat) -> tuple[list[Violation], tuple | None]:
-    """Violations of: square, finite, Hermitian, PSD, unit trace.  With none, also
-    the read-only matrix the check stacked, a new array, and DensityMatrix.support:
-    the one-member case of _check_states."""
-    violations, checked = _check_states([as_array(mat, ValidationError, "density matrix")], "")
-    if violations:
-        return violations, None
-    stack, (w, v) = checked
-    return [], (stack[0], (w[0], v[0]))
-
-
 def _check_states(mats, prefix: str) -> tuple[list[Violation], tuple | None]:
     """The member rule of _check_members over states.  With no violation, also the
     read-only member stack, a new array, and the supports (w, v) of every member
@@ -127,23 +116,30 @@ def _check_states(mats, prefix: str) -> tuple[list[Violation], tuple | None]:
     return [], (stack, (w, v))
 
 
-def _check_members(mats: list, prefix: str, states: bool) -> tuple[list[Violation], bool, tuple | None]:
+def _check_members(mats, prefix: str, states: bool) -> tuple[list[Violation], bool, tuple | None]:
     """The one member rule of a lone state (prefix "", names bare), POVM elements
     ("element_") and ensemble members ("member_"): the violations, named
     {prefix}{i}_{invariant}; whether a member of another dimension ended the check;
-    and, with no violation, the member stack and its eigenpairs (w, v), w descending.
+    and, with no violation, the member stack, a new array, and its eigenpairs (w, v),
+    w descending.
 
     The first square member sets d.  A member that is not a nonempty square matrix is
     "square" (defect: ndim), one of another size "dimension" (defect: size - d), which
     ends the check, and a non-finite one "finite".  The rest are checked from one
     batched eigendecomposition: "hermitian" alone for a non-Hermitian member, else a
     least eigenvalue below -PSD_TOL ("positive_semidefinite" for states, "positive"
-    for elements) and, for states, the trace.  An (m, d, d) array of m >= 1 members
-    skips the per-member shape loop.
+    for elements) and, for states, the trace.  Members that stack into one (m, d, d)
+    array of m >= 1 skip the per-member shape loop.  Each invariant is decided by one
+    reduction over the whole stack, which NaN fails; only a failed verdict looks for
+    the members at fault.
     """
     found, d, end = {}, None, len(mats)  # {member: violations}
-    if isinstance(mats, np.ndarray) and mats.ndim == 3 and mats.shape[1] == mats.shape[2] > 0:
-        shaped = list(range(end))  # a stack (m, d, d): every member square, of one size
+    try:
+        stack = np.array(mats)  # a new array
+    except ValueError:  # members of different shapes
+        stack = None
+    if stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0:
+        shaped = range(end)  # every member square, of one size
     else:
         for i, mat in enumerate(mats):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -156,28 +152,28 @@ def _check_members(mats: list, prefix: str, states: bool) -> tuple[list[Violatio
             if d == 0:
                 found[i] = [Violation("square", float(mat.ndim))]  # 0x0
         shaped = [i for i in range(end) if i not in found]
-    stack = w = v = None
-    if shaped:
-        stack = np.array(mats if len(shaped) == len(mats) else [mats[i] for i in shaped])
+        stack = np.array([mats[i] for i in shaped]) if shaped else None
+    w = v = None
+    if shaped and not np.isfinite(stack).all():
         finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            found.update((shaped[k], [Violation("finite", np.inf)]) for k in np.flatnonzero(~finite).tolist())
-            shaped, stack = [i for i, ok in zip(shaped, finite.tolist()) if ok], stack[finite]
+        found.update((shaped[k], [Violation("finite", np.inf)]) for k in np.flatnonzero(~finite).tolist())
+        shaped, stack = [i for i, ok in zip(shaped, finite.tolist()) if ok], stack[finite]
     if shaped:
         w, v = linalg.stacked_eigh(stack)
         w, v = w[:, ::-1], v[:, :, ::-1]  # descending, the order linalg.psd_support takes
         with np.errstate(over="ignore"):  # entries near 1e308: inf or NaN defects, which fail
-            herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
-            checks = [("hermitian", herm, HERMITICITY_TOL),
-                      ("positive_semidefinite" if states else "positive", -w[:, -1], PSD_TOL)]
+            herm = np.abs(stack - stack.conj().swapaxes(-1, -2))
+            checks = [("positive_semidefinite" if states else "positive", -w[:, -1], PSD_TOL)]
             if states:
                 checks.append(("unit_trace", np.abs(stack.trace(axis1=1, axis2=2).real - 1.0), TRACE_TOL))
-        failing = herm > HERMITICITY_TOL
-        for _, defects, tol in checks[1:]:
-            failing |= ~(defects <= tol)
-        for k in np.flatnonzero(failing).tolist() if failing.any() else ():
-            bad = [Violation(name, float(defects[k])) for name, defects, tol in checks if not defects[k] <= tol]
-            found[shaped[k]] = bad[:1] if herm[k] > HERMITICITY_TOL else bad
+        if not (herm.max() <= HERMITICITY_TOL and all(defects.max() <= tol for _, defects, tol in checks)):
+            herm = herm.max(axis=(1, 2))
+            failing = herm > HERMITICITY_TOL
+            for _, defects, tol in checks:
+                failing |= ~(defects <= tol)
+            for k in np.flatnonzero(failing).tolist():
+                bad = [Violation(name, float(defects[k])) for name, defects, tol in checks if not defects[k] <= tol]
+                found[shaped[k]] = [Violation("hermitian", float(herm[k]))] if herm[k] > HERMITICITY_TOL else bad
     out = [Violation(f"{prefix}{i}_{viol.invariant}" if prefix else viol.invariant, viol.defect)
            for i in sorted(found) for viol in found[i]]
     return out, end < len(mats), None if out else (stack, w, v)
@@ -198,8 +194,10 @@ def _check_povm(elements) -> tuple[list[Violation], tuple | None]:
     checked only when every element is valid.  Any sequence of matrices and an
     (n, d, d) array give the same list.  With none, also the element stack, a new
     array, with its eigenpairs (w, u), w descending: one batched eigendecomposition."""
-    mats = [as_array(e, ValidationError, "POVM element") for e in _members(elements, "POVM elements")]
-    if not mats:
+    mats = _members(elements, "POVM elements")
+    if isinstance(mats, tuple):
+        mats = [as_array(e, ValidationError, "POVM element") for e in mats]
+    if len(mats) == 0:
         return [Violation("nonempty", 0.0)], None
     out, _, checked = _check_members(mats, "element_", False)
     if out:
@@ -217,15 +215,15 @@ def _check_ensemble(states, weights) -> tuple[list[Violation], tuple | None]:
     before the weights.  With none, also the (m, d, d) member stack, a new array,
     and the weights."""
     states = _members(states, "ensemble states")
-    if not states:
+    if len(states) == 0:
         return [Violation("nonempty", 0.0)], None
     weights = as_array(weights, ValidationError, "ensemble weights", float)
     if weights.ndim != 1:
         return [Violation("weights_shape", float(weights.ndim))], None
     if len(states) != len(weights):
         return [Violation("weights_length", float(len(states) - len(weights)))], None
-    mats = [s.mat if isinstance(s, DensityMatrix) else as_array(s, ValidationError, "ensemble member")
-            for s in states]
+    mats = states if isinstance(states, np.ndarray) else [
+        s.mat if isinstance(s, DensityMatrix) else as_array(s, ValidationError, "ensemble member") for s in states]
     out, ended, checked = _check_members(mats, "member_", True)
     if ended:
         return out, None
@@ -240,8 +238,12 @@ def _check_ensemble(states, weights) -> tuple[list[Violation], tuple | None]:
     return out, None if out else (checked[0], weights)
 
 
-def _members(items, what: str) -> tuple:
-    """tuple(items), or ValidationError when items cannot be iterated."""
+def _members(items, what: str):
+    """items as one complex array when it is a numeric array of three axes, which the
+    member rule takes whole; else tuple(items), or ValidationError when items cannot
+    be iterated."""
+    if isinstance(items, np.ndarray) and items.ndim == 3 and items.dtype.kind in "biufc":
+        return items.astype(complex, copy=False)
     try:
         return tuple(items)
     except TypeError:
@@ -260,10 +262,12 @@ class DensityMatrix(_Frozen):
     _fields = ("mat",)
 
     def __init__(self, mat: np.ndarray):
-        violations, checked = _check_density(mat)
+        # square, finite, Hermitian, PSD, unit trace: the one-member case of _check_states
+        violations, checked = _check_states([as_array(mat, ValidationError, "density matrix")], "")
         _raise_if(violations, "density matrix")
-        _set(self, "mat", checked[0])
-        _set(self, "_support", checked[1])
+        stack, (w, v) = checked
+        _set(self, "mat", stack[0])
+        _set(self, "_support", (w[0], v[0]))
 
     @property
     def dim(self) -> int:
@@ -285,7 +289,7 @@ class DensityMatrix(_Frozen):
         return float(np.real(np.trace(self.mat @ self.mat)))
 
     def is_pure(self, tol: float = 1e-9) -> bool:
-        return self.purity() >= 1.0 - as_float(tol, ValidationError, "tol")
+        return self.purity() >= 1.0 - as_tolerance(tol)
 
 
 class PureState(_Frozen):
@@ -353,7 +357,7 @@ class Povm(_Frozen):
 
     def is_rank_one_projective(self, tol: float = 1e-9) -> bool:
         """n == d and every element is idempotent with unit trace."""
-        tol = as_float(tol, ValidationError, "tol")
+        tol = as_tolerance(tol)
         if self.outcomes != self.dim:
             return False
         e = self.elements
@@ -406,7 +410,8 @@ def _root_factors(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Povm.root_factors from the descending eigenpairs of a valid element stack."""
     s, ranks = linalg.psd_support(w, linalg.SUPPORT_RTOL)
     k = int(ranks.max())
-    s = np.where(np.arange(k) < ranks[:, None], s[:, :k], 0.0)
+    s = (np.where(np.arange(k) < ranks[:, None], s[:, :k], 0.0) if ranks.min() < k
+         else np.ascontiguousarray(s[:, :k]))  # no rank mask when every rank is k
     c = np.sqrt(s)[:, :, None] * u[:, :, :k].conj().swapaxes(-1, -2)
     s.flags.writeable = False
     c.flags.writeable = False
@@ -416,7 +421,7 @@ def _root_factors(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def validate(obj) -> list[Violation]:
     """Re-check any constructed object; empty list means all invariants hold."""
     if isinstance(obj, DensityMatrix):
-        return _check_density(obj.mat)[0]
+        return _check_states([obj.mat], "")[0]
     if isinstance(obj, PureState):
         return _check_pure(obj.vec)
     if isinstance(obj, Povm):

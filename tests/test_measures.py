@@ -184,6 +184,9 @@ def test_is_povm_incoherent_examples():
     rng = np.random.default_rng(4)
     report = is_povm_incoherent(random_density(rng, 3), IDENTITY_POVM_3)
     assert report.incoherent and report.max_defect == 0.0
+    # one outcome: no pair j < k, so nothing can be coherent
+    report = is_povm_incoherent(plus_density(), Povm([np.eye(2)]))
+    assert report.incoherent and report.max_defect == 0.0
 
 
 def test_faithfulness_on_incoherent_states():

@@ -118,6 +118,9 @@ def test_povm_completeness():
     ([0.5 * np.eye(2), np.ones((2, 3)), -0.5 * np.eye(2)],
      [("element_1_square", 2.0), ("element_2_positive", 0.5)]),
     ([0.5 * np.eye(2), 0.4 * np.eye(2)], [("completeness", 0.1)]),
+    # only the last element fails: the whole-stack verdict must still name it
+    ([np.diag([0.5, 0.0]), np.diag([0.0, 0.5]), np.diag([0.3, 0.3]), np.diag([0.2, -0.3])],
+     [("element_3_positive", 0.3)]),
 ])
 def test_povm_violation_list(elements, expected):
     got = raised_violations(Povm, elements)
@@ -138,6 +141,23 @@ def test_povm_accepts_an_array_stack():
         assert np.array_equal(Povm(form).elements, stack)
 
 
+@pytest.mark.parametrize("members, weights, expected", [
+    ([np.diag([1.0, 0.0]), np.eye(2) / 2.0, np.diag([0.0, 1.0])], [0.2, 0.3, 0.5], []),
+    ([np.eye(2) / 2.0, np.diag([1.5, -0.5])], [0.5, 0.5], [("member_1_positive_semidefinite", 0.5)]),
+    ([np.eye(2), np.eye(2) / 2.0], [0.5, 0.5], [("member_0_unit_trace", 1.0)]),
+    ([np.eye(2) / 2.0, np.full((2, 2), np.inf)], [0.5, 0.5], [("member_1_finite", np.inf)]),
+])
+def test_ensemble_accepts_an_array_stack(members, weights, expected):
+    # an (m, d, d) array goes to the member rule whole: the same stack and violations
+    # as the same members given one by one
+    stack = np.array(members)
+    got = raised_violations(Ensemble, stack, weights)
+    assert got == raised_violations(Ensemble, list(stack), weights) == [Violation(*v) for v in expected]
+    if not expected:
+        assert np.array_equal(Ensemble(stack, weights).stack, Ensemble(list(stack), weights).stack)
+        assert np.array_equal(Ensemble(stack, weights).stack, stack)
+
+
 def test_ensemble_validates_each_member_once(monkeypatch):
     # every member check runs on one list of members; count the members it sees
     checked = objects._check_members
@@ -155,6 +175,9 @@ def test_ensemble_validates_each_member_once(monkeypatch):
     calls.clear()
     steered = ensemble_from_measurement(DensityMatrix(np.eye(3) / 3.0), povm)
     assert calls == [1, steered.size]  # the state, then all members in one pass
+    calls.clear()
+    Ensemble(np.array(members), [0.2, 0.3, 0.5])
+    assert calls == [len(members)]  # an array stack: one pass too
     # raw-array members are still checked and reported by index
     violations = raised_violations(Ensemble, [members[0], np.eye(2)], [0.5, 0.5])
     assert [v.invariant for v in violations] == ["member_1_unit_trace"]
@@ -246,6 +269,9 @@ def test_constructors_reject_invalid():
         Povm([np.diag([1.0, 0.0]).astype(complex)])
     with pytest.raises(EmptyEnsembleError):
         Ensemble([], [])
+    with pytest.raises(EmptyEnsembleError) as info:
+        Ensemble(np.zeros((0, 2, 2)), np.zeros(0))  # an empty array stack
+    assert info.value.violations == [Violation("nonempty", 0.0)]
 
 
 def test_objects_are_immutable():
@@ -397,90 +423,120 @@ HUGE_INT = 10**400  # past the largest double
 LONG_INT = 10**5000  # past Python's 4300-digit limit for str()
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda: DensityMatrix("x"), ValidationError),
-    (lambda: PureState("x"), ValidationError),
-    (lambda: Povm(None), ValidationError),
-    (lambda: Povm(0), ValidationError),
-    (lambda: Ensemble(None, [1.0]), ValidationError),
-    (lambda: projective_povm("x"), NotUnitaryError),
-    (lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), "x"), NotUnitaryError),
-    (lambda: haar_moment("x", 1), NotSquareError),
-    (lambda: Ensemble([np.eye(2) / 2.0], None), ValidationError),
-    (lambda: Ensemble([np.eye(2) / 2.0], "x"), ValidationError),
+# (id, call, error type): a case keeps its id wherever cases are added
+HOSTILE_CALLS = [
+    ("density-str", lambda: DensityMatrix("x"), ValidationError),
+    ("pure-str", lambda: PureState("x"), ValidationError),
+    ("povm-none", lambda: Povm(None), ValidationError),
+    ("povm-int", lambda: Povm(0), ValidationError),
+    ("ensemble-states-none", lambda: Ensemble(None, [1.0]), ValidationError),
+    ("projective-str", lambda: projective_povm("x"), NotUnitaryError),
+    ("b1-basis-str", lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), "x"), NotUnitaryError),
+    ("haar_moment-str", lambda: haar_moment("x", 1), NotSquareError),
+    ("ensemble-weights-none", lambda: Ensemble([np.eye(2) / 2.0], None), ValidationError),
+    ("ensemble-weights-str", lambda: Ensemble([np.eye(2) / 2.0], "x"), ValidationError),
     # validate() re-checks constructed objects only, never a raw array
-    (lambda: validate("x"), ValidationError),
-    (lambda: validate(np.eye(2) / 2.0), ValidationError),
+    ("validate-str", lambda: validate("x"), ValidationError),
+    ("validate-array", lambda: validate(np.eye(2) / 2.0), ValidationError),
     # an empty basis or matrix
-    (lambda: projective_povm(np.zeros((0, 0))), NotUnitaryError),
-    (lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), np.zeros((0, 0))), NotUnitaryError),
-    (lambda: bound_b2(DensityMatrix(np.eye(2) / 2.0), np.zeros((0, 0))), NotUnitaryError),
-    (lambda: bound_b3(DensityMatrix(np.eye(2) / 2.0), np.zeros((0, 0))), NotUnitaryError),
-    (lambda: haar_moment(np.zeros((0, 0)), 0.5), NotSquareError),
-    (lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol="x"), ValidationError),
-    (lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol="x"),
+    ("projective-empty", lambda: projective_povm(np.zeros((0, 0))), NotUnitaryError),
+    ("b1-basis-empty", lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), np.zeros((0, 0))), NotUnitaryError),
+    ("b2-basis-empty", lambda: bound_b2(DensityMatrix(np.eye(2) / 2.0), np.zeros((0, 0))), NotUnitaryError),
+    ("b3-basis-empty", lambda: bound_b3(DensityMatrix(np.eye(2) / 2.0), np.zeros((0, 0))), NotUnitaryError),
+    ("haar_moment-empty", lambda: haar_moment(np.zeros((0, 0)), 0.5), NotSquareError),
+    ("is_pure-tol-str", lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol="x"), ValidationError),
+    ("incoherent-tol-str", lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol="x"),
      ValidationError),
     # an argument of the wrong object type; a state argument takes no raw matrix
-    (lambda: l1_coherence(None, x_basis_povm()), ValidationError),
-    (lambda: l1_coherence(DensityMatrix(np.eye(2) / 2.0), None), ValidationError),
-    (lambda: uncertainty_report(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), None), ValidationError),
-    (lambda: overlap_constant(x_basis_povm(), None), ValidationError),
-    (lambda: ensemble_from_measurement(None, x_basis_povm()), ValidationError),
-    (lambda: build_lsm(None), ValidationError),
-    (lambda: measurement_from_ensemble(None), ValidationError),
-    (lambda: monte_carlo_average(x_basis_povm(), "l1", 300, None), ValidationError),
-    (lambda: random_povm(2, 2, None), ValidationError),
-    (lambda: haar_random_pure(2, None), ValidationError),
+    ("l1-state-none", lambda: l1_coherence(None, x_basis_povm()), ValidationError),
+    ("l1-povm-none", lambda: l1_coherence(DensityMatrix(np.eye(2) / 2.0), None), ValidationError),
+    ("uncertainty-povm2-none",
+     lambda: uncertainty_report(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), None), ValidationError),
+    ("overlap-povm2-none", lambda: overlap_constant(x_basis_povm(), None), ValidationError),
+    ("steer-state-none", lambda: ensemble_from_measurement(None, x_basis_povm()), ValidationError),
+    ("build_lsm-none", lambda: build_lsm(None), ValidationError),
+    ("measurement_from_ensemble-none", lambda: measurement_from_ensemble(None), ValidationError),
+    ("monte_carlo-rng-none", lambda: monte_carlo_average(x_basis_povm(), "l1", 300, None), ValidationError),
+    ("random_povm-rng-none", lambda: random_povm(2, 2, None), ValidationError),
+    ("haar_random_pure-rng-none", lambda: haar_random_pure(2, None), ValidationError),
     # an integer past the largest double, which float() and numpy cannot convert
-    (lambda: DensityMatrix([[HUGE_INT, 0], [0, 0]]), ValidationError),
-    (lambda: PureState([HUGE_INT, 0]), ValidationError),
-    (lambda: Povm([[[HUGE_INT, 0], [0, 0]]]), ValidationError),
-    (lambda: Ensemble([np.eye(2) / 2.0], [HUGE_INT]), ValidationError),
-    (lambda: holder_bound(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), HUGE_INT, 2), InvalidExponentsError),
-    (lambda: tsallis_coherence(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), -HUGE_INT), AlphaOutOfRangeError),
-    (lambda: haar_average_tsallis(x_basis_povm(), HUGE_INT), AlphaOutOfRangeError),
-    (lambda: haar_moment(np.eye(2) / 2.0, HUGE_INT), BetaNonPositiveError),
-    (lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol=HUGE_INT), ValidationError),
-    (lambda: pure_state_bound(HUGE_INT), ValidationError),
-    (lambda: figure1_state(HUGE_INT), ZOutOfRangeError),
-    (lambda: figure2_state(-HUGE_INT), XOutOfRangeError),
-    (lambda: figure1_reference_bounds(HUGE_INT), ZOutOfRangeError),
-    (lambda: figure2_reference_bounds(HUGE_INT), XOutOfRangeError),
-    (lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), [[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
-    (lambda: bound_b2(DensityMatrix(np.eye(2) / 2.0), [[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
-    (lambda: bound_b3(DensityMatrix(np.eye(2) / 2.0), [[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
-    (lambda: projective_povm([[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
-    (lambda: haar_moment([[HUGE_INT, 0], [0, 0]], 0.5), NotSquareError),
-    (lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol=HUGE_INT), ValidationError),
+    ("density-huge-int", lambda: DensityMatrix([[HUGE_INT, 0], [0, 0]]), ValidationError),
+    ("pure-huge-int", lambda: PureState([HUGE_INT, 0]), ValidationError),
+    ("povm-huge-int", lambda: Povm([[[HUGE_INT, 0], [0, 0]]]), ValidationError),
+    ("ensemble-weights-huge-int", lambda: Ensemble([np.eye(2) / 2.0], [HUGE_INT]), ValidationError),
+    ("holder-p-huge-int",
+     lambda: holder_bound(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), HUGE_INT, 2), InvalidExponentsError),
+    ("tsallis-alpha-huge-int",
+     lambda: tsallis_coherence(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), -HUGE_INT), AlphaOutOfRangeError),
+    ("haar_tsallis-alpha-huge-int", lambda: haar_average_tsallis(x_basis_povm(), HUGE_INT), AlphaOutOfRangeError),
+    ("haar_moment-beta-huge-int", lambda: haar_moment(np.eye(2) / 2.0, HUGE_INT), BetaNonPositiveError),
+    ("incoherent-tol-huge-int",
+     lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol=HUGE_INT), ValidationError),
+    ("pure_state_bound-huge-int", lambda: pure_state_bound(HUGE_INT), ValidationError),
+    ("figure1_state-huge-int", lambda: figure1_state(HUGE_INT), ZOutOfRangeError),
+    ("figure2_state-huge-int", lambda: figure2_state(-HUGE_INT), XOutOfRangeError),
+    ("figure1_bounds-huge-int", lambda: figure1_reference_bounds(HUGE_INT), ZOutOfRangeError),
+    ("figure2_bounds-huge-int", lambda: figure2_reference_bounds(HUGE_INT), XOutOfRangeError),
+    ("b1-basis-huge-int", lambda: bound_b1(DensityMatrix(np.eye(2) / 2.0), [[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
+    ("b2-basis-huge-int", lambda: bound_b2(DensityMatrix(np.eye(2) / 2.0), [[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
+    ("b3-basis-huge-int", lambda: bound_b3(DensityMatrix(np.eye(2) / 2.0), [[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
+    ("projective-huge-int", lambda: projective_povm([[HUGE_INT, 0], [0, 1]]), NotUnitaryError),
+    ("haar_moment-huge-int", lambda: haar_moment([[HUGE_INT, 0], [0, 0]], 0.5), NotSquareError),
+    ("is_pure-tol-huge-int", lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol=HUGE_INT), ValidationError),
     # an integer, or a list holding one, too long for str(): the message shows its type
-    (lambda: haar_random_pure(LONG_INT, np.random.default_rng(0)), ValidationError),
-    (lambda: haar_random_pure(-LONG_INT, np.random.default_rng(0)), ValidationError),
-    (lambda: random_povm(LONG_INT, 1, np.random.default_rng(0)), ValidationError),
-    (lambda: random_povm(-LONG_INT, 1, np.random.default_rng(0)), ValidationError),
-    (lambda: random_povm(1, LONG_INT, np.random.default_rng(0)), ValidationError),
-    (lambda: random_povm(2, [LONG_INT], np.random.default_rng(0)), ValidationError),
-    (lambda: monte_carlo_average(x_basis_povm(), "relative_entropy", LONG_INT, np.random.default_rng(0)),
+    ("haar_random_pure-long-int", lambda: haar_random_pure(LONG_INT, np.random.default_rng(0)), ValidationError),
+    ("haar_random_pure-minus-long-int", lambda: haar_random_pure(-LONG_INT, np.random.default_rng(0)), ValidationError),
+    ("random_povm-d-long-int", lambda: random_povm(LONG_INT, 1, np.random.default_rng(0)), ValidationError),
+    ("random_povm-d-minus-long-int", lambda: random_povm(-LONG_INT, 1, np.random.default_rng(0)), ValidationError),
+    ("random_povm-n-long-int", lambda: random_povm(1, LONG_INT, np.random.default_rng(0)), ValidationError),
+    ("random_povm-n-list-long-int", lambda: random_povm(2, [LONG_INT], np.random.default_rng(0)), ValidationError),
+    ("monte_carlo-samples-long-int",
+     lambda: monte_carlo_average(x_basis_povm(), "relative_entropy", LONG_INT, np.random.default_rng(0)),
      ValidationError),
-    (lambda: monte_carlo_average(x_basis_povm(), "relative_entropy", -LONG_INT, np.random.default_rng(0)),
+    ("monte_carlo-samples-minus-long-int",
+     lambda: monte_carlo_average(x_basis_povm(), "relative_entropy", -LONG_INT, np.random.default_rng(0)),
      ValidationError),
-    (lambda: haar_average(x_basis_povm(), "relative_entropy", mc_samples=LONG_INT, rng=np.random.default_rng(0)),
+    ("haar_average-samples-long-int",
+     lambda: haar_average(x_basis_povm(), "relative_entropy", mc_samples=LONG_INT, rng=np.random.default_rng(0)),
      ValidationError),
-    (lambda: haar_average(x_basis_povm(), "relative_entropy", mc_samples=-LONG_INT, rng=np.random.default_rng(0)),
+    ("haar_average-samples-minus-long-int",
+     lambda: haar_average(x_basis_povm(), "relative_entropy", mc_samples=-LONG_INT, rng=np.random.default_rng(0)),
      ValidationError),
-    (lambda: haar_average(x_basis_povm(), LONG_INT), ValidationError),
-    (lambda: haar_average(x_basis_povm(), "l1", alpha=LONG_INT), ValidationError),
-    (lambda: haar_average_l1_bound(x_basis_povm(), LONG_INT), InvalidExponentsError),
-    (lambda: Povm(LONG_INT), ValidationError),
-    (lambda: Ensemble(LONG_INT, [1.0]), ValidationError),
-    (lambda: holder_bound(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), [LONG_INT], 2), InvalidExponentsError),
-    (lambda: tsallis_coherence(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), [LONG_INT]), AlphaOutOfRangeError),
+    ("haar_average-measure-long-int", lambda: haar_average(x_basis_povm(), LONG_INT), ValidationError),
+    ("haar_average-alpha-long-int", lambda: haar_average(x_basis_povm(), "l1", alpha=LONG_INT), ValidationError),
+    ("haar_l1_bound-long-int", lambda: haar_average_l1_bound(x_basis_povm(), LONG_INT), InvalidExponentsError),
+    ("povm-long-int", lambda: Povm(LONG_INT), ValidationError),
+    ("ensemble-states-long-int", lambda: Ensemble(LONG_INT, [1.0]), ValidationError),
+    ("holder-p-list-long-int",
+     lambda: holder_bound(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), [LONG_INT], 2), InvalidExponentsError),
+    ("tsallis-alpha-list-long-int",
+     lambda: tsallis_coherence(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), [LONG_INT]), AlphaOutOfRangeError),
     # is_rank_one_projective reads tol as is_pure and is_povm_incoherent do, also
     # where n != d settles the answer without it
-    (lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol="x"), ValidationError),
-    (lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol=HUGE_INT), ValidationError),
-    (lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol=1j), ValidationError),
-    (lambda: Povm([np.eye(2)]).is_rank_one_projective(tol=None), ValidationError),
-])
+    ("rank_one-tol-str", lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol="x"), ValidationError),
+    ("rank_one-tol-huge-int", lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol=HUGE_INT), ValidationError),
+    ("rank_one-tol-complex", lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol=1j), ValidationError),
+    ("rank_one-tol-none-n-ne-d", lambda: Povm([np.eye(2)]).is_rank_one_projective(tol=None), ValidationError),
+    # a tolerance must be a finite number >= 0: NaN and a negative tol would fail every
+    # check, inf would pass every one
+    ("is_pure-tol-nan", lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol=np.nan), ValidationError),
+    ("is_pure-tol-negative", lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol=-1.0), ValidationError),
+    ("is_pure-tol-inf", lambda: DensityMatrix(np.eye(2) / 2.0).is_pure(tol=np.inf), ValidationError),
+    ("incoherent-tol-nan", lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol=np.nan),
+     ValidationError),
+    ("incoherent-tol-negative", lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol=-1.0),
+     ValidationError),
+    ("incoherent-tol-inf", lambda: is_povm_incoherent(DensityMatrix(np.eye(2) / 2.0), x_basis_povm(), tol=np.inf),
+     ValidationError),
+    ("rank_one-tol-nan", lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol=np.nan), ValidationError),
+    ("rank_one-tol-negative", lambda: projective_povm(np.eye(2)).is_rank_one_projective(tol=-1.0), ValidationError),
+    # unit traces, but not idempotent: only tol=inf would call it projective
+    ("rank_one-tol-inf", lambda: Povm([np.array([[0.5, s], [s, 0.5]]) for s in (0.25, -0.25)]).is_rank_one_projective(
+        tol=np.inf), ValidationError),
+]
+
+
+@pytest.mark.parametrize("call, error", [case[1:] for case in HOSTILE_CALLS], ids=[case[0] for case in HOSTILE_CALLS])
 def test_non_numeric_and_non_iterable_inputs_raise_the_entry_point_error(call, error):
     with pytest.raises(error) as info:
         call()
