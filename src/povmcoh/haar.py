@@ -26,8 +26,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from . import linalg, measures
-from .bounds import check_exponents
+from . import bounds, linalg, measures
 from .errors import BetaNonPositiveError, InvalidExponentsError, ValidationError, as_count, as_float, shown
 from .objects import Povm, _Record, _set, require_type
 
@@ -153,11 +152,13 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
     """Upper bound on the Haar-averaged l1 measure.
 
     exponents maps ordered pairs (j, k), j != k, to conjugate Hölder pairs
-    (p, q); the default uses p = q = 2 everywhere, where the bound collapses
-    to exactly n - 1.
+    (p, q).  The default, p = q = 2 everywhere, is the closed form n - 1: each
+    pair's terms E Y_j / 2 + E Y_k / 2 sum to (n - 1) sum_j E Y_j = n - 1.
     """
     n = require_type(povm, Povm, "povm").outcomes
-    if not (exponents is None or isinstance(exponents, Mapping)):
+    if exponents is None:
+        return float(n - 1)
+    if not isinstance(exponents, Mapping):
         raise InvalidExponentsError(
             f"exponents must map pairs (j, k) to Hölder pairs (p, q), got {shown(exponents)}")
     moments: dict[float, np.ndarray] = {}
@@ -172,17 +173,14 @@ def haar_average_l1_bound(povm: Povm, exponents=None) -> float:
         for k in range(n):
             if j == k:
                 continue
-            if exponents is None:
-                p, q = 2.0, 2.0
-            else:
-                try:  # a missing pair or a value that is not a pair
-                    p, q = check_exponents(*exponents[(j, k)])
-                except (KeyError, TypeError):
-                    raise InvalidExponentsError(
-                        f"exponents[({j}, {k})] must be a Hölder pair (p, q)"
-                    ) from None
-                except InvalidExponentsError as exc:
-                    raise InvalidExponentsError(f"exponents[({j}, {k})]: {exc}") from None
+            try:  # a missing pair or a value that is not a pair
+                p, q = bounds.check_exponents(*exponents[(j, k)])
+            except (KeyError, TypeError):
+                raise InvalidExponentsError(
+                    f"exponents[({j}, {k})] must be a Hölder pair (p, q)"
+                ) from None
+            except InvalidExponentsError as exc:
+                raise InvalidExponentsError(f"exponents[({j}, {k})]: {exc}") from None
             total += moment(j, p / 2.0) / p + moment(k, q / 2.0) / q
     return total
 

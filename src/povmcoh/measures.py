@@ -4,7 +4,7 @@ Three measures over (rho, POVM):
 
 * relative entropy:  sum_j S(sqrt(E_j) rho sqrt(E_j)) - S(rho), base-2 logs
 * l1:                sum_{j != k} || sqrt(E_j) rho sqrt(E_k) ||_tr
-* Tsallis (order alpha in (0,1) U (1,2]):
+* Tsallis (order alpha in [1e-4, 0.9999] U [1.0001, 2], see check_alpha):
                      [ sum_j tr (sqrt(E_j) rho^alpha sqrt(E_j))^(1/alpha) - 1 ] / (alpha - 1)
 
 All three vanish exactly on measurement-incoherent states (E_j rho E_k = 0 for
@@ -26,6 +26,14 @@ from .objects import DensityMatrix, Povm, _Record, _set, require_same_dim, requi
 # Measure values in [-NEGATIVE_VALUE_TOL, 0) are roundoff and report as 0;
 # anything lower means a kernel bug.
 NEGATIVE_VALUE_TOL = 1e-9
+
+# Tsallis orders nearer 1 than ALPHA_GAP lose digits in (total - 1) / (alpha - 1), about
+# 1e-2 relative at |alpha - 1| = 1e-12, and below ALPHA_MIN the values of rank-one
+# projective POVMs drift, by half at 1e-14; at the edges the worst error seen against
+# the 50-digit definition is 1.1e-10.  ALPHA_MIN is also the exact Haar averages'
+# floor: haar.MAX_BETA = 1 / ALPHA_MIN.
+ALPHA_MIN = 1e-4
+ALPHA_GAP = 1e-4
 
 RELATIVE_ENTROPY = "relative_entropy"
 L1 = "l1"
@@ -156,9 +164,12 @@ def check_measure_id(measure_id: str, alpha=None) -> tuple:
 
 
 def check_alpha(alpha: float) -> float:
+    """alpha as a float, in [ALPHA_MIN, 1 - ALPHA_GAP] or [1 + ALPHA_GAP, 2]: the one
+    order rule of every Tsallis entry point."""
     alpha = as_float(alpha, AlphaOutOfRangeError, "alpha")
-    if not (0.0 < alpha <= 2.0) or alpha == 1.0:
-        raise AlphaOutOfRangeError(f"alpha must lie in (0,1) or (1,2], got {alpha}")
+    if not (ALPHA_MIN <= alpha <= 2.0) or 1.0 - ALPHA_GAP < alpha < 1.0 + ALPHA_GAP:
+        raise AlphaOutOfRangeError(
+            f"alpha must lie in [{ALPHA_MIN:g}, {1.0 - ALPHA_GAP:g}] or [{1.0 + ALPHA_GAP:g}, 2], got {alpha}")
     return alpha
 
 

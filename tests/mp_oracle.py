@@ -1,5 +1,6 @@
 """High-precision oracles for the exact Haar averages, for C_r, C_l1 and C_T, for the
-pair and Hölder bounds and for the least-square measurement's error.
+pair, Hölder and basis bounds, for the overlap constants c and c' and for the
+least-square measurement's error.
 
 Over a Haar-random pure state, E f(<psi|E|psi>) = (d-1)! F[lam_1, ..., lam_d]
 (Hermite-Genocchi), a divided difference over the spectrum of E of any F with
@@ -158,3 +159,50 @@ def lsm_error(members, weights) -> float:
             block = root * s * root * s
             success += eta * eta * sum(block[i, i] for i in range(block.rows))
         return float(mpmath.re(1 - success))
+
+
+def basis_bounds(rho, basis) -> tuple[float, float, float]:
+    """(b1, b2, b3) of a state in the basis of basis's columns b_j from their definitions,
+    at 50 digits, for a float density matrix and a float basis taken as exact.  With
+    p_j = <b_j|rho|b_j> and s_j = sqrt(<b_j|rho^2|b_j>) in nondecreasing order:
+    b1 = 2 sum_j (d - j) s_(j) (j = 1..d), b2 = (sum_j sqrt(p_j))^2 - 1 and
+    b3 = sqrt(d (d - 1) (tr rho^2 - sum_j p_j^2))."""
+    with mpmath.workdps(50):
+        state = mpmath.matrix(rho.tolist())
+        square = state * state
+        cols = [mpmath.matrix(basis.tolist())[:, j] for j in range(state.rows)]
+        d = len(cols)
+        p = [mpmath.re((col.H * state * col)[0, 0]) for col in cols]
+        s = sorted(mpmath.sqrt(mpmath.re((col.H * square * col)[0, 0])) for col in cols)
+        b1 = 2 * sum((d - 1 - j) * x for j, x in enumerate(s))
+        b2 = sum(mpmath.sqrt(x) for x in p) ** 2 - 1
+        purity = mpmath.re(sum(square[i, i] for i in range(d)))
+        b3 = mpmath.sqrt(d * (d - 1) * (purity - sum(x * x for x in p)))
+        return float(b1), float(b2), float(b3)
+
+
+def overlap_constant(e_elements, f_elements) -> float:
+    """c = max_jk ||sqrt(E_j) sqrt(F_k)||, the largest singular value, from its definition
+    at 50 digits, for float elements taken as exact.  The eigenvalues of an element at
+    or below 1e-13 of its largest count as zero: in a float element of rank r < d they
+    are the roundoff of exact zeros, whose roots would be about 1e-8."""
+    with mpmath.workdps(50):
+        roots_e = [_power_psd(mpmath.matrix(e.tolist()), mpmath.mpf(1) / 2, floor=1e-13) for e in e_elements]
+        roots_f = [_power_psd(mpmath.matrix(f.tolist()), mpmath.mpf(1) / 2, floor=1e-13) for f in f_elements]
+        return float(max(max(mpmath.svd_c(a * b, compute_uv=False)) for a in roots_e for b in roots_f))
+
+
+def refined_overlap_constant(e_elements, f_elements) -> float:
+    """c' = min(max_k ||sum_j E_j F_k E_j||, max_j ||sum_k F_k E_j F_k||) from its
+    definition at 50 digits, for float elements taken as exact: each sum is Hermitian
+    PSD, and its norm is its largest eigenvalue."""
+    with mpmath.workdps(50):
+        e = [mpmath.matrix(x.tolist()) for x in e_elements]
+        f = [mpmath.matrix(x.tolist()) for x in f_elements]
+
+        def largest(outer, inner):
+            zero = mpmath.zeros(outer[0].rows)
+            return max(max(mpmath.eighe(sum((a * b * a for a in outer), zero), eigvals_only=True))
+                       for b in inner)
+
+        return float(min(largest(e, f), largest(f, e)))

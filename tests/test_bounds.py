@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from helpers import random_density, random_pure_density, random_unitary, trine_povm, z_basis_povm
 from povmcoh import (
     DensityMatrix,
@@ -181,6 +182,18 @@ def test_basis_bounds_certify_the_l1_value():
             # one frame gives all three reports, each as its lone call does
             lone = tuple(bound(rho, basis) for bound in (bound_b1, bound_b2, bound_b3))
             assert basis_bounds(rho, basis) == lone
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_basis_bounds_match_the_50_digit_definitions(d):
+    # random, rank-2 and pure states in the computational basis and a random one
+    rng = np.random.default_rng(31)
+    for basis in (np.eye(d, dtype=complex), random_unitary(rng, d)):
+        for rho in (random_density(rng, d), random_density(rng, d, cols=2), random_pure_density(rng, d)):
+            got = [report.bound_value for report in basis_bounds(rho, basis)]
+            want = mp_oracle.basis_bounds(rho.mat, basis)
+            for name, g, w in zip(("b1", "b2", "b3"), got, want):
+                assert abs(g - w) <= 1e-13 * w, (name, g, w)
 
 
 def test_b1_examples():

@@ -448,15 +448,14 @@ def test_haar_tsallis_below_smallest_alpha_is_invalid_input(capsys, z_path):
     code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "tsallis",
                                   "--alpha", "1e-6"])
     assert code == 2 and out == ""
-    assert "moment order" in json.loads(err)["error"]["message"]
+    assert "alpha must lie in" in json.loads(err)["error"]["message"]
 
 
 def test_haar_l1bound(capsys, z_path):
     code, out, err = run(capsys, ["haar", "--povm", z_path, "--measure", "l1bound"])
     assert code == 0
     doc = json.loads(out)
-    assert abs(doc["bound"] - 1.0) < 1e-12
-    assert abs(doc["universal_bound"] - 1.0) < 1e-12
+    assert doc["bound"] == doc["universal_bound"] == 1.0  # p = q = 2: the closed form n - 1
 
 
 def test_haar_mc_of_a_measure_the_same_for_every_state_reads_below_one_sigma(capsys, tmp_path):
@@ -791,8 +790,8 @@ def test_a_long_sweep_arrives_whole_through_a_pipe(entry_runs):
 
 
 def test_cli_import_path_stays_light():
-    """A fresh `import povmcoh.cli` loads every layer module but none of the
-    modules only a rare branch needs, nor `dataclasses` or `csv`, which no class
+    """A fresh `import povmcoh.cli` registers every layer module (tests/test_lazy_layers.py
+    checks which of them run) but loads none of the modules only a rare branch needs, nor `dataclasses` or `csv`, which no class
     or command uses, nor `queue`, which only a started map_blocks helper uses. It
     runs in a subprocess: pytest itself imports logging."""
     src = str(Path(cli.__file__).resolve().parents[1])

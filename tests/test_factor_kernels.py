@@ -345,6 +345,20 @@ def test_tsallis_matches_the_50_digit_definition(state, alpha):
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
+@pytest.mark.parametrize("alpha", [1e-4, 0.9999, 1.0001])  # the edges of measures.check_alpha
+def test_tsallis_at_the_edge_orders_matches_the_50_digit_definition(alpha):
+    # near 1, (total - 1) / (alpha - 1) keeps about eps / |alpha - 1| of total; near 0
+    # the rank-one projective values drift.  At the edges the worst seen was 1.1e-10
+    # relative, at 0.9999 on a projective POVM and a full-rank state with C_T = 0.048
+    rng = np.random.default_rng(89)
+    for d in (2, 3, 4):
+        for povm in (random_povm(d, d + 1, rng), projective_povm(random_unitary(rng, d))):
+            for rho in (random_density(rng, d), random_rank_density(rng, d, 1)):
+                got = tsallis_coherence(rho, povm, alpha).value
+                want = mp_oracle.tsallis_coherence(rho.mat, povm.elements, alpha)
+                assert abs(got - want) <= 1e-9 * abs(want), (d, got, want)
+
+
 @FIFTY_DIGIT_STATES
 def test_trace_norm_bounds_match_the_50_digit_definition(state):
     rng = np.random.default_rng(88)

@@ -65,6 +65,16 @@ def _assert_matches_oracle(spectra):
         assert abs(got - want) <= 1e-10 * abs(want), (alpha, got, want)
 
 
+@pytest.mark.parametrize("alpha", [1e-4, 0.9999, 1.0001])  # the edges of measures.check_alpha
+def test_tsallis_average_at_the_edge_orders_matches_oracle(alpha):
+    # worst seen 1.4e-11 relative, at 0.9999; rank-deficient elements included
+    for spectra in ([[0.7, 0.2], [0.3, 0.8]], [[0.6, 0.3, 0.05], [0.4, 0.7, 0.95]],
+                    [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]], [[0.9, 0.5, 0.25, 0.0], [0.1, 0.5, 0.75, 1.0]]):
+        povm = Povm([np.diag(lam).astype(complex) for lam in spectra])
+        got, want = haar_average_tsallis(povm, alpha), mp_oracle.avg_tsallis(spectra, alpha)
+        assert abs(got - want) <= 1e-10 * abs(want), (spectra, got, want)
+
+
 @pytest.mark.parametrize("eps", [10.0**-k for k in range(2, 10)])
 def test_averages_match_oracle_on_near_degenerate_pairs(eps):
     # {I/2 + eps D, I/2 - eps D}, D = diag(0..d-1)/d: each element's nodes sit eps/d
@@ -123,16 +133,17 @@ def _conjugate_pairs(p):
     return {(0, 1): pair, (1, 0): pair}
 
 
-@pytest.mark.parametrize("call", [
-    lambda: haar_moment(np.eye(2, dtype=complex), 1e9),
-    lambda: haar_moment(np.eye(2, dtype=complex), 10000.5),
-    lambda: haar_average_tsallis(z_basis_povm(), 1e-6),
-    lambda: haar_average_l1_bound(z_basis_povm(), exponents=_conjugate_pairs(1.0 + 1e-6)),
+@pytest.mark.parametrize("call, message", [
+    (lambda: haar_moment(np.eye(2, dtype=complex), 1e9), "moment order"),
+    (lambda: haar_moment(np.eye(2, dtype=complex), 10000.5), "moment order"),
+    # measures.check_alpha's floor, 1 / MAX_BETA, refuses the order before the kernel
+    (lambda: haar_average_tsallis(z_basis_povm(), 1e-6), "alpha must lie in"),
+    (lambda: haar_average_l1_bound(z_basis_povm(), exponents=_conjugate_pairs(1.0 + 1e-6)), "moment order"),
 ], ids=["moment-1e9", "moment-10000.5", "tsallis-1e-6", "l1bound-p-1+1e-6"])
-def test_moment_orders_above_the_largest_are_rejected(call):
+def test_moment_orders_above_the_largest_are_rejected(call, message):
     # the kernel's cost grows with the order, so it refuses orders above MAX_BETA
     # before doing any work
-    with pytest.raises(ValidationError, match="moment order"):
+    with pytest.raises(ValidationError, match=message):
         call()
 
 
@@ -301,17 +312,21 @@ def test_degenerate_spectra_via_perturbation():
 
 def test_l1_bound_trivial_povm():
     povm = Povm([np.eye(3, dtype=complex)])
-    assert abs(haar_average_l1_bound(povm)) < 1e-12
+    assert haar_average_l1_bound(povm) == 0.0
 
 
 def test_l1_bound_default_exponents_collapse():
-    # at p = q = 2 each ordered pair contributes 1/2 + 1/2 = ... total n - 1
+    # at p = q = 2 the pair (j, k) contributes E Y_j / 2 + E Y_k / 2, and the pairs sum
+    # to (n - 1) sum_j E Y_j = n - 1: the default is that closed form, exactly, and the
+    # moment sum at explicit p = q = 2 meets it to roundoff
     rng = np.random.default_rng(54)
     for _ in range(15):
         d = int(rng.integers(2, 6))
         n = int(rng.integers(2, 8))
         povm = random_povm(d, n, rng)
-        assert abs(haar_average_l1_bound(povm) - (n - 1.0)) < 1e-12
+        assert haar_average_l1_bound(povm) == n - 1.0
+        pairs = {(j, k): (2.0, 2.0) for j in range(n) for k in range(n) if j != k}
+        assert abs(haar_average_l1_bound(povm, exponents=pairs) - (n - 1.0)) < 1e-12
 
 
 def test_l1_bound_custom_exponents():

@@ -93,6 +93,35 @@ def test_tsallis_alpha_domain():
             tsallis_coherence(rho, z_basis_povm(), alpha)
 
 
+_TSALLIS_ENTRIES = {
+    "tsallis_coherence": lambda alpha: tsallis_coherence(plus_density(), z_basis_povm(), alpha),
+    "compute": lambda alpha: compute(plus_density(), z_basis_povm(), "tsallis", alpha),
+    "pure_tsallis_coherence": lambda alpha: pure_tsallis_coherence(np.array([0.5, 0.5]), alpha),
+    "haar_average_tsallis": lambda alpha: haar.haar_average_tsallis(z_basis_povm(), alpha),
+    "haar_average": lambda alpha: haar.haar_average(z_basis_povm(), "tsallis", alpha=alpha),
+    "monte_carlo_average": lambda alpha: haar.monte_carlo_average(
+        z_basis_povm(), "tsallis", 300, np.random.default_rng(1), alpha=alpha),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TSALLIS_ENTRIES))
+@pytest.mark.parametrize("alpha", [
+    1e-14, 1e-6, np.nextafter(1e-4, 0.0),  # below the floor, where the values drift
+    np.nextafter(0.9999, 1.0), 1.0 - 1e-8, 1.0 - 1e-12,  # (total - 1) / (alpha - 1) cancels
+    1.0 + 1e-12, 1.0 + 1e-8, np.nextafter(1.0001, 1.0),
+], ids=["1e-14", "1e-6", "below-1e-4", "above-0.9999", "1-1e-8", "1-1e-12", "1+1e-12", "1+1e-8",
+        "below-1.0001"])
+def test_tsallis_orders_that_lose_digits_are_refused_at_every_entry_point(entry, alpha):
+    with pytest.raises(AlphaOutOfRangeError, match=r"alpha must lie in \[0.0001, 0.9999\] or \[1.0001, 2\]"):
+        _TSALLIS_ENTRIES[entry](float(alpha))
+
+
+@pytest.mark.parametrize("entry", sorted(_TSALLIS_ENTRIES))
+@pytest.mark.parametrize("alpha", [1e-4, 0.9999, 1.0001, 2.0])
+def test_tsallis_edge_orders_are_admitted_at_every_entry_point(entry, alpha):
+    _TSALLIS_ENTRIES[entry](alpha)
+
+
 def test_compute_dispatch():
     rho = plus_density()
     povm = z_basis_povm()

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from helpers import (
     dense_entropy,
+    mixed_rank_povm,
     random_density,
     random_pure_density,
     random_unitary,
@@ -79,6 +81,21 @@ def test_refined_never_exceeds_squared_overlap():
         cp = refined_overlap_constant(e, f)
         assert cp <= c * c + 1e-10
         assert c * c <= c + 1e-10  # c <= 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_overlap_constants_match_the_50_digit_definitions(d):
+    # random pairs, a projective POVM against a random one, and elements of rank 1, 2
+    # and d (two projectors at d = 2) against a projective POVM
+    rng = np.random.default_rng(41)
+    rand = lambda: random_povm(d, 3, rng)
+    proj = lambda: projective_povm(random_unitary(rng, d))
+    deficient = (lambda: mixed_rank_povm(rng, d)) if d > 2 else proj
+    for e, f in ((rand(), rand()), (proj(), rand()), (deficient(), proj())):
+        for got, want in ((overlap_constant(e, f), mp_oracle.overlap_constant(e.elements, f.elements)),
+                          (refined_overlap_constant(e, f),
+                           mp_oracle.refined_overlap_constant(e.elements, f.elements))):
+            assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
 def test_report_maximally_mixed_qubit():
