@@ -202,13 +202,9 @@ def bound_b3(rho: DensityMatrix, basis: np.ndarray) -> BoundReport:
 # single-parameter state families behind the figure replays
 
 
-# (parameter name, interval end, range error) of each family
-_FAMILIES = {1: ("z", 0.8, ZOutOfRangeError), 2: ("x", X_MAX, XOutOfRangeError)}
-
-
 def _check_parameters(values: np.ndarray, figure: int) -> np.ndarray:
     """values, or the family's range error for the first one outside [0, end]."""
-    name, end, error = _FAMILIES[figure]
+    name, end, error, *_ = _FAMILIES[figure]
     outside = ~((values >= 0.0) & (values <= end))  # NaN is outside
     if outside.any():
         raise error(f"{name} must lie in [0, {end!r}], got {float(values[outside][0])}")
@@ -217,7 +213,7 @@ def _check_parameters(values: np.ndarray, figure: int) -> np.ndarray:
 
 def _parameter(value, figure: int) -> np.ndarray:
     """One checked parameter as the one-row array of the family stacks."""
-    name, _, error = _FAMILIES[figure]
+    name, _, error, *_ = _FAMILIES[figure]
     return _check_parameters(np.array([as_float(value, error, name)]), figure)
 
 
@@ -247,6 +243,11 @@ def _figure2_references(x: np.ndarray) -> np.ndarray:
     # the cancellation of the printed form near x = 0
     b3 = x * np.sqrt(204.0 - 1836.0 * x * x)
     return np.column_stack([12.0 * x, (5.0 * x + tail) ** 2 - 1.0, b3])
+
+
+# figure -> (parameter name, interval end, range error, dimension, state stack, reference curves)
+_FAMILIES = {1: ("z", 0.8, ZOutOfRangeError, 2, _figure1_rows, _figure1_references),
+             2: ("x", X_MAX, XOutOfRangeError, 3, _figure2_rows, _figure2_references)}
 
 
 def figure1_state(z: float) -> DensityMatrix:
@@ -285,8 +286,7 @@ def _figure_sweep(figure: int, grid: np.ndarray, pq_list):
     The grid and the basis are checked once, before the first block is made; each
     block's states are validated in one pass (objects._check_states)."""
     _check_parameters(grid, figure)
-    states, references, d = {1: (_figure1_rows, _figure1_references, 2),
-                             2: (_figure2_rows, _figure2_references, 3)}[figure]
+    *_, d, states, references = _FAMILIES[figure]
     basis = require_unitary(np.eye(d))
     povm = projective_povm(basis)
 

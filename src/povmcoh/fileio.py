@@ -20,7 +20,11 @@ import numpy as np
 from .errors import ValidationError, as_array
 from .objects import DensityMatrix, Ensemble, Povm, PureState
 
-KINDS = ("state", "pure_state", "povm", "ensemble")
+# kind -> (class, attribute holding the payload, payload axes: a d x d matrix, a length-d
+# vector or a nonempty list of d x d matrices) of each matrix file; only an ensemble has weights
+_KINDS = {"state": (DensityMatrix, "mat", 2), "pure_state": (PureState, "vec", 1),
+          "povm": (Povm, "elements", 3), "ensemble": (Ensemble, "stack", 3)}
+KINDS = tuple(_KINDS)
 
 
 def _decode(payload, shape: tuple) -> np.ndarray:
@@ -63,21 +67,14 @@ def loads(text: str):
     if payload is None:
         raise ValidationError("missing payload")
 
-    if kind in ("povm", "ensemble"):
-        if not isinstance(payload, list) or not payload:
-            raise ValidationError("payload: expected a nonempty list of matrices")
-        shape = (len(payload), dim, dim)
-    else:
-        shape = (dim, dim) if kind == "state" else (dim,)
-    array = _decode(payload, shape)
-    if kind == "state":
-        return DensityMatrix(array)
-    if kind == "pure_state":
-        return PureState(array)
-    if kind == "povm":
+    cls, _, axes = _KINDS[kind]
+    if axes == 3 and not (isinstance(payload, list) and payload):
+        raise ValidationError("payload: expected a nonempty list of matrices")
+    array = _decode(payload, (len(payload), dim, dim) if axes == 3 else (dim,) * axes)
+    if kind != "ensemble":
         if "weights" in doc:
             raise ValidationError("weights are only valid for ensembles")
-        return Povm(array)
+        return cls(array)
     weights = doc.get("weights")
     if not isinstance(weights, list) or len(weights) != len(array):
         raise ValidationError("ensemble needs a weights list matching payload length")
@@ -98,21 +95,15 @@ def load(path: str):
 
 def dumps(obj) -> str:
     """Serialize a DensityMatrix / PureState / Povm / Ensemble to matrix-file JSON."""
-    if isinstance(obj, DensityMatrix):
-        doc = {"kind": "state", "dim": obj.dim, "payload": _encode(obj.mat)}
-    elif isinstance(obj, PureState):
-        doc = {"kind": "pure_state", "dim": obj.dim, "payload": _encode(obj.vec)}
-    elif isinstance(obj, Povm):
-        doc = {"kind": "povm", "dim": obj.dim, "payload": _encode(obj.elements)}
-    elif isinstance(obj, Ensemble):
-        doc = {"kind": "ensemble", "dim": obj.dim, "payload": _encode(obj.stack),
-               "weights": [float(w) for w in obj.weights]}
-    else:
+    kind = next((kind for kind, (cls, *_) in _KINDS.items() if isinstance(obj, cls)), None)
+    if kind is None:
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
+    doc = {"kind": kind, "dim": obj.dim, "payload": _encode(getattr(obj, _KINDS[kind][1]))}
+    if kind == "ensemble":
+        doc["weights"] = [float(w) for w in obj.weights]
     return json.dumps(doc)
 
 
 def dump(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
+        fh.write(dumps(obj) + "\n")

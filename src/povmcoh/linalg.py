@@ -215,6 +215,13 @@ def stacked_singular_values(m: np.ndarray) -> np.ndarray:
     return _by_blocks(lambda piece: npl.svd(piece, compute_uv=False), m)
 
 
+def smaller_gram(m: np.ndarray) -> np.ndarray:
+    """M M^dag or M^dag M for each matrix M in a stack (..., k, r), whichever is smaller (k x k
+    when k <= r): either has the squared singular values of M as its nonzero spectrum."""
+    mh = m.conj().swapaxes(-1, -2)
+    return m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m
+
+
 def stacked_psd_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of each Hermitian PSD matrix in a stack (..., r, r), after the
     PSD roundoff clamp.  Only the lower triangle of each matrix is read."""

@@ -13,6 +13,7 @@ all j != k) and are invariant under relabeling of outcomes.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import weakref
@@ -93,6 +94,15 @@ def _one_state(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
     return rho.support
 
 
+@functools.cache
+def _outcome_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (j, k) of the outcome pairs j < k in row-major order, kept
+    per n: np.triu_indices takes 20-30 us, about 3% of a pair-report op per caller."""
+    j, k = np.triu_indices(n, 1)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
+
+
 def _factor(support: tuple, povm: Povm, a: float) -> np.ndarray:
     """The (..., n, k, r) stack C_j v w^a from each state's support eigenpairs (w, v) and
     the element factors C_j = sqrt(s_j) u_j^dag of Povm.root_factors.  The orthonormal
@@ -114,9 +124,7 @@ def relative_entropy_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResul
 
 
 def _block_entropies(support: tuple, povm: Povm) -> np.ndarray:
-    y = _factor(support, povm, 0.5)
-    yh = y.conj().swapaxes(-1, -2)
-    blocks = linalg.stacked_psd_eigenvalues(y @ yh if y.shape[-2] <= y.shape[-1] else yh @ y)
+    blocks = linalg.stacked_psd_eigenvalues(linalg.smaller_gram(_factor(support, povm, 0.5)))
     return np.sum(linalg.spectrum_entropy(blocks), axis=-1) - linalg.spectrum_entropy(support[0])
 
 
@@ -135,12 +143,9 @@ def _cross_block_trace_norms(support: tuple, povm: Povm) -> np.ndarray:
     cores = np.linalg.qr(y, mode="r") if y.shape[-1] < y.shape[-2] else y
     *states, n, a, _ = cores.shape
     # the (k, j) block is the adjoint of the (j, k) block: same trace norm, so only
-    # the pairs j < k are taken, in blocks of pairs (linalg.blocks) of one batched
-    # SVD each.  numpy's SVD overlaps on two threads only from about 8192 complex
-    # entries per call, so the blocks are as large as BLOCK_ENTRIES allows and run
-    # on two threads (linalg.map_blocks); a single block starts no thread
-    outcome = np.arange(n)
-    j, k = np.nonzero(outcome[:, None] < outcome)
+    # the pairs j < k are taken, in blocks of pairs (linalg.blocks, sized for two
+    # threads) of one batched SVD each, on two threads (linalg.map_blocks)
+    j, k = _outcome_pairs(n)
 
     def trace_norms(pairs: slice) -> np.ndarray:
         products = np.take(cores, j[pairs], axis=-3).conj() @ np.take(cores, k[pairs], axis=-3).swapaxes(-1, -2)
@@ -198,8 +203,7 @@ def _tsallis_value(support: tuple, povm: Povm, alpha: float) -> np.ndarray:
     """
     m = _factor(support, povm, alpha / 2.0)
     if alpha == 0.5:
-        mh = m.conj().swapaxes(-1, -2)
-        gram = (m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m).reshape(m.shape[:-3] + (-1,)).view(float)
+        gram = linalg.smaller_gram(m).reshape(m.shape[:-3] + (-1,)).view(float)
         total = linalg.row_dots(gram, gram)
     else:
         total = np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha), axis=(-2, -1))
@@ -230,8 +234,7 @@ def is_povm_incoherent(rho: DensityMatrix, povm: Povm, tol: float = 1e-9) -> Inc
     # same largest entry, so only the pairs j < k are taken, in blocks of pairs
     # (linalg.blocks) of one batched product each
     y = povm.elements @ (v * np.sqrt(w))
-    outcome = np.arange(len(y))
-    j, k = np.nonzero(outcome[:, None] < outcome)
+    j, k = _outcome_pairs(len(y))
     defect = max((float(np.max(np.abs(y[j[pairs]].conj() @ y[k[pairs]].swapaxes(-1, -2))))
                   for pairs in linalg.blocks(len(j), povm.dim ** 2)), default=0.0)
     return IncoherenceReport(defect <= tol, defect, tol)

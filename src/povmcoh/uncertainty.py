@@ -55,9 +55,7 @@ def overlap_constant(e: Povm, f: Povm) -> float:
     n_f, _, k_f = d_h.shape
     largest = 0.0
     for rows in linalg.blocks(len(c), n_f * c.shape[1] * k_f):
-        cores = c[rows, None] @ d_h
-        cores_h = cores.conj().swapaxes(-1, -2)
-        gram = cores @ cores_h if c.shape[1] <= k_f else cores_h @ cores
+        gram = linalg.smaller_gram(c[rows, None] @ d_h)
         largest = max(largest, float(np.max(linalg.stacked_psd_eigenvalues(gram)[..., -1])))
     return min(math.sqrt(largest), 1.0)
 
