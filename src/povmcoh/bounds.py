@@ -76,26 +76,35 @@ def check_exponents(p: float, q: float) -> tuple[float, float]:
 
 # The kernels below take one state or a stack of states as measures' kernels do, and
 # return one value per state; the public functions are the case of one state.
-def _element_trace_norms(support: tuple, povm: Povm, *powers: float) -> list[np.ndarray]:
-    """||E_j^a rho||_tr over the outcomes j, an (..., n) array per power a, in one
-    stacked SVD with one layer per distinct power.
+def _element_norm_roots(support: tuple, povm: Povm, *powers: float) -> list[np.ndarray]:
+    """||E_j^a rho||_tr^(1/(2a)) over the outcomes j, an (..., n) array per power a, in one
+    stacked SVD with one layer per distinct power: the Hölder factors (a = p/2, the 1/p-th
+    root) and the pair bounds' t_j (a = 1/2, the norm itself).
 
     For E_j = u_j diag(s_j) u_j^dag and C_j = sqrt(s_j) u_j^dag, E_j^a = u_j s_j^(a - 1/2) C_j,
     and the orthonormal columns of u_j and v drop out: ||E_j^a rho||_tr =
-    ||s_j^(a - 1/2) C_j v w||_tr, a row scaling of one measures._factor stack.
+    ||s_j^(a - 1/2) C_j v w||_tr, a row scaling of one measures._factor stack.  At large a
+    that norm underflows (1e-211 at p = 1400) while its root does not, so the rows are
+    scaled by (s_j / top)^(a - 1/2), top the largest eigenvalue of E_j on which the state
+    has weight (1 for none), and top^((a - 1/2) / (2a)) is multiplied back after the
+    root.  At a = 1/2 both factors are exactly 1.
     """
     cvw = measures._factor(support, povm, 1.0)
-    s = povm.root_factors[0][:, :, None]
     distinct = dict.fromkeys(powers)
-    stack = np.array([s ** (a - 0.5) * cvw for a in distinct])
-    norms = dict(zip(distinct, np.sum(linalg.stacked_singular_values(stack), axis=-1)))
-    return [norms[a] for a in powers]
+    s, top = povm.root_factors[0], 1.0
+    if distinct.keys() != {0.5}:  # the pair bounds alone need no scaling
+        top = np.where((cvw != 0.0).any(axis=-1), s, 0.0).max(axis=-1)
+        top[top == 0.0] = 1.0
+        s = np.minimum(s / top[..., None], 1.0)  # the rows above top are zero rows
+    stack = np.array([s[..., None] ** (a - 0.5) * cvw for a in distinct])
+    norms = np.sum(linalg.stacked_singular_values(stack), axis=-1)
+    roots = {a: norm ** (0.5 / a) * top ** ((a - 0.5) / (2.0 * a)) for a, norm in zip(distinct, norms)}
+    return [roots[a] for a in powers]
 
 
-def _holder_values(a: np.ndarray, b: np.ndarray, p: float, q: float) -> np.ndarray:
-    """sum_{j!=k} a_j^(1/p) b_k^(1/q) per state, from a = ||E_j^(p/2) rho||_tr and
-    b = ||E_k^(q/2) rho||_tr."""
-    a, b = a ** (1.0 / p), b ** (1.0 / q)
+def _holder_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_{j!=k} a_j b_k per state, from a_j = ||E_j^(p/2) rho||_tr^(1/p) and
+    b_k = ||E_k^(q/2) rho||_tr^(1/q)."""
     return a.sum(axis=-1) * b.sum(axis=-1) - linalg.row_dots(a, b)
 
 
@@ -135,8 +144,8 @@ def _bound_columns(mats: np.ndarray, support: tuple, povm: Povm, pq_list, basis)
     b1, b2 and b3.  Each bound column is certified as its BoundReport would be."""
     c_l1 = measures._cross_block_trace_norms(support, povm)
     pairs = [*pq_list, (2.0, 2.0)]
-    t, *norms = _element_trace_norms(support, povm, 0.5, *(a for p, q in pairs for a in (p / 2.0, q / 2.0)))
-    columns = [_holder_values(a, b, p, q) for (p, q), a, b in zip(pairs, norms[::2], norms[1::2])]
+    t, *roots = _element_norm_roots(support, povm, 0.5, *(a for p, q in pairs for a in (p / 2.0, q / 2.0)))
+    columns = [_holder_values(a, b) for a, b in zip(roots[::2], roots[1::2])]
     columns += _pair_values(t)
     for bound_id, column in zip(["thm1"] * len(pq_list) + ["thm1_p2q2", "thm2_ordered", "thm2_uniform"], columns):
         _certify(bound_id, c_l1, column)
@@ -151,7 +160,7 @@ def _bound_columns(mats: np.ndarray, support: tuple, povm: Povm, pq_list, basis)
 def holder_bound(rho: DensityMatrix, povm: Povm, p: float, q: float) -> BoundReport:
     """Factorized bound sum_{j!=k} ||E_j^(p/2) rho||^(1/p) ||E_k^(q/2) rho||^(1/q)."""
     p, q = check_exponents(p, q)
-    value = _holder_values(*_element_trace_norms(measures._one_state(rho, povm), povm, p / 2.0, q / 2.0), p, q)
+    value = _holder_values(*_element_norm_roots(measures._one_state(rho, povm), povm, p / 2.0, q / 2.0))
     c_l1 = measures.l1_coherence(rho, povm).value
     return BoundReport(c_l1, float(value), "thm1", (p, q))
 
@@ -169,7 +178,7 @@ def pair_bounds(rho: DensityMatrix, povm: Povm) -> tuple[BoundReport, BoundRepor
     sorted:  2 sum_j (n - j) t_(j)  with t_(1) <= ... <= t_(n)
     uniform: (n - 1) sum_j t_j
     """
-    (t,) = _element_trace_norms(measures._one_state(rho, povm), povm, 0.5)
+    (t,) = _element_norm_roots(measures._one_state(rho, povm), povm, 0.5)
     ordered, uniform = map(float, _pair_values(t))
     c_l1 = measures.l1_coherence(rho, povm).value
     return BoundReport(c_l1, ordered, "thm2_ordered"), BoundReport(c_l1, uniform, "thm2_uniform")

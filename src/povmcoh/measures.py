@@ -61,6 +61,8 @@ class IncoherenceReport(_Record):
 
 
 def _clamp_value(value: float, measure_id: str) -> float:
+    if not math.isfinite(value):  # NaN or inf out of a kernel is a fault, and not a JSON number
+        raise NumericError(f"{measure_id} evaluated to {value}, which is not finite")
     if value < -NEGATIVE_VALUE_TOL:
         raise NumericError(f"{measure_id} evaluated to {value:.3e}, below -{NEGATIVE_VALUE_TOL:.1e}")
     if value < 0.0:

@@ -206,6 +206,17 @@ def test_bounds_pair_mode_custom_pq(capsys, plus_path, z_path):
     assert "thm1_p3_q1.5" in header
 
 
+def test_bounds_pair_mode_at_a_large_exponent(capsys, tmp_path, plus_path):
+    # ||E_2^700 |+><+| ||_tr = 1.3e-211 once underflowed, and the row failed its certificate
+    povm = write_obj(tmp_path, "diagonal.json", Povm([np.diag([0.9, 0.5]), np.diag([0.1, 0.5])]))
+    code, out, err = run(capsys, ["bounds", "--state", plus_path, "--povm", povm,
+                                  "--pq", "1400,1.0007147962830594"])
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    value = float(rows[0][header.index("thm1_p1400_q1.00071")])
+    assert abs(value - 1.1110019507256109) <= 1e-12 * 1.1110019507256109  # at 50 digits
+
+
 def test_bounds_blank_basis_columns_for_non_projective(capsys, tmp_path, plus_path):
     trivial = write_obj(tmp_path, "trivial.json",
                         __import__("povmcoh").Povm([np.eye(2, dtype=complex)]))

@@ -377,3 +377,35 @@ def test_trace_norm_bounds_match_the_50_digit_definition(state):
            ordered.bound_value, uniform.bound_value]
     for value, exact in zip(got, want):
         assert abs(value - float(exact)) <= 1e-14 * abs(float(exact))
+
+
+# E = (diag(0.9, 0.5), diag(0.1, 0.5)): at p = 1400 ||E_2^700 |+><+| ||_tr is 1.3e-211,
+# which squared underflows, and |1><1| has no weight on E_1's top eigenvector
+DIAGONAL_PAIR = (np.diag([0.9, 0.5]), np.diag([0.1, 0.5]))
+
+
+def _holder_cases():
+    rng = np.random.default_rng(95)
+    diagonal = Povm(DIAGONAL_PAIR)
+    yield DensityMatrix(np.full((2, 2), 0.5)), diagonal
+    yield DensityMatrix(np.diag([0.0, 1.0])), diagonal
+    for d in (2, 3, 4):
+        povm = random_povm(d, d + 1, rng)
+        yield random_density(rng, d), povm
+        yield random_rank_density(rng, d, 1), povm
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 50.0, 1400.0, 5000.0, 1e5])
+def test_holder_bound_matches_the_50_digit_value_at_any_exponent(p):
+    # the Hölder factors ||E_j^(p/2) rho||_tr^(1/p) keep their digits when the norm
+    # itself is below the smallest double; both orders of each conjugate pair
+    q = p / (p - 1.0)
+    for rho, povm in _holder_cases():
+        with mpmath.workdps(50):
+            norms = mp_oracle.element_trace_norms(rho.mat, povm.elements, {p / 2.0, q / 2.0})
+            roots = {x: [t ** (1 / mpmath.mpf(x)) for t in norms[x / 2.0]] for x in (p, q)}
+        for first, second in ((p, q), (q, p)):
+            a, b = roots[first], roots[second]
+            want = float(sum(a) * sum(b) - sum(x * y for x, y in zip(a, b)))
+            got = holder_bound(rho, povm, first, second).bound_value
+            assert abs(got - want) <= 1e-12 * want, (first, second, got, want)

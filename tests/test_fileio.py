@@ -140,11 +140,32 @@ def test_loads_rejects_pure_state_wrong_length():
         fileio.loads(json.dumps(doc))
 
 
-def test_loads_rejects_weights_on_povm():
-    povm_doc = json.loads(fileio.dumps(trine_povm()))
-    povm_doc["weights"] = [0.5, 0.25, 0.25]
-    with pytest.raises(ValidationError):
-        fileio.loads(json.dumps(povm_doc))
+# one object of each matrix-file kind
+SAMPLES = {
+    "state": lambda: random_density(np.random.default_rng(77), 3),
+    "pure_state": lambda: PureState(np.array([0.6, 0.8j])),
+    "povm": trine_povm,
+    "ensemble": lambda: random_ensemble(np.random.default_rng(78), 2, 3),
+}
+
+
+@pytest.mark.parametrize("kind", ["state", "pure_state", "povm"])
+def test_loads_rejects_weights_on_povm(kind):
+    # only an ensemble takes weights, whatever they hold
+    doc = json.loads(fileio.dumps(SAMPLES[kind]()))
+    doc["weights"] = [0.5, 0.25, 0.25] if kind == "povm" else "junk"
+    with pytest.raises(ValidationError, match="weights are only valid for ensembles"):
+        fileio.loads(json.dumps(doc))
+
+
+def test_every_kind_roundtrips_with_the_same_bytes():
+    assert tuple(SAMPLES) == fileio.KINDS
+    for kind, make in SAMPLES.items():
+        text = fileio.dumps(make())
+        doc = json.loads(text)
+        assert list(doc) == ["kind", "dim", "payload"] + ["weights"] * (kind == "ensemble")
+        assert doc["kind"] == kind
+        assert fileio.dumps(fileio.loads(text)) == text
 
 
 def test_loads_rejects_ensemble_without_weights():

@@ -1,6 +1,7 @@
 """The three coherence measures and the incoherence membership test."""
 
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,13 @@ def test_roundoff_clamp_is_logged_and_larger_negatives_raise(caplog):
     assert record.getMessage() == "x value -1.000e-12 clamped to 0 (roundoff)"
     with pytest.raises(NumericError):
         measures._clamp_value(-1e-6, "x")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_clamp_refuses_non_finite_values(bad):
+    # the one fault check of every measure value, the LSM error, S(rho) and the Haar averages
+    with pytest.raises(NumericError, match=f"x evaluated to {bad}, which is not finite"):
+        measures._clamp_value(bad, "x")
 
 
 def test_roundoff_clamp_loads_no_logging_module():
