@@ -69,6 +69,8 @@ def check_exponents(p: float, q: float) -> tuple[float, float]:
     p, q = as_float(p, InvalidExponentsError, "p"), as_float(q, InvalidExponentsError, "q")
     if not (p > 1.0 and q > 1.0):
         raise InvalidExponentsError(f"exponents must exceed 1, got p={p}, q={q}")
+    if max(p, q) == math.inf:  # p = inf passes the sum test with q within EXPONENT_TOL of 1
+        raise InvalidExponentsError(f"exponents must be finite, got p={p}, q={q}")
     if abs(1.0 / p + 1.0 / q - 1.0) > EXPONENT_TOL:
         raise InvalidExponentsError(f"1/p + 1/q = {1.0 / p + 1.0 / q} != 1")
     return p, q
@@ -87,15 +89,13 @@ def _element_norm_roots(support: tuple, povm: Povm, *powers: float) -> list[np.n
     that norm underflows (1e-211 at p = 1400) while its root does not, so the rows are
     scaled by (s_j / top)^(a - 1/2), top the largest eigenvalue of E_j on which the state
     has weight (1 for none), and top^((a - 1/2) / (2a)) is multiplied back after the
-    root.  At a = 1/2 both factors are exactly 1.
+    root.  At a = 1/2 both factors are exactly 1, so the pair bounds keep their bits.
     """
     cvw = measures._factor(support, povm, 1.0)
     distinct = dict.fromkeys(powers)
-    s, top = povm.root_factors[0], 1.0
-    if distinct.keys() != {0.5}:  # the pair bounds alone need no scaling
-        top = np.where((cvw != 0.0).any(axis=-1), s, 0.0).max(axis=-1)
-        top[top == 0.0] = 1.0
-        s = np.minimum(s / top[..., None], 1.0)  # the rows above top are zero rows
+    top = np.where((cvw != 0.0).any(axis=-1), povm.root_factors[0], 0.0).max(axis=-1)
+    top[top == 0.0] = 1.0
+    s = np.minimum(povm.root_factors[0] / top[..., None], 1.0)  # the rows above top are zero rows
     stack = np.array([s[..., None] ** (a - 0.5) * cvw for a in distinct])
     norms = np.sum(linalg.stacked_singular_values(stack), axis=-1)
     roots = {a: norm ** (0.5 / a) * top ** ((a - 0.5) / (2.0 * a)) for a, norm in zip(distinct, norms)}

@@ -32,6 +32,10 @@ SUPPORT_RTOL = 1e-13
 # complex entries per call, so a block this size is also worth a thread: the
 # stacked kernels run any larger stack in blocks of this size on two threads.
 BLOCK_ENTRIES = 1 << 14
+# A vector's sum of squares at or above this (2^54 times the smallest normal double)
+# lost under 2^-107 of itself per entry to squares below the normal range; a smaller
+# one, or zero, is taken again from the vector scaled by a power of two.
+TINY_SQUARES = 2.0 ** -968
 
 
 def blocks(count: int, entries_each: int):
@@ -211,7 +215,13 @@ def stacked_singular_values(m: np.ndarray) -> np.ndarray:
     if m.ndim < 2:
         raise NotSquareError(f"expected a stack of matrices, got shape {m.shape}")
     if min(m.shape[-2:]) == 1:
-        return np.ascontiguousarray(np.sqrt(np.square(np.abs(m)).sum(axis=(-2, -1)))[..., None])
+        entries = np.abs(m)
+        squares = np.square(entries).sum(axis=(-2, -1), keepdims=True)
+        if squares.min(initial=TINY_SQUARES) < TINY_SQUARES:  # zero, or squares below the normal range
+            scale = np.frexp(entries.max(axis=(-2, -1), keepdims=True))[1]  # 0 for a zero vector
+            squares = np.square(np.ldexp(entries, -scale)).sum(axis=(-2, -1), keepdims=True)
+            return np.ascontiguousarray(np.ldexp(np.sqrt(squares), scale)[..., 0])
+        return np.ascontiguousarray(np.sqrt(squares)[..., 0])
     return _by_blocks(lambda piece: npl.svd(piece, compute_uv=False), m)
 
 

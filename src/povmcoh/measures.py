@@ -13,7 +13,6 @@ all j != k) and are invariant under relabeling of outcomes.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import weakref
@@ -96,13 +95,10 @@ def _one_state(rho: DensityMatrix, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
     return rho.support
 
 
-@functools.cache
 def _outcome_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays (j, k) of the outcome pairs j < k in row-major order, kept
-    per n: np.triu_indices takes 20-30 us, about 3% of a pair-report op per caller."""
-    j, k = np.triu_indices(n, 1)
-    j.flags.writeable = k.flags.writeable = False
-    return j, k
+    """Index arrays (j, k) of the outcome pairs j < k in row-major order."""
+    index = np.arange(n)
+    return np.nonzero(index[:, None] < index)
 
 
 def _factor(support: tuple, povm: Povm, a: float) -> np.ndarray:

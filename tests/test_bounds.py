@@ -42,6 +42,10 @@ def test_check_exponents():
         check_exponents(1.0, 2.0)
     with pytest.raises(InvalidExponentsError):
         check_exponents(3.0, 1.4999)
+    # 1/inf + 1/q is within EXPONENT_TOL of 1 here, but the factors ||.||^(1/p) are NaN
+    for p, q in ((math.inf, 1.0000000000001), (1.0000000000001, math.inf)):
+        with pytest.raises(InvalidExponentsError, match="exponents must be finite"):
+            check_exponents(p, q)
 
 
 @pytest.mark.parametrize("bad", ["x", None, 1j])

@@ -665,7 +665,8 @@ FLAGS = {
     "bounds": {"--state": "state", "--povm": "povm", "--figure": ["1", "2", "3", "x"],
                "--range": ["0:0.1:0.05", "0.2:0.24:0.02", "0.7:1:0.1", "nan:1:0.1", "0:inf:1", "1:0:0.1",
                            "0:0.1:0", "0:0.1:-1", "x"],
-               "--pq": ["3,1.5", "2,2", "nan,nan", "inf,1", "1e308,1", "-1,2", "x", "1,1,1"]},
+               "--pq": ["3,1.5", "2,2", "nan,nan", "inf,1", "inf,1.0000000000001", "1e308,1", "-1,2", "x",
+                        "1,1,1"]},
     "lsm": {"--ensemble": "ensemble", "--state": "state", "--povm": "povm"},
     "uncertainty": {"--state": "state", "--povm": "povm", "--povm2": "povm"},
     "haar": {"--povm": "povm", "--measure": ["r", "tsallis", "l1bound", "l1"], "--alpha": NUMBERS,

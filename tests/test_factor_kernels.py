@@ -45,7 +45,7 @@ from povmcoh import (
     relative_entropy_coherence,
     tsallis_coherence,
 )
-from povmcoh import linalg
+from povmcoh import bounds, linalg
 from povmcoh.linalg import stacked_singular_values
 from povmcoh.measures import (
     pure_l1_coherence,
@@ -393,6 +393,22 @@ def _holder_cases():
         povm = random_povm(d, d + 1, rng)
         yield random_density(rng, d), povm
         yield random_rank_density(rng, d, 1), povm
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 50.0, 1400.0, 1e5])
+def test_holder_factors_keep_a_weight_below_the_smallest_square(p):
+    # a pure state with weight 1e-170 on E_2's top eigenvector: that row of the scaled
+    # stack is about 1e-170, whose square underflows, and the other falls below it by
+    # (0.1/0.5)^(p/2 - 1/2) (a density matrix cannot carry the weight: its eigensolver
+    # drops it).  ||E_j^(p/2) psi||^(1/p) = (sum_i e_ji^p |psi_i|^2)^(1/(2p))
+    support = (np.ones(1), np.array([[1.0], [1e-170]], dtype=complex))
+    got = bounds._element_norm_roots(support, Povm(DIAGONAL_PAIR), p / 2.0)[0]
+    with mpmath.workdps(50):
+        weights = (1, mpmath.mpf(1e-170) ** 2)
+        want = [float(mpmath.fsum(w * mpmath.mpf(e) ** p for w, e in zip(weights, np.diag(element)))
+                      ** (1 / (2 * mpmath.mpf(p))))
+                for element in DIAGONAL_PAIR]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0), (got, want)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 50.0, 1400.0, 5000.0, 1e5])

@@ -428,6 +428,22 @@ def test_stacked_kernels_refuse_a_stack_of_non_matrices(kernel):
             kernel(np.ones((2, 3)))
 
 
+def test_vector_norms_keep_their_digits_below_the_smallest_square():
+    # the no-LAPACK branch: squares of 1e-170 are below the smallest double
+    rows = stacked_singular_values(np.array([[[1e-170, 1e-170j]], [[0.0, 0.0]], [[0.3, 0.4j]]]))
+    assert rows.shape == (3, 1) and rows[1, 0] == 0.0
+    assert rows[2, 0] == np.sqrt(0.3 ** 2 + 0.4 ** 2)  # a stack taken again keeps the others' bits
+    assert abs(rows[0, 0] - np.sqrt(2.0) * 1e-170) <= 4e-16 * np.sqrt(2.0) * 1e-170
+    assert stacked_singular_values(np.zeros((0, 1, 3))).shape == (0, 1)
+    column = stacked_singular_values(np.array([[3e-300], [4e-300]]))
+    assert abs(column[0] - 5e-300) <= 4e-16 * 5e-300
+    # away from underflow the scaling by a power of two keeps every bit
+    m = np.random.default_rng(3).standard_normal((5, 1, 7, 2)).view(complex)[..., 0]
+    for vectors in (m, m.swapaxes(-1, -2)):
+        want = np.sqrt(np.square(np.abs(vectors)).sum(axis=(-2, -1)))[..., None]
+        assert np.array_equal(stacked_singular_values(vectors), want)
+
+
 @STACKED_KERNELS
 def test_a_stack_of_one_block_starts_no_thread(monkeypatch, two_cpus, kernel):
     m = _psd_stack((linalg.BLOCK_ENTRIES // (32 * 32), 32, 32))
