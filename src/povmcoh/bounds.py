@@ -80,8 +80,9 @@ def check_exponents(p: float, q: float) -> tuple[float, float]:
 # return one value per state; the public functions are the case of one state.
 def _element_norm_roots(support: tuple, povm: Povm, *powers: float) -> list[np.ndarray]:
     """||E_j^a rho||_tr^(1/(2a)) over the outcomes j, an (..., n) array per power a, in one
-    stacked SVD with one layer per distinct power: the Hölder factors (a = p/2, the 1/p-th
-    root) and the pair bounds' t_j (a = 1/2, the norm itself).
+    linalg.stacked_trace_norms call with one layer per distinct power (an SVD only for
+    min(k, r) >= 3): the Hölder factors (a = p/2, the 1/p-th root) and the pair bounds'
+    t_j (a = 1/2, the norm itself).
 
     For E_j = u_j diag(s_j) u_j^dag and C_j = sqrt(s_j) u_j^dag, E_j^a = u_j s_j^(a - 1/2) C_j,
     and the orthonormal columns of u_j and v drop out: ||E_j^a rho||_tr =
@@ -97,7 +98,7 @@ def _element_norm_roots(support: tuple, povm: Povm, *powers: float) -> list[np.n
     top[top == 0.0] = 1.0
     s = np.minimum(povm.root_factors[0] / top[..., None], 1.0)  # the rows above top are zero rows
     stack = np.array([s[..., None] ** (a - 0.5) * cvw for a in distinct])
-    norms = np.sum(linalg.stacked_singular_values(stack), axis=-1)
+    norms = linalg.stacked_trace_norms(stack)
     roots = {a: norm ** (0.5 / a) * top ** ((a - 0.5) / (2.0 * a)) for a, norm in zip(distinct, norms)}
     return [roots[a] for a in powers]
 

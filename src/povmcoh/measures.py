@@ -129,25 +129,38 @@ def _block_entropies(support: tuple, povm: Povm) -> np.ndarray:
 def l1_coherence(rho: DensityMatrix, povm: Povm) -> CoherenceResult:
     """Total trace norm of the cross blocks sqrt(E_j) rho sqrt(E_k), j != k.
 
-    ||sqrt(E_j) rho sqrt(E_k)||_tr = ||Y_j Y_k^dag||_tr, with Y_j k x r.  When r < k,
-    the thin QR Y_j = Q_j R_j gives ||R_j R_k^dag||_tr instead, so every core is
-    min(k, r) square: 1 x 1 for rank-one elements or a pure state.
+    ||sqrt(E_j) rho sqrt(E_k)||_tr = ||Y_j Y_k^dag||_tr, with Y_j k x r.  A pure state
+    (r = 1) gives t_j t_k with t_j = ||Y_j||, and rank-one elements (k = 1) give |G_jk|,
+    an entry of the Gram matrix of the rows Y_j.  Otherwise, when r < k, the thin QR
+    Y_j = Q_j R_j gives ||R_j R_k^dag||_tr instead, so every core is min(k, r) square,
+    and a 2 x 2 core takes the closed form of linalg.stacked_trace_norms, no SVD.
     """
     return compute(rho, povm, L1)
 
 
 def _cross_block_trace_norms(support: tuple, povm: Povm) -> np.ndarray:
     y = _factor(support, povm, 0.5)
-    cores = np.linalg.qr(y, mode="r") if y.shape[-1] < y.shape[-2] else y
-    *states, n, a, _ = cores.shape
+    *states, n, rank, r = y.shape  # rank: the largest element rank, k
     # the (k, j) block is the adjoint of the (j, k) block: same trace norm, so only
-    # the pairs j < k are taken, in blocks of pairs (linalg.blocks, sized for two
-    # threads) of one batched SVD each, on two threads (linalg.map_blocks)
+    # the pairs j < k are taken, each as a positive term: no total less its diagonal
+    if r == 1:  # 2 sum_k t_k sum_{j<k} t_j, from prefix sums
+        t = linalg.stacked_trace_norms(y)
+        return 2.0 * linalg.row_dots(t[..., 1:], np.cumsum(t, axis=-1)[..., :-1])
     j, k = _outcome_pairs(n)
+    if rank == 1:  # the entries j < k of the Gram matrix of the rows, gathered C-contiguous
+        # so that a sum adds each state's entries in one order, alone or in a stack
+        rows = y[..., 0, :]
+        gram = (rows.conj() @ rows.swapaxes(-1, -2)).reshape(*states, n * n)
+        return 2.0 * np.abs(np.take(gram, j * n + k, axis=-1)).sum(axis=-1)
+    cores = np.linalg.qr(y, mode="r") if r < rank else y
+    a = cores.shape[-2]
+    # min(k, r) square products, in blocks of pairs (linalg.blocks, sized for two
+    # threads) of one batched product each, on two threads (linalg.map_blocks); a
+    # 2 x 2 product takes the closed form, a wider one the SVD
 
     def trace_norms(pairs: slice) -> np.ndarray:
         products = np.take(cores, j[pairs], axis=-3).conj() @ np.take(cores, k[pairs], axis=-3).swapaxes(-1, -2)
-        return linalg.stacked_singular_values(products).sum(axis=(-2, -1))
+        return linalg.stacked_trace_norms(products).sum(axis=-1)
 
     parts = linalg.map_blocks(trace_norms, linalg.blocks(len(j), math.prod(states) * a * a))
     return 2.0 * sum(parts) if parts else np.zeros(states)
@@ -196,13 +209,17 @@ def _tsallis_value(support: tuple, povm: Povm, alpha: float) -> np.ndarray:
     At alpha = 1/2 the sum is sum_j ||G_j||_F^2 of the smaller Gram matrix G_j of M_j,
     k x k C_j sqrt(rho) C_j^dag or r x r: the LSM success sum sum_j tr(sqrt(rho) E_j
     sqrt(rho) E_j), from one batched product and one dot of non-negative terms per
-    state, with no spectrum.  Every other alpha takes the singular values.  Returns
-    the Tsallis value of each state, unclamped.
+    state, with no spectrum.  At alpha = 2 the power 2/alpha is 1, so the sum is
+    sum_j ||M_j||_tr (linalg.stacked_trace_norms: no SVD for min(k, r) <= 2).  Every
+    other alpha takes the singular values.  Returns the Tsallis value of each state,
+    unclamped.
     """
     m = _factor(support, povm, alpha / 2.0)
     if alpha == 0.5:
         gram = linalg.smaller_gram(m).reshape(m.shape[:-3] + (-1,)).view(float)
         total = linalg.row_dots(gram, gram)
+    elif alpha == 2.0:
+        total = np.sum(linalg.stacked_trace_norms(m), axis=-1)
     else:
         total = np.sum(linalg.stacked_singular_values(m) ** (2.0 / alpha), axis=(-2, -1))
     return (total - 1.0) / (alpha - 1.0)
